@@ -30,6 +30,7 @@ from typing import Any, Sequence
 
 from ..errors import MachineError
 from ..obs import metrics
+from ..obs.schema import check_versioned, write_json
 from .space import ParameterSpace
 from .trial import TrialResult
 
@@ -253,38 +254,12 @@ class SweepReport:
 
 def write_report_json(report: SweepReport, path: str | os.PathLike) -> None:
     """Persist the versioned report dict as canonical pretty JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_dict(), path)
 
 
 def validate_dse_report_dict(data: dict[str, Any]) -> None:
     """Check a report dict against :data:`DSE_REPORT_SCHEMA`; raises
-    ``ValueError`` on a missing key or mistyped value."""
-    if data.get("schema_version") != REPORT_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {data.get('schema_version')!r} "
-            f"(expected {REPORT_VERSION})")
-
-    def check(obj: dict, schema: dict, path: str) -> None:
-        for key, expected in schema.items():
-            if key not in obj:
-                raise ValueError(f"report missing key {path}{key!r}")
-            value = obj[key]
-            if isinstance(expected, dict) and key in ("trials", "pareto"):
-                if not isinstance(value, list):
-                    raise ValueError(f"{path}{key!r} must be a list")
-                for i, row in enumerate(value):
-                    if not isinstance(row, dict):
-                        raise ValueError(
-                            f"{path}{key}[{i}] must be an object")
-                    check(row, expected, f"{path}{key}[{i}].")
-            elif isinstance(expected, dict) and expected:
-                if not isinstance(value, dict):
-                    raise ValueError(f"{path}{key!r} must be an object")
-            elif not isinstance(value, expected if expected is not dict
-                                else dict):
-                raise ValueError(
-                    f"{path}{key!r} must be {expected.__name__}, got "
-                    f"{type(value).__name__}")
-    check(data, DSE_REPORT_SCHEMA, "")
+    ``ValueError`` on a missing key or mistyped value.  Leaves are
+    plain ``isinstance`` checks (a ``bool`` passes for an ``int``)."""
+    check_versioned(data, DSE_REPORT_SCHEMA, REPORT_VERSION,
+                    lists=("trials", "pareto"), strict=False)

@@ -106,20 +106,6 @@ class ServerUnavailable(ServeError):
     """The serve client could not reach (or lost) the daemon."""
 
 
-class CircuitOpen(ServeError):
-    """A client-side circuit breaker is open for the endpoint: recent
-    calls failed repeatedly, so further calls are refused locally (fast)
-    until the breaker's reset timeout admits a half-open probe.
-    ``endpoint`` names the guarded path; ``retry_after`` is the seconds
-    until the next probe is allowed."""
-
-    def __init__(self, endpoint: str, retry_after: float):
-        self.endpoint = endpoint
-        self.retry_after = retry_after
-        super().__init__(
-            f"circuit open for {endpoint}: retry in {retry_after:.2f}s")
-
-
 class PerfRegressionError(ReproError):
     """``tms-experiments report --check`` found a tracked metric that
     regressed beyond the configured threshold versus its baseline.  The

@@ -112,27 +112,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        "HTML dashboard; --check gates on perf regressions")
     from .report_cli import add_report_arguments
     add_report_arguments(rep)
-    from ..serve.cli import (add_chaos_serve_arguments, add_serve_arguments,
-                             add_submit_arguments)
+    from ..serve.cli import add_serve_arguments, add_submit_arguments
     serve = sub.add_parser(
         "serve", help="run the long-lived compile/simulate daemon: warm "
                       "worker pool, request coalescing, bounded admission "
-                      "control; --supervise adds crash/hang restarts "
-                      "(docs/serving.md)")
+                      "control (docs/serving.md)")
     add_serve_arguments(serve)
     _add_obs_flags(serve)
     submit = sub.add_parser(
         "submit", help="send one compile/simulate request to a running "
                        "serve daemon and print the result")
     add_submit_arguments(submit)
-    chaos_serve = sub.add_parser(
-        "chaos-serve", help="seeded chaos campaign against the serve "
-                            "stack: SIGKILL mid-burst, connection resets, "
-                            "injected latency, worker-pool breakage — "
-                            "asserts zero wrong answers and bounded "
-                            "unavailability")
-    add_chaos_serve_arguments(chaos_serve)
-    _add_obs_flags(chaos_serve)
     return parser
 
 
@@ -273,18 +263,6 @@ def _run_chaos_command(ns: argparse.Namespace) -> int:
     return code
 
 
-def _run_chaos_serve_command(ns: argparse.Namespace) -> int:
-    global _ledger_extra
-    from ..serve.cli import run_chaos_serve_command
-    _begin_trace(ns.trace)
-    code = run_chaos_serve_command(ns)
-    _finish_trace(ns.trace)
-    if ns.stats:
-        _print_stats()
-    _ledger_extra = getattr(ns, "serve_summary", None)
-    return code
-
-
 def main(argv: list[str] | None = None) -> int:
     args_list = list(argv) if argv is not None else None
     import sys as _sys
@@ -301,8 +279,8 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs import enable_spans
         enable_spans(True)
     command = raw[0] if raw and raw[0] in (
-        "compile", "validate", "dse", "chaos", "chaos-serve", "serve",
-        "submit") else "suite"
+        "compile", "validate", "dse", "chaos", "serve", "submit") \
+        else "suite"
     start = time.perf_counter()
     code = _dispatch(command, raw)
     if ledgered:
@@ -326,8 +304,6 @@ def _dispatch(command: str, raw: list[str]) -> int:
         return _run_dse_command(_build_parser().parse_args(raw))
     if command == "chaos":
         return _run_chaos_command(_build_parser().parse_args(raw))
-    if command == "chaos-serve":
-        return _run_chaos_serve_command(_build_parser().parse_args(raw))
     if command == "serve":
         return _run_serve_command(_build_parser().parse_args(raw))
     if command == "submit":

@@ -16,7 +16,6 @@ perturbation dominate; the point of the report is that the error is
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from ..costmodel.exectime import estimate_execution_time
 from ..ir.loop import Loop
 from ..machine.resources import ResourceModel
 from ..obs.report import DiscrepancyReport, DiscrepancyRow
+from ..obs.schema import write_json
 from ..workloads.doacross import DOACROSS_LOOPS
 from ..workloads.specfp import SPECFP_BENCHMARKS, generate_benchmark_loops
 
@@ -49,10 +49,6 @@ def suite_loops(suites: Sequence[str],
         for sl in DOACROSS_LOOPS:
             pairs.append((sl.benchmark, sl.loop))
     return pairs
-
-
-#: backwards-compatible alias (pre-chaos name)
-_suite_loops = suite_loops
 
 
 def run_validate(arch: ArchConfig | None = None,
@@ -117,6 +113,4 @@ def run_validate(arch: ArchConfig | None = None,
 def write_report_json(report: DiscrepancyReport,
                       path: str | os.PathLike) -> None:
     """Persist the report's versioned dict form as pretty JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_dict(), path)

@@ -15,10 +15,11 @@ the pure data model.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any
+
+from ..obs.schema import check_versioned, write_json
 
 __all__ = [
     "CHAOS_REPORT_SCHEMA",
@@ -205,43 +206,8 @@ def validate_chaos_report_dict(data: dict[str, Any]) -> None:
     """Check ``data`` against :data:`CHAOS_REPORT_SCHEMA`; raises
     ``ValueError`` on a missing key or mistyped value (the golden-schema
     gate in CI)."""
-    def check(obj: dict, schema: dict, path: str) -> None:
-        for key, expected in schema.items():
-            if key not in obj:
-                raise ValueError(f"report missing key {path}{key!r}")
-            value = obj[key]
-            if isinstance(expected, dict) and key == "rows":
-                if not isinstance(value, list):
-                    raise ValueError(f"{path}{key!r} must be a list")
-                for i, row in enumerate(value):
-                    if not isinstance(row, dict):
-                        raise ValueError(f"{path}rows[{i}] must be an object")
-                    check(row, expected, f"{path}rows[{i}].")
-            elif isinstance(expected, dict):
-                if not isinstance(value, dict):
-                    raise ValueError(f"{path}{key!r} must be an object")
-                check(value, expected, f"{path}{key}.")
-            elif expected is float:
-                if not isinstance(value, (int, float)) \
-                        or isinstance(value, bool):
-                    raise ValueError(
-                        f"{path}{key!r} must be a number, got "
-                        f"{type(value).__name__}")
-            elif expected is bool:
-                if not isinstance(value, bool):
-                    raise ValueError(
-                        f"{path}{key!r} must be bool, got "
-                        f"{type(value).__name__}")
-            elif not isinstance(value, expected) or isinstance(value, bool) \
-                    and expected is int:
-                raise ValueError(
-                    f"{path}{key!r} must be {expected.__name__}, got "
-                    f"{type(value).__name__}")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {data.get('schema_version')!r} "
-            f"(expected {SCHEMA_VERSION})")
-    check(data, CHAOS_REPORT_SCHEMA, "")
+    check_versioned(data, CHAOS_REPORT_SCHEMA, SCHEMA_VERSION,
+                    lists=("rows",))
 
 
 def write_chaos_report_json(report: ChaosReport,
@@ -251,6 +217,4 @@ def write_chaos_report_json(report: ChaosReport,
     ``sort_keys`` plus the campaign's deterministic seeding make the
     file byte-identical across same-seed reruns — CI diffs it.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_dict(), path)

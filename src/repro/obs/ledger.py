@@ -16,8 +16,8 @@ Design rules:
   disk degrades to a warning on stderr; the command's own exit code is
   untouched.
 * **Appends are atomic and durable.**  Every record is one fsync'd
-  ``O_APPEND`` write (:func:`append_jsonl_line` — shared with the serve
-  request journal), so concurrent writers never interleave records and
+  ``O_APPEND`` write (:func:`append_jsonl_line`), so concurrent
+  writers never interleave records and
   an acknowledged append survives a SIGKILL'd process.
 * **Reading never crashes on a bad line.**  Ledgers are append-only
   files that can be truncated mid-write by a dying process;
@@ -37,6 +37,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
+
+from .schema import check_versioned
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -84,13 +86,11 @@ def append_jsonl_line(path: str | os.PathLike, line: str | bytes, *,
     """Append one JSONL line to ``path`` as a single ``O_APPEND`` write,
     durably (``fsync=True``).
 
-    This is the crash-safety primitive shared by the run ledger and the
-    serve request journal (:mod:`repro.serve.journal`): one ``os.write``
+    This is the run ledger's crash-safety primitive: one ``os.write``
     on an ``O_APPEND`` descriptor keeps concurrent writers from
     interleaving records, and the fsync makes an acknowledged append
     survive a SIGKILL'd process.  A writer dying *mid*-append leaves at
-    most one truncated trailing line, which the readers
-    (:func:`read_ledger`, ``repro.serve.journal.read_journal``) skip.
+    most one truncated trailing line, which :func:`read_ledger` skips.
     Raises ``OSError`` on filesystem failure — degrading is the caller's
     policy decision.
     """
@@ -226,35 +226,5 @@ def validate_ledger_record_dict(data: dict[str, Any]) -> None:
     """Check ``data`` against :data:`LEDGER_SCHEMA`; raises ``ValueError``
     on a missing key, mistyped value or unsupported schema version (the
     golden-schema gate in CI)."""
-    def check(obj: dict, schema: dict, path: str) -> None:
-        for key, expected in schema.items():
-            if key not in obj:
-                raise ValueError(f"ledger record missing key {path}{key!r}")
-            value = obj[key]
-            if isinstance(expected, dict) and key == "spans":
-                if not isinstance(value, list):
-                    raise ValueError(f"{path}{key!r} must be a list")
-                for i, row in enumerate(value):
-                    if not isinstance(row, dict):
-                        raise ValueError(f"{path}spans[{i}] must be an object")
-                    check(row, expected, f"{path}spans[{i}].")
-            elif isinstance(expected, dict):
-                if not isinstance(value, dict):
-                    raise ValueError(f"{path}{key!r} must be an object")
-                check(value, expected, f"{path}{key}.")
-            elif expected is float:
-                if not isinstance(value, (int, float)) \
-                        or isinstance(value, bool):
-                    raise ValueError(
-                        f"{path}{key!r} must be a number, got "
-                        f"{type(value).__name__}")
-            elif not isinstance(value, expected) or isinstance(value, bool) \
-                    and expected is int:
-                raise ValueError(
-                    f"{path}{key!r} must be {expected.__name__}, got "
-                    f"{type(value).__name__}")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {data.get('schema_version')!r} "
-            f"(expected {SCHEMA_VERSION})")
-    check(data, LEDGER_SCHEMA, "")
+    check_versioned(data, LEDGER_SCHEMA, SCHEMA_VERSION, lists=("spans",),
+                    label="ledger record")

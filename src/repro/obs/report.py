@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from .schema import check_versioned
+
 __all__ = [
     "DiscrepancyReport",
     "DiscrepancyRow",
@@ -179,35 +181,4 @@ class DiscrepancyReport:
 def validate_report_dict(data: dict[str, Any]) -> None:
     """Check ``data`` against :data:`REPORT_SCHEMA`; raises ``ValueError``
     on a missing key or mistyped value (the golden-schema gate in CI)."""
-    def check(obj: dict, schema: dict, path: str) -> None:
-        for key, expected in schema.items():
-            if key not in obj:
-                raise ValueError(f"report missing key {path}{key!r}")
-            value = obj[key]
-            if isinstance(expected, dict) and key == "rows":
-                if not isinstance(value, list):
-                    raise ValueError(f"{path}{key!r} must be a list")
-                for i, row in enumerate(value):
-                    if not isinstance(row, dict):
-                        raise ValueError(f"{path}rows[{i}] must be an object")
-                    check(row, expected, f"{path}rows[{i}].")
-            elif isinstance(expected, dict):
-                if not isinstance(value, dict):
-                    raise ValueError(f"{path}{key!r} must be an object")
-                check(value, expected, f"{path}{key}.")
-            elif expected is float:
-                if not isinstance(value, (int, float)) \
-                        or isinstance(value, bool):
-                    raise ValueError(
-                        f"{path}{key!r} must be a number, got "
-                        f"{type(value).__name__}")
-            elif not isinstance(value, expected) or isinstance(value, bool) \
-                    and expected is int:
-                raise ValueError(
-                    f"{path}{key!r} must be {expected.__name__}, got "
-                    f"{type(value).__name__}")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {data.get('schema_version')!r} "
-            f"(expected {SCHEMA_VERSION})")
-    check(data, REPORT_SCHEMA, "")
+    check_versioned(data, REPORT_SCHEMA, SCHEMA_VERSION, lists=("rows",))

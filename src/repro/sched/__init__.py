@@ -25,12 +25,9 @@
   replays a schedule against the reference interpreter.
 """
 
-import warnings
-
 from .schedule import Schedule, validate_schedule
 from .engine import (
     EngineContext,
-    HookPolicy,
     PartialSchedule,
     PlacementEngine,
     SlotPolicy,
@@ -56,7 +53,6 @@ from .viz import flat_schedule_chart, kernel_gantt, thread_timeline
 __all__ = [
     "CommPlan",
     "EngineContext",
-    "HookPolicy",
     "HuffModuloScheduler",
     "IterativeModuloScheduler",
     "ListSchedule",
@@ -88,23 +84,3 @@ __all__ = [
     "thread_timeline",
     "validate_schedule",
 ]
-
-#: ordering internals previously re-exported here; import them from
-#: :mod:`repro.sched.ordering` instead.
-_DEPRECATED = {
-    "compute_node_order": "repro.sched.ordering",
-    "partition_into_sets": "repro.sched.ordering",
-}
-
-
-def __getattr__(name: str):
-    home = _DEPRECATED.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name!r} from {__name__!r} is deprecated; "
-        f"import it from {home!r}",
-        DeprecationWarning, stacklevel=2)
-    from . import ordering
-    return getattr(ordering, name)

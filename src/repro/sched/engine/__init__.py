@@ -9,12 +9,11 @@ placement disciplines and ``docs/scheduling.md`` for the architecture.
 from .context import EngineContext
 from .core import PlacementEngine
 from .partial import LiveTracker, PartialSchedule
-from .policy import HookPolicy, SlotPolicy, TMSContext, TMSPolicy
+from .policy import SlotPolicy, TMSContext, TMSPolicy
 from .windows import WindowService, WindowTable
 
 __all__ = [
     "EngineContext",
-    "HookPolicy",
     "LiveTracker",
     "PartialSchedule",
     "PlacementEngine",

@@ -51,7 +51,7 @@ from ...config import ArchConfig, SchedulerConfig
 from ...graph.ddg import DDG
 from .context import EngineContext
 
-__all__ = ["HookPolicy", "SlotPolicy", "TMSContext", "TMSPolicy"]
+__all__ = ["SlotPolicy", "TMSContext", "TMSPolicy"]
 
 
 class SlotPolicy:
@@ -68,20 +68,6 @@ class SlotPolicy:
     def begin_attempt(self, partial) -> None:
         """Reset per-attempt incremental state (called by the engine
         before every placement attempt)."""
-
-
-class HookPolicy(SlotPolicy):
-    """Adapter wrapping loose ``accept``/``on_place``/``score`` callables
-    (the legacy :meth:`SwingModuloScheduler.try_ii` hook signature)."""
-
-    name = "hooks"
-
-    def __init__(self, accept=None, on_place=None, score=None,
-                 on_eject=None) -> None:
-        self.accept = accept
-        self.on_place = on_place
-        self.score = score
-        self.on_eject = on_eject
 
 
 class TMSContext:

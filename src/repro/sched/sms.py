@@ -13,16 +13,12 @@ The algorithm the paper implements in GCC 4.1.1 and extends into TMS:
 
 Placement runs on the unified engine
 (:class:`repro.sched.engine.PlacementEngine`): SMS is the engine's
-restart discipline under the default first-fit policy.  The ``accept`` /
-``on_place`` / ``score`` hooks of :meth:`try_ii` are kept for
-compatibility (and wrapped into a
-:class:`~repro.sched.engine.policy.HookPolicy`); TMS passes a full
-:class:`~repro.sched.engine.policy.SlotPolicy` via :meth:`try_policy`.
+restart discipline under the default first-fit policy (:meth:`try_ii`);
+TMS passes a full :class:`~repro.sched.engine.policy.SlotPolicy` via
+:meth:`try_policy`.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Mapping
 
 from ..config import SchedulerConfig
 from ..errors import SchedulingError
@@ -30,7 +26,7 @@ from ..graph.ddg import DDG
 from ..graph.mii import compute_mii
 from ..graph.paths import compute_metrics, longest_dependence_path
 from ..machine.resources import ResourceModel
-from .engine import HookPolicy, PlacementEngine, SlotPolicy
+from .engine import PlacementEngine, SlotPolicy
 from .ordering import compute_node_order_with_directions
 from .schedule import Schedule, validate_schedule
 
@@ -38,10 +34,6 @@ __all__ = ["SwingModuloScheduler", "schedule_sms"]
 
 #: extra II headroom beyond max(MII, LDP) before declaring failure.
 _II_SLACK = 16
-
-AcceptHook = Callable[[str, int, Mapping[str, int]], bool]
-PlaceHook = Callable[[str, int, Mapping[str, int]], None]
-ScoreHook = Callable[[str, int, Mapping[str, int]], float]
 
 
 class SwingModuloScheduler:
@@ -96,29 +88,12 @@ class SwingModuloScheduler:
                                      policy, alg=self.algorithm_name,
                                      seed_high=self.seed_high)
 
-    def try_ii(self, ii: int, accept: AcceptHook | None = None,
-               on_place: PlaceHook | None = None,
-               score: ScoreHook | None = None) -> dict[str, int] | None:
-        """Attempt a schedule at the given II.
-
-        ``accept(v, cycle, partial)`` may veto an otherwise conflict-free
-        slot (TMS's C1/C2 conditions); ``on_place`` is notified after each
-        successful placement (with ``partial`` already updated) so callers
-        can maintain incremental state.
-
-        Without ``score``, the first acceptable slot in window order is
-        taken — SMS's lifetime-minimal strategy.  With ``score``, every
-        acceptable slot in the window is evaluated and the minimum-score
-        one wins (ties resolved by window order) — this is how TMS "finds
-        the time slot ... that leads to the shortest synchronisation
-        delay" (paper Section 4.1).
-
-        Returns the slot map, or None on failure.
-        """
-        policy = None
-        if accept is not None or on_place is not None or score is not None:
-            policy = HookPolicy(accept=accept, on_place=on_place, score=score)
-        return self.try_policy(ii, policy)
+    def try_ii(self, ii: int) -> dict[str, int] | None:
+        """Attempt a first-fit schedule at the given II: each node takes
+        the first conflict-free slot in window order — SMS's
+        lifetime-minimal strategy.  Returns the slot map, or None on
+        failure."""
+        return self.try_policy(ii)
 
 
 def schedule_sms(ddg: DDG, resources: ResourceModel,

@@ -5,29 +5,19 @@ session.Session`: identical concurrent requests coalesce onto one
 in-flight computation, a persistent warm worker pool answers repeat
 work without process-spawn or recompile cost, and bounded admission
 control turns overload into typed rejections instead of queue
-collapse.  The self-healing layer wraps it: a supervisor restarts a
-crashed or hung daemon, a write-ahead request journal replays
-incomplete work after the restart, a health state machine sheds load
-before collapse, and the hardened client retries with backoff behind a
-circuit breaker.  See ``docs/serving.md``.
+collapse.  See ``docs/serving.md``.
 
 Layers (each importable alone):
 
 - :mod:`~repro.serve.protocol` — wire schema, fingerprints, exit codes
 - :mod:`~repro.serve.broker` — coalescing, admission control, execution
-- :mod:`~repro.serve.journal` — crash-safe request WAL + replay
-- :mod:`~repro.serve.resilience` — backoff, circuit breaker, health
-  machine, supervisor
 - :mod:`~repro.serve.server` — stdlib HTTP front end + signal handling
-- :mod:`~repro.serve.client` — hardened client library (``http.client``)
-- :mod:`~repro.serve.chaos` — seeded chaos campaigns against the stack
-- :mod:`~repro.serve.cli` — ``serve`` / ``submit`` / ``chaos-serve``
-  subcommands
+- :mod:`~repro.serve.client` — client library (``http.client``)
+- :mod:`~repro.serve.cli` — ``serve`` / ``submit`` subcommands
 """
 
 from .broker import BrokerConfig, RequestBroker, execute_request
 from .client import ServeClient, SubmitOutcome, wait_ready
-from .journal import JournalReplay, RequestJournal, read_journal
 from .protocol import (
     EXIT_ERROR,
     EXIT_OK,
@@ -37,40 +27,21 @@ from .protocol import (
     ServeRequest,
     response_bytes,
 )
-from .resilience import (
-    HEALTH_STATES,
-    BackoffPolicy,
-    CircuitBreaker,
-    HealthPolicy,
-    HealthReport,
-    Supervisor,
-    SupervisorConfig,
-)
 from .server import ServeDaemon
 
 __all__ = [
-    "BackoffPolicy",
     "BrokerConfig",
-    "CircuitBreaker",
     "EXIT_ERROR",
     "EXIT_OK",
     "EXIT_REJECTED",
     "EXIT_UNAVAILABLE",
-    "HEALTH_STATES",
-    "HealthPolicy",
-    "HealthReport",
-    "JournalReplay",
     "PROTOCOL_VERSION",
     "RequestBroker",
-    "RequestJournal",
     "ServeClient",
     "ServeDaemon",
     "ServeRequest",
     "SubmitOutcome",
-    "Supervisor",
-    "SupervisorConfig",
     "execute_request",
-    "read_journal",
     "response_bytes",
     "wait_ready",
 ]

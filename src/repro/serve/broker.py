@@ -23,51 +23,31 @@ submit`, which walks the admission pipeline:
    thread-safe artifact cache), each wrapped in a ``serve.request``
    span.  A request's ``deadline_seconds`` budget spans queue wait and
    execution: expiry before execution, or a per-task
-   :class:`~repro.errors.TaskTimeout` from the runner's ``timeout=`` /
-   ``retries=`` machinery during it, becomes a typed ``deadline``
-   rejection.
+   :class:`~repro.errors.TaskTimeout` from the runner's ``timeout=``
+   during it, becomes a typed ``deadline`` rejection.
 
 :func:`execute_request` is the single execution path — the daemon and
 the serve-vs-direct equivalence tests call the same function, so "the
 daemon answers exactly what a local Session would" is checkable
 byte-for-byte.
-
-Two resilience hooks wrap the pipeline (see docs/serving.md):
-
-* a :class:`~repro.serve.journal.RequestJournal` (when configured)
-  records every admission before execution and every completion after,
-  so a crashed daemon replays incomplete work on restart — completed
-  responses are *restored* into the result cache, admitted-but-
-  unfinished requests are *recovered* by re-executing them, and
-  unparseable entries are *abandoned* (``/stats`` → ``journal``);
-* a :class:`~repro.serve.resilience.HealthPolicy` folds queue pressure,
-  worker-pool rebuilds and the recent deadline-miss rate into an
-  ``ok → degraded → draining`` state (``/healthz``); when degradation
-  is driven by *execution* distress (pool rebuilds, deadline misses)
-  the broker sheds coalescible-duplicate submissions first (typed
-  ``shed`` rejection) because the adopted computation still completes
-  and a retry is a cache hit.  Pure queue pressure never sheds — a
-  coalesced duplicate costs no queue slot, and coalescing at full
-  depth is a documented admission property.
 """
 
 from __future__ import annotations
 
-import collections
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from ..config import ArchConfig
-from ..errors import ProtocolError, TaskTimeout
+from ..errors import TaskTimeout
 from ..obs import metrics
 from ..obs.spans import span
 from ..session import Session
 from ..session.cache import MISS, ArtifactCache
-from .journal import RequestJournal, read_journal
 from .protocol import (
+    REJECT_REASONS,
     ServeRequest,
     compile_result_dict,
     error_response,
@@ -75,7 +55,6 @@ from .protocol import (
     rejected_response,
     simulate_result_dict,
 )
-from .resilience import HEALTH_DEGRADED, HealthPolicy, HealthReport
 
 __all__ = ["BrokerConfig", "RequestBroker", "execute_request"]
 
@@ -95,12 +74,6 @@ class BrokerConfig:
     result_cache_size: int = 512
     #: deadline applied when a request doesn't carry its own
     default_deadline_seconds: float | None = None
-    #: per-job retry waves for transient worker failures (crashes)
-    retries: int = 0
-    #: thresholds of the ok → degraded health machine
-    #: (execution-distressed degradation sheds coalescible-duplicate
-    #: load first; see docs/serving.md)
-    health: HealthPolicy = field(default_factory=HealthPolicy)
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -111,21 +84,18 @@ class BrokerConfig:
         if self.result_cache_size < 1:
             raise ValueError(f"result_cache_size must be >= 1, "
                              f"got {self.result_cache_size}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
 
 
 def execute_request(session: Session, request: ServeRequest, *,
-                    timeout: float | None = None,
-                    retries: int = 0) -> dict[str, Any]:
+                    timeout: float | None = None) -> dict[str, Any]:
     """Execute one request against ``session`` and return its result
     payload — the daemon's execution path, importable so direct callers
     (and the equivalence tests) compute byte-identical results.
 
     Routes through ``compile_many`` / ``simulate_many`` (lists of one)
     so serve-side and direct-side telemetry have the same shape, the
-    artifact cache is shared, and ``timeout`` / ``retries`` ride the
-    runner's per-task machinery.
+    artifact cache is shared, and ``timeout`` rides the runner's
+    per-task machinery.
     """
     from ..ir import parse_loop, unroll_loop
 
@@ -133,15 +103,13 @@ def execute_request(session: Session, request: ServeRequest, *,
     if request.unroll > 1:
         loop = unroll_loop(loop, request.unroll)
     arch = ArchConfig.paper_default().with_cores(request.cores)
-    compiled = session.compile_many([loop], arch, timeout=timeout,
-                                    retries=retries)[0]
+    compiled = session.compile_many([loop], arch, timeout=timeout)[0]
     if request.kind == "compile":
         return compile_result_dict(compiled)
     alg = compiled.tms if request.policy == "tms" else compiled.sms
     stats = session.simulate_many([alg], arch,
                                   iterations=request.iterations,
-                                  seed=request.seed, timeout=timeout,
-                                  retries=retries)[0]
+                                  seed=request.seed, timeout=timeout)[0]
     return simulate_result_dict(compiled, request.policy, alg, stats)
 
 
@@ -161,19 +129,15 @@ class _Job:
     """One admitted unit of work and everyone waiting on it."""
 
     __slots__ = ("request", "fingerprint", "admitted_at", "response",
-                 "served", "done", "replay")
+                 "done")
 
     def __init__(self, request: ServeRequest, fingerprint: str,
-                 admitted_at: float, *, replay: bool = False) -> None:
+                 admitted_at: float) -> None:
         self.request = request
         self.fingerprint = fingerprint
         self.admitted_at = admitted_at
         self.response: dict[str, Any] | None = None
-        self.served = "computed"
         self.done = threading.Event()
-        #: journal-replay job: no external waiter, recovered/abandoned
-        #: accounting instead of request tallies
-        self.replay = replay
 
 
 class RequestBroker:
@@ -194,8 +158,8 @@ class RequestBroker:
 
     def __init__(self, session: Session | None = None,
                  config: BrokerConfig | None = None, *,
-                 execute: Callable[..., dict[str, Any]] | None = None,
-                 journal: RequestJournal | None = None) -> None:
+                 execute: Callable[..., dict[str, Any]] | None = None
+                 ) -> None:
         self.session = session if session is not None \
             else Session(persistent=True)
         self.config = config or BrokerConfig()
@@ -208,16 +172,6 @@ class RequestBroker:
         self._threads: list[threading.Thread] = []
         self._draining = False
         self._stopped = False
-        self.journal = journal
-        self._recovered_once = False
-        #: recent executed-job outcomes paired with the pool-rebuild
-        #: counter at completion — the health machine's sliding window
-        self._recent: collections.deque[tuple[str, int]] = \
-            collections.deque(maxlen=self.config.health.window)
-        self._rebuilds_baseline = self._pool_rebuilds_now()
-        #: journal-replay tallies, surfaced in ``/stats`` under "journal"
-        self.journal_counts = {"restored": 0, "recovered": 0,
-                               "abandoned": 0}
         #: exact submission-outcome tallies (mirrored into ``serve.*``
         #: registry metrics; kept locally too so summaries never race)
         self.counts = {
@@ -229,14 +183,12 @@ class RequestBroker:
             "rejects_queue_full": 0,
             "rejects_deadline": 0,
             "rejects_draining": 0,
-            "rejects_shed": 0,
         }
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "RequestBroker":
-        """Spawn the executor threads (idempotent) and, on the first
-        start with a journal, replay it."""
+        """Spawn the executor threads (idempotent)."""
         with self._lock:
             if self._threads or self._stopped:
                 return self
@@ -245,80 +197,11 @@ class RequestBroker:
                                      name=f"serve-exec-{i}", daemon=True)
                 t.start()
                 self._threads.append(t)
-        self._recover()
         return self
-
-    @staticmethod
-    def _pool_rebuilds_now() -> int:
-        # peek, don't create: materializing the counter here would make
-        # serve-vs-direct metric totals diverge when no pool ever broke
-        inst = metrics.get_registry().get("runner.pool_rebuilds")
-        return inst.value if inst is not None else 0
-
-    def _recover(self) -> None:
-        """Journal replay (once): restore completed responses into the
-        result cache, re-execute incomplete admitted work, abandon what
-        cannot be replayed, then compact the journal."""
-        if self.journal is None or self._recovered_once:
-            return
-        self._recovered_once = True
-        replay = read_journal(self.journal.path)
-        for fingerprint, response in replay.completed.items():
-            self._results.put(fingerprint, response)
-        self.journal_counts["restored"] = len(replay.completed)
-        metrics.counter("serve.journal.restored",
-                        "completed responses restored into the result "
-                        "cache on restart").inc(len(replay.completed))
-        self.journal.compact(replay.completed)
-        for payload in replay.incomplete.values():
-            try:
-                request = ServeRequest.from_dict(payload)
-            except ProtocolError:
-                self._abandon()
-                continue
-            # recompute the fingerprint: the journaled one may predate a
-            # version bump, and replayed results must answer *new* requests
-            fingerprint = request.fingerprint()
-            with self._lock:
-                if fingerprint in self._in_flight:
-                    continue
-                job = _Job(request, fingerprint, time.monotonic(),
-                           replay=True)
-                self._in_flight[fingerprint] = job
-            # re-arm the WAL: a crash during replay still recovers
-            self.journal.admitted(fingerprint, request.to_dict())
-            self._queue.put(job)
-
-    def _abandon(self) -> None:
-        with self._lock:
-            self.journal_counts["abandoned"] += 1
-        metrics.counter("serve.journal.abandoned",
-                        "journaled work that could not be replayed").inc()
 
     @property
     def draining(self) -> bool:
         return self._draining
-
-    def health(self) -> HealthReport:
-        """The broker's live health state (``ok`` / ``degraded`` /
-        ``draining``) with the reasons that drove it."""
-        with self._lock:
-            return self._health_locked()
-
-    def _health_locked(self) -> HealthReport:
-        recent = list(self._recent)
-        baseline = recent[0][1] if recent else self._rebuilds_baseline
-        report = self.config.health.evaluate(
-            draining=self._draining,
-            queue_depth=len(self._in_flight),
-            max_queue_depth=self.config.max_queue_depth,
-            recent_outcomes=[outcome for outcome, _ in recent],
-            pool_rebuilds_in_window=self._pool_rebuilds_now() - baseline)
-        metrics.gauge(
-            "serve.health",
-            "health state: 0 ok, 1 degraded, 2 draining").set(
-            {"ok": 0, "degraded": 1, "draining": 2}.get(report.state, 0))
-        return report
 
     def begin_drain(self) -> None:
         """Stop admitting new jobs; in-flight jobs keep running."""
@@ -384,18 +267,10 @@ class RequestBroker:
                             "requests answered from the response "
                             "cache").inc()
             return cached, "cached"
-        coalesced = False
         with self._lock:
             job = self._in_flight.get(fingerprint)
-            if job is not None:
-                if self._health_locked().shed_duplicates:
-                    # execution is distressed: shed the cheapest load
-                    # first — this duplicate's computation still
-                    # completes, so a retry lands in the result cache
-                    return self._reject(request, "shed",
-                                        locked=True), "rejected"
-                coalesced = True
-            else:
+            coalesced = job is not None
+            if not coalesced:
                 if len(self._in_flight) >= self.config.max_queue_depth:
                     return self._reject(request, "queue_full",
                                         locked=True), "rejected"
@@ -408,11 +283,6 @@ class RequestBroker:
                             "requests coalesced onto an in-flight "
                             "identical job").inc()
         else:
-            # WAL discipline: the admission hits the journal *before*
-            # the job can execute, so a crash between here and the
-            # completion record replays the work on restart
-            if self.journal is not None:
-                self.journal.admitted(fingerprint, request.to_dict())
             self._queue.put(job)
         self.start()
         deadline = request.deadline_seconds \
@@ -475,10 +345,7 @@ class RequestBroker:
             else self.config.default_deadline_seconds
         outcome = "ok"
         with span("serve.request", kind=request.kind,
-                  request_id=request.request_id()) as s, \
-                metrics.timer("serve.request_seconds",
-                              "admission-to-response wall time of "
-                              "executed jobs").time():
+                  request_id=request.request_id()) as s:
             remaining = None
             if deadline is not None:
                 remaining = deadline - (time.monotonic() - job.admitted_at)
@@ -489,8 +356,7 @@ class RequestBroker:
             else:
                 try:
                     result = self._execute(self.session, request,
-                                           timeout=remaining,
-                                           retries=self.config.retries)
+                                           timeout=remaining)
                     response = ok_response(request, result)
                 except Exception as exc:  # noqa: BLE001 — typed into the response
                     if _deadline_expired(exc):
@@ -506,28 +372,11 @@ class RequestBroker:
                         outcome = "error"
             if s is not None:
                 s.attrs["outcome"] = outcome
-        rebuilds = self._pool_rebuilds_now()
-        with self._lock:
-            self._recent.append((outcome, rebuilds))
         if outcome == "ok":
             self._count("completed")
             metrics.counter("serve.completed",
                             "requests executed to completion").inc()
             self._results.put(job.fingerprint, response)
-        if self.journal is not None:
-            self.journal.completed(
-                job.fingerprint, response["status"],
-                response if outcome == "ok" else None)
-        if job.replay:
-            if outcome == "ok":
-                with self._lock:
-                    self.journal_counts["recovered"] += 1
-                metrics.counter(
-                    "serve.journal.recovered",
-                    "journaled incomplete requests re-executed on "
-                    "restart").inc()
-            else:
-                self._abandon()
         job.response = response
 
     # -- reporting -----------------------------------------------------------
@@ -542,21 +391,13 @@ class RequestBroker:
         with self._lock:
             counts = dict(self.counts)
             depth = len(self._in_flight)
-            health = self._health_locked()
-            journal_counts = dict(self.journal_counts)
         stats = self.session.stats
-        journal: dict[str, Any] | None = None
-        if self.journal is not None:
-            journal = self.journal.stats_dict()
-            journal.update(journal_counts)
         return {
             "draining": self._draining,
-            "health": health.to_dict(),
             "queue_depth": depth,
             "max_queue_depth": self.config.max_queue_depth,
             "workers": self.config.workers,
             "counts": counts,
-            "journal": journal,
             "cache": self.session.cache.stats_dict(),
             "result_cache": self._results.stats_dict(),
             "session": {
@@ -570,9 +411,7 @@ class RequestBroker:
     def summary(self) -> str:
         """One-line tally for shutdown logs and the run ledger."""
         c = self.counts
-        rejected = sum(c[f"rejects_{reason}"]
-                       for reason in ("queue_full", "deadline",
-                                      "draining", "shed"))
+        rejected = sum(c[f"rejects_{reason}"] for reason in REJECT_REASONS)
         return (f"{c['requests']} requests: {c['completed']} computed, "
                 f"{c['coalesce_hits']} coalesced, {c['result_hits']} cached, "
                 f"{c['errors']} errors, {rejected} rejected")

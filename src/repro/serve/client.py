@@ -8,50 +8,19 @@ rejections become :class:`~repro.errors.AdmissionRejected` (or, with
 inspects).  One connection is opened per call — the daemon's threading
 server is connection-per-request, and serve requests are long relative
 to TCP setup.
-
-The hardened paths (see docs/serving.md):
-
-* :meth:`ServeClient.submit` takes ``retries`` — transport failures and
-  *retryable* typed rejections (:data:`~repro.serve.protocol.
-  RETRYABLE_REJECT_REASONS`: the daemon never executed the request) are
-  retried with capped exponential backoff and seeded jitter
-  (:class:`~repro.serve.resilience.BackoffPolicy`), so retry schedules
-  replay identically per seed.  A ``deadline`` rejection or an executed
-  error is never retried — the daemon answered.
-* An optional :class:`~repro.serve.resilience.CircuitBreaker` guards
-  the transport: after enough consecutive connection failures the
-  client fails fast with a typed :class:`~repro.errors.CircuitOpen`
-  instead of hammering a dead address; retry waves respect the
-  breaker's pacing (they sleep at least ``retry_after``) so the
-  half-open probe goes through.
-* ``hedge_after`` arms a hedged read: if the first ``/submit`` hasn't
-  answered within the given seconds, an identical second request is
-  launched and the first usable answer wins.  This is safe because the
-  daemon coalesces identical in-flight work — the hedge adopts the same
-  computation — and idempotent because ``request_id`` is a fingerprint
-  prefix.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import queue
 import socket
-import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..errors import (
-    AdmissionRejected,
-    CircuitOpen,
-    ProtocolError,
-    ServerUnavailable,
-)
-from ..obs import metrics
-from .protocol import RETRYABLE_REJECT_REASONS, ServeRequest
-from .resilience import BackoffPolicy, CircuitBreaker
+from ..errors import AdmissionRejected, ProtocolError, ServerUnavailable
+from .protocol import ServeRequest
 
 __all__ = ["ServeClient", "SubmitOutcome", "wait_ready"]
 
@@ -64,7 +33,6 @@ class SubmitOutcome:
     body: bytes                #: exact response bytes off the wire
     served: str                #: ``X-Repro-Served``: computed/coalesced/cached/rejected
     http_status: int
-    attempts: int = 1          #: round trips this submission took (retries + 1)
 
     @property
     def status(self) -> str:
@@ -80,35 +48,21 @@ class SubmitOutcome:
 
 
 class ServeClient:
-    """A thin, connection-per-call client for one daemon address.
-
-    ``circuit_breaker=True`` builds a default
-    :class:`~repro.serve.resilience.CircuitBreaker` for the address;
-    pass a pre-built breaker to share one across clients or tune its
-    thresholds.  Without one (the default) every call goes to the wire.
-    """
+    """A thin, connection-per-call client for one daemon address."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8437, *,
-                 timeout: float | None = 300.0,
-                 circuit_breaker: "CircuitBreaker | bool | None" = None
-                 ) -> None:
+                 timeout: float | None = 300.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        if circuit_breaker is True:
-            circuit_breaker = CircuitBreaker(f"{host}:{port}")
-        self.breaker: CircuitBreaker | None = circuit_breaker or None
 
     @classmethod
     def from_address(cls, address: str, *,
-                     timeout: float | None = 300.0,
-                     circuit_breaker: "CircuitBreaker | bool | None" = None
-                     ) -> "ServeClient":
+                     timeout: float | None = 300.0) -> "ServeClient":
         """Parse ``host:port`` (or bare ``:port`` / ``port``)."""
         host, _, port = address.rpartition(":")
         try:
-            return cls(host or "127.0.0.1", int(port), timeout=timeout,
-                       circuit_breaker=circuit_breaker)
+            return cls(host or "127.0.0.1", int(port), timeout=timeout)
         except ValueError:
             raise ServerUnavailable(
                 f"malformed server address {address!r}; expected host:port"
@@ -119,8 +73,6 @@ class ServeClient:
     def _round_trip(self, method: str, path: str,
                     body: bytes | None = None
                     ) -> tuple[int, dict[str, str], bytes]:
-        if self.breaker is not None:
-            self.breaker.guard()
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=self.timeout)
         try:
@@ -130,17 +82,11 @@ class ServeClient:
             payload = resp.read()
         except (ConnectionError, socket.timeout, socket.gaierror,
                 http.client.HTTPException, OSError) as exc:
-            # only transport failures trip the breaker — a daemon
-            # answering anything (even a rejection) is alive
-            if self.breaker is not None:
-                self.breaker.record_failure()
             raise ServerUnavailable(
                 f"no serve daemon reachable at {self.host}:{self.port} "
                 f"({type(exc).__name__}: {exc})") from exc
         finally:
             conn.close()
-        if self.breaker is not None:
-            self.breaker.record_success()
         return resp.status, {k.lower(): v for k, v in
                              resp.getheaders()}, payload
 
@@ -159,103 +105,24 @@ class ServeClient:
     # -- API -----------------------------------------------------------------
 
     def submit(self, request: "ServeRequest | Mapping[str, Any]", *,
-               raise_on_reject: bool = True, retries: int = 0,
-               backoff: BackoffPolicy | None = None,
-               hedge_after: float | None = None) -> SubmitOutcome:
+               raise_on_reject: bool = True) -> SubmitOutcome:
         """Submit one request and block for its response.
 
-        ``retries`` extra round trips are attempted after transport
-        failures (:class:`ServerUnavailable`, :class:`CircuitOpen`) and
-        retryable typed rejections, paced by ``backoff`` (a default
-        :class:`BackoffPolicy` when omitted).  ``hedge_after`` arms a
-        hedged second request per round trip.  Admission rejections
-        that survive the retry budget raise :class:`AdmissionRejected`
-        carrying the typed reason, unless ``raise_on_reject=False``;
-        transport failures that survive it re-raise.
+        Admission rejections raise :class:`AdmissionRejected` carrying
+        the typed reason, unless ``raise_on_reject=False``; transport
+        failures raise :class:`ServerUnavailable`.
         """
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         if isinstance(request, ServeRequest):
             payload = request.to_dict()
         else:
             payload = dict(request)
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        policy = backoff or BackoffPolicy()
-        last_exc: Exception | None = None
-        outcome: SubmitOutcome | None = None
-        for attempt in range(retries + 1):
-            if attempt:
-                pause = policy.delay(attempt - 1)
-                if isinstance(last_exc, CircuitOpen):
-                    # let the breaker reach half-open so the retry is
-                    # the probe instead of another local fast-fail
-                    pause = max(pause, last_exc.retry_after)
-                metrics.counter("serve.client.retries",
-                                "submit retry round trips").inc()
-                time.sleep(pause)
-            try:
-                outcome = self._submit_once(body, hedge_after=hedge_after)
-            except (ServerUnavailable, CircuitOpen) as exc:
-                last_exc = exc
-                outcome = None
-                continue
-            last_exc = None
-            if outcome.status == "rejected" \
-                    and outcome.response.get("reason") \
-                    in RETRYABLE_REJECT_REASONS \
-                    and attempt < retries:
-                continue
-            break
-        if outcome is None:
-            assert last_exc is not None
-            raise last_exc
-        outcome = replace(outcome, attempts=attempt + 1)
+        outcome = self._decode_submit(*self._round_trip("POST", "/submit",
+                                                        body))
         if outcome.status == "rejected" and raise_on_reject:
             raise AdmissionRejected(outcome.response.get("reason",
                                                          "unknown"))
         return outcome
-
-    def _submit_once(self, body: bytes, *,
-                     hedge_after: float | None = None) -> SubmitOutcome:
-        if hedge_after is not None:
-            return self._submit_hedged(body, hedge_after)
-        return self._decode_submit(*self._round_trip("POST", "/submit",
-                                                     body))
-
-    def _submit_hedged(self, body: bytes,
-                       hedge_after: float) -> SubmitOutcome:
-        """One round trip with a hedge: if the primary hasn't answered
-        within ``hedge_after`` seconds, race an identical second request
-        and take the first usable answer (safe: the daemon coalesces
-        identical in-flight work, so the hedge adopts the same
-        computation and receives byte-identical response bytes)."""
-        results: "queue.SimpleQueue[tuple[str, Any]]" = queue.SimpleQueue()
-
-        def attempt_request() -> None:
-            try:
-                results.put(("ok", self._decode_submit(
-                    *self._round_trip("POST", "/submit", body))))
-            except Exception as exc:  # noqa: BLE001 — reraised by the winner
-                results.put(("err", exc))
-
-        threading.Thread(target=attempt_request, daemon=True).start()
-        launched = 1
-        try:
-            kind, value = results.get(timeout=hedge_after)
-        except queue.Empty:
-            metrics.counter("serve.client.hedges",
-                            "hedged second requests launched").inc()
-            threading.Thread(target=attempt_request, daemon=True).start()
-            launched = 2
-            kind, value = results.get()
-        first_error = value if kind == "err" else None
-        while kind == "err" and launched > 1:
-            # the fastest answer failed; the slower twin may still win
-            launched -= 1
-            kind, value = results.get()
-        if kind == "err":
-            raise first_error if first_error is not None else value
-        return value
 
     def _decode_submit(self, status: int, headers: dict[str, str],
                        raw: bytes) -> SubmitOutcome:
@@ -280,7 +147,7 @@ class ServeClient:
         """Whether a daemon answers at the address."""
         try:
             return "status" in self.healthz()
-        except (ServerUnavailable, CircuitOpen):
+        except ServerUnavailable:
             return False
 
     def shutdown(self) -> dict[str, Any]:
@@ -289,33 +156,20 @@ class ServeClient:
         return self._json(status, raw)
 
 
-#: readiness-poll pacing: quick first probes, settling to ~1s — the
-#: same curve the supervisor uses between probes of a starting child
-_READY_BACKOFF = BackoffPolicy(initial=0.02, factor=1.6, max_delay=1.0)
-
-
-def wait_ready(client: ServeClient, timeout: float = 30.0,
-               backoff: BackoffPolicy | None = None) -> bool:
+def wait_ready(client: ServeClient, timeout: float = 30.0) -> bool:
     """Poll ``/healthz`` until the daemon answers (startup races in
-    tests, CI, and the supervisor); returns readiness within
-    ``timeout``.
+    tests and CI); returns readiness within ``timeout``.
 
-    Pacing is capped exponential backoff with seeded jitter
-    (:class:`~repro.serve.resilience.BackoffPolicy`) instead of a fixed
-    interval: early probes are fast enough not to penalise a warm
-    start, late ones back off instead of spinning against a crash
-    loop, and the jitter keeps herds of waiting clients from probing
-    in lockstep.
+    The first probe runs at once; later ones back off exponentially
+    (0.02 s, x1.6, capped at 1 s), quick enough not to penalise a fast
+    start without spinning against a daemon that never comes up.
     """
-    policy = backoff or _READY_BACKOFF
     deadline = time.monotonic() + timeout
-    attempt = 0
-    while time.monotonic() < deadline:
-        if client.ping():
-            return True
+    delay = 0.02
+    while not client.ping():
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            break
-        time.sleep(min(policy.delay(attempt), remaining))
-        attempt += 1
-    return client.ping()
+            return False
+        time.sleep(min(delay, remaining))
+        delay = min(delay * 1.6, 1.0)
+    return True

@@ -14,7 +14,7 @@ Responses are plain dicts rendered with :func:`response_bytes`
 (canonical, sorted-key JSON), so every waiter of a coalesced job — and a
 warm rerun served from the result cache — receives byte-identical bytes.
 ``request_id`` is a deterministic function of the request (a fingerprint
-prefix), not of arrival order, so retried and replayed submissions are
+prefix), not of arrival order, so resubmitting a request is
 idempotent.
 
 The result payload builders (:func:`compile_result_dict`,
@@ -39,7 +39,6 @@ __all__ = [
     "KINDS",
     "PROTOCOL_VERSION",
     "REJECT_REASONS",
-    "RETRYABLE_REJECT_REASONS",
     "ServeRequest",
     "compile_result_dict",
     "error_response",
@@ -58,14 +57,7 @@ PROTOCOL_VERSION = 1
 KINDS = ("compile", "simulate")
 
 #: Admission-control rejection reasons (``response["reason"]``).
-#: ``shed`` is the degraded-health rejection: a coalescible duplicate of
-#: in-flight work, shed first under pressure because the original
-#: computation still completes and a retry lands in the result cache.
-REJECT_REASONS = ("queue_full", "deadline", "draining", "shed")
-
-#: Rejection reasons a hardened client may transparently retry: the
-#: condition is transient and the request was never executed.
-RETRYABLE_REJECT_REASONS = ("queue_full", "draining", "shed")
+REJECT_REASONS = ("queue_full", "deadline", "draining")
 
 #: Scheduling policies a ``simulate`` request may name (the compiled
 #: artifact carries one kernel per policy).
@@ -160,7 +152,7 @@ class ServeRequest:
 
     def request_id(self) -> str:
         """Deterministic per-request id (a fingerprint prefix): the same
-        request replayed or retried gets the same id."""
+        request submitted twice gets the same id."""
         return f"r-{self.fingerprint()[:16]}"
 
     # -- wire format ---------------------------------------------------------

@@ -13,12 +13,10 @@ the JSON protocol of :mod:`repro.serve.protocol`:
     (``computed`` / ``coalesced`` / ``cached`` / ``rejected``) without
     perturbing the body.
 ``GET /stats``
-    The broker's live tallies, both cache tiers, session counters,
-    health state and journal-replay counts.
+    The broker's live tallies, both cache tiers and session counters.
 ``GET /healthz``
-    The broker's :class:`~repro.serve.resilience.HealthReport` —
-    ``{"status": "ok"|"degraded"|"draining", "reasons": [...]}`` — for
-    clients, the supervisor's heartbeat probe, and CI.
+    ``{"status": "ok"|"draining", "protocol_version": N}`` — the
+    readiness probe for clients and CI.
 ``POST /shutdown``
     Graceful drain-and-stop, the in-band twin of SIGTERM.
 
@@ -110,9 +108,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         path = self.path.split("?", 1)[0]
         if path == "/healthz":
-            health = self.daemon.broker.health()
-            self._send_json(200, {"status": health.state,
-                                  "reasons": list(health.reasons),
+            status = "draining" if self.daemon.broker.draining else "ok"
+            self._send_json(200, {"status": status,
                                   "protocol_version": PROTOCOL_VERSION})
         elif path == "/stats":
             self._send_json(200, self.daemon.broker.stats())

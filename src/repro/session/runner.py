@@ -22,8 +22,8 @@ the serve daemon (:mod:`repro.serve`) and batch users that map many
 small waves.  A persistent runner recycles its workers after
 ``max_tasks_per_worker`` tasks each (bounding interpreter bloat from
 long-lived children), replaces the pool when a worker hard-crashes
-(``BrokenProcessPool`` fails the wave's tasks soft, and the next wave —
-a retry wave included — gets a fresh pool), and must be released with
+(``BrokenProcessPool`` fails the call's tasks soft, and the next
+``map`` gets a fresh pool), and must be released with
 :meth:`ParallelRunner.close` or a ``with`` block.
 """
 
@@ -33,7 +33,6 @@ import concurrent.futures
 import concurrent.futures.process
 import math
 import os
-import random
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -71,8 +70,7 @@ class TaskResult:
     value: Any = None
     error: BaseException | None = None
     error_traceback: str = ""
-    attempts: int = 1        #: total attempts made (1 = no retries needed)
-    timed_out: bool = False  #: last failure was a per-task timeout
+    timed_out: bool = False  #: the failure was a per-task timeout
     #: worker telemetry snapshot (metrics/events/spans) awaiting merge;
     #: the runner folds it into the parent's registries and clears it.
     telemetry: Any = None
@@ -156,7 +154,7 @@ class ParallelRunner:
             pool.shutdown(wait=False, cancel_futures=True)
 
     def _acquire_pool(self, workers: int):
-        """The pool for one wave: fresh per wave normally, the shared
+        """The pool for one ``map``: fresh per call normally, the shared
         warm pool under ``persistent=True`` (sized ``resolved_jobs`` so
         differently-sized maps reuse it, recycled after
         ``max_tasks_per_worker`` tasks per worker)."""
@@ -177,9 +175,8 @@ class ParallelRunner:
         return self._pool
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            *, on_error: str = "capture", timeout: float | None = None,
-            retries: int = 0, backoff: float = 0.0,
-            backoff_seed: int = 0) -> list[TaskResult]:
+            *, on_error: str = "capture",
+            timeout: float | None = None) -> list[TaskResult]:
         """Run ``fn(item)`` for every item; results come back in input
         order.
 
@@ -191,56 +188,32 @@ class ParallelRunner:
         ``timeout`` bounds each task's wall time: a task that overruns
         fails soft with a :class:`~repro.errors.TaskTimeout` error and
         ``timed_out=True`` (in the parallel path the wedged worker
-        process is terminated so the pool cannot hang).  ``retries``
-        re-runs failed (including timed-out) tasks up to that many extra
-        times, sleeping a seeded exponential backoff
-        (``backoff * 2**attempt``, jittered by ``backoff_seed``) between
-        waves; ``attempts`` on each result records the total tries.
+        process is terminated so the pool cannot hang).
         """
         if on_error not in ("capture", "raise"):
             raise ValueError(f"on_error must be 'capture' or 'raise', "
                              f"got {on_error!r}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         items = list(items)
         workers = min(self.resolved_jobs, len(items)) if items else 0
         metrics.counter("runner.tasks", "tasks dispatched").inc(len(items))
-        results: list[TaskResult] = [
-            TaskResult(index=i) for i in range(len(items))]
-        pending = list(range(len(items)))
         with metrics.timer("runner.map_seconds",
                            "wall time of ParallelRunner.map calls").time():
-            for attempt in range(retries + 1):
-                if not pending:
-                    break
-                if attempt > 0:
+            if workers <= 1:
+                results = self._run_sequential(fn, items, timeout)
+            else:
+                results = self._run_parallel(fn, items, timeout, workers)
+            for i, res in enumerate(results):
+                if res.telemetry is not None:
+                    # merged in input order, so a --jobs N trace replays
+                    # byte-identical to --jobs 1; the origin is the
+                    # *task* index — worker process identity is
+                    # scheduling noise.
+                    merge_into_process(res.telemetry, f"worker.{i}")
+                    res.telemetry = None
+                if res.timed_out:
                     metrics.counter(
-                        "runner.retries", "task retry attempts").inc(
-                        len(pending))
-                    self._backoff_sleep(attempt, backoff, backoff_seed)
-                if workers <= 1:
-                    wave = self._run_sequential(fn, items, pending, timeout)
-                else:
-                    wave = self._run_parallel(fn, items, pending, timeout,
-                                              workers)
-                still_failed = []
-                for i, res in zip(pending, wave):
-                    res.attempts = attempt + 1
-                    if res.telemetry is not None:
-                        # merged in input order (pending is sorted), so a
-                        # --jobs N trace replays byte-identical to --jobs 1;
-                        # the origin is the *task* index — worker process
-                        # identity is scheduling noise.
-                        merge_into_process(res.telemetry, f"worker.{i}")
-                        res.telemetry = None
-                    results[i] = res
-                    if not res.ok:
-                        still_failed.append(i)
-                    if res.timed_out:
-                        metrics.counter(
-                            "runner.timeouts", "tasks that hit the "
-                            "per-task timeout").inc()
-                pending = still_failed
+                        "runner.timeouts", "tasks that hit the "
+                        "per-task timeout").inc()
         metrics.counter("runner.failures", "tasks that raised").inc(
             sum(1 for r in results if not r.ok))
         if on_error == "raise":
@@ -249,15 +222,7 @@ class ParallelRunner:
                     res.unwrap()
         return results
 
-    # -- execution waves --------------------------------------------------------
-
-    @staticmethod
-    def _backoff_sleep(attempt: int, backoff: float, seed: int) -> None:
-        if backoff <= 0:
-            return
-        # seeded jitter in [0.5, 1.5): deterministic per (seed, attempt)
-        jitter = 0.5 + random.Random(seed * 1000003 + attempt).random()
-        time.sleep(backoff * (2 ** (attempt - 1)) * jitter)
+    # -- execution ----------------------------------------------------------------
 
     @staticmethod
     def _timeout_result(index: int, timeout: float) -> TaskResult:
@@ -266,18 +231,18 @@ class ParallelRunner:
                           error_traceback=f"{type(err).__name__}: {err}\n",
                           timed_out=True)
 
-    def _run_sequential(self, fn, items, pending: list[int],
+    def _run_sequential(self, fn, items,
                         timeout: float | None) -> list[TaskResult]:
-        """One inline wave.  With a timeout, each task runs on a helper
-        thread so an overrun fails soft; the abandoned thread finishes
-        in the background (Python threads cannot be killed) but its
-        result is discarded."""
+        """Run every task inline.  With a timeout, each task runs on a
+        helper thread so an overrun fails soft; the abandoned thread
+        finishes in the background (Python threads cannot be killed)
+        but its result is discarded."""
         if timeout is None:
-            return [_call(fn, i, items[i]) for i in pending]
+            return [_call(fn, i, item) for i, item in enumerate(items)]
         out = []
-        for i in pending:
+        for i, item in enumerate(items):
             pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-            fut = pool.submit(_call, fn, i, items[i])
+            fut = pool.submit(_call, fn, i, item)
             try:
                 out.append(fut.result(timeout=timeout))
             except concurrent.futures.TimeoutError:
@@ -286,32 +251,29 @@ class ParallelRunner:
                 pool.shutdown(wait=False)
         return out
 
-    def _run_parallel(self, fn, items, pending: list[int],
-                      timeout: float | None,
+    def _run_parallel(self, fn, items, timeout: float | None,
                       workers: int) -> list[TaskResult]:
-        """One process-pool wave.  The wave deadline budgets ``timeout``
-        per queued batch (tasks can wait for a worker without being
-        penalised); on expiry the wedged workers are terminated so the
-        pool shutdown cannot hang."""
-        workers = min(workers, len(pending))
+        """Run every task on the process pool.  The deadline budgets
+        ``timeout`` per queued batch (tasks can wait for a worker
+        without being penalised); on expiry the wedged workers are
+        terminated so the pool shutdown cannot hang."""
         results: dict[int, TaskResult] = {}
         cfg = telemetry_config()
         pool = self._acquire_pool(workers)
         keep_pool = self.persistent
         try:
-            futures = {pool.submit(_traced_call, fn, i, items[i], cfg): i
-                       for i in pending}
+            futures = {pool.submit(_traced_call, fn, i, item, cfg): i
+                       for i, item in enumerate(items)}
         except concurrent.futures.process.BrokenProcessPool as exc:
-            # a previous wave's crash poisoned the warm pool between
-            # maps: fail this wave soft (a retry wave re-runs it on a
-            # fresh pool) and replace the pool.
+            # a previous call's crash poisoned the warm pool between
+            # maps: fail this call soft and replace the pool.
             self._replace_broken_pool()
             return [TaskResult(index=i, error=exc,
                                error_traceback=traceback.format_exc())
-                    for i in pending]
-        self._pool_tasks += len(pending)
+                    for i in range(len(items))]
+        self._pool_tasks += len(items)
         deadline = None if timeout is None else (
-            time.monotonic() + timeout * math.ceil(len(pending) / workers))
+            time.monotonic() + timeout * math.ceil(len(items) / workers))
         broken = False
         killed = False
         try:
@@ -334,7 +296,7 @@ class ParallelRunner:
                             index=i, error=exc,
                             error_traceback=traceback.format_exc())
                 if deadline is not None and not done and not_done:
-                    # wave deadline expired: everything unfinished is a
+                    # deadline expired: everything unfinished is a
                     # timeout; kill the workers so shutdown can't hang.
                     for fut in not_done:
                         fut.cancel()
@@ -348,9 +310,9 @@ class ParallelRunner:
                 pool.shutdown(wait=False, cancel_futures=True)
             elif broken or killed:
                 # crash replacement: drop the poisoned/killed pool; the
-                # next wave (retry waves included) spawns a fresh one.
+                # next map spawns a fresh one.
                 self._replace_broken_pool()
-        return [results[i] for i in pending]
+        return [results[i] for i in range(len(items))]
 
     def _replace_broken_pool(self) -> None:
         self._dispose_pool()

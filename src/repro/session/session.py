@@ -212,9 +212,7 @@ class Session:
         cached = self.cache.get(key)
         if cached is not MISS:
             return cached
-        with span("session.compile", kernel=getattr(source, "name", "")), \
-                metrics.timer("session.compile_seconds",
-                              "wall time of uncached compiles").time():
+        with span("session.compile", kernel=getattr(source, "name", "")):
             compiled = _compile_uncached(
                 (source, arch, resources, config, latency))
         self.stats.compiles += 1
@@ -230,18 +228,16 @@ class Session:
                      latency: LatencyModel | None = None, *,
                      jobs: int | None = None,
                      on_error: str = "raise",
-                     timeout: float | None = None,
-                     retries: int = 0
+                     timeout: float | None = None
                      ) -> list["CompiledLoop | None"]:
         """Compile a batch, fanning cache misses out across processes.
 
         Results come back in input order.  ``on_error="raise"``
         (default) re-raises the first failure; ``"skip"`` replaces
         failed entries with ``None`` so a sweep survives one
-        pathological loop.  ``timeout`` / ``retries`` bound and retry
-        each uncached compile via the runner's per-task machinery (a
-        timed-out compile surfaces as a
-        :class:`~repro.errors.TaskTimeout` failure).
+        pathological loop.  ``timeout`` bounds each uncached compile via
+        the runner's per-task machinery (a timed-out compile surfaces as
+        a :class:`~repro.errors.TaskTimeout` failure).
         """
         if on_error not in ("raise", "skip"):
             raise ValueError(
@@ -267,7 +263,7 @@ class Session:
             with span("session.compile_many", tasks=len(keys)):
                 results = runner.map(_compile_uncached,
                                      [payloads[k] for k in keys],
-                                     timeout=timeout, retries=retries)
+                                     timeout=timeout)
             for key, result in zip(keys, results):
                 if result.ok:
                     self.stats.compiles += 1
@@ -299,10 +295,7 @@ class Session:
         self.stats.simulations += 1
         metrics.counter("session.simulations",
                         "simulations dispatched through sessions").inc()
-        with span("session.simulate",
-                  kernel=pipelined.schedule.ddg.name), \
-                metrics.timer("session.simulate_seconds",
-                              "wall time of session simulations").time():
+        with span("session.simulate", kernel=pipelined.schedule.ddg.name):
             return SpMTSimulator(pipelined, arch, sim, template=template).run()
 
     def simulate_many(self, targets: Sequence["AlgResult | PipelinedLoop"],
@@ -311,12 +304,11 @@ class Session:
                       sim: SimConfig | None = None,
                       jobs: int | None = None,
                       on_error: str = "raise",
-                      timeout: float | None = None,
-                      retries: int = 0) -> list["SimStats | None"]:
+                      timeout: float | None = None
+                      ) -> list["SimStats | None"]:
         """Simulate a batch of kernels; parallel when ``jobs > 1``,
-        deterministic result order always.  ``timeout`` / ``retries``
-        bound and retry each simulation via the runner's per-task
-        machinery.  ``sim`` overrides ``iterations``/``seed`` wholesale
+        deterministic result order always.  ``timeout`` bounds each
+        simulation via the runner's per-task machinery.  ``sim`` overrides ``iterations``/``seed`` wholesale
         (same contract as :meth:`simulate`) — e.g. ``SimConfig(...,
         exact=True)`` runs the whole batch through the reference event
         loop, worker processes included."""
@@ -340,11 +332,10 @@ class Session:
                     template = self._template_for(p, a)
                     return SpMTSimulator(p, a, s, template=template).run()
 
-                results = runner.map(_inline, payloads,
-                                     timeout=timeout, retries=retries)
+                results = runner.map(_inline, payloads, timeout=timeout)
             else:
                 results = runner.map(_simulate_task, payloads,
-                                     timeout=timeout, retries=retries)
+                                     timeout=timeout)
         ok = sum(1 for r in results if r.ok)
         self.stats.simulations += ok
         metrics.counter("session.simulations",

@@ -19,10 +19,23 @@ def test_quick_table3(capsys):
 
 
 def test_stats_flag_dumps_metrics(capsys):
-    assert main(["table3", "--quick", "--stats"]) == 0
+    from repro.obs.metrics import MetricsRegistry, set_registry
+    from repro.session import reset_session
+
+    # a fresh registry first, then a fresh session: cache counters bind
+    # to the registry current when the session is built
+    previous = set_registry(MetricsRegistry(enabled=True))
+    try:
+        reset_session()
+        assert main(["table3", "--quick", "--stats"]) == 0
+    finally:
+        set_registry(previous)
+        reset_session()
     captured = capsys.readouterr()
     assert "[metrics]" in captured.err
-    assert "sim.runs" in captured.err
+    # counters a cold table3 run produces itself
+    assert "session.compiles" in captured.err
+    assert "tms.candidates" in captured.err
     assert "[cache:" in captured.err
     # the report stream itself stays clean for diffing
     assert "[metrics]" not in captured.out

@@ -147,8 +147,7 @@ class TestAppend:
 
 
 class TestAppendJsonlLine:
-    """The shared crash-safety primitive under the ledger and the serve
-    request journal."""
+    """The crash-safety primitive under the run ledger."""
 
     def test_appends_newline_and_accepts_bytes(self, tmp_path):
         path = tmp_path / "lines.jsonl"

@@ -9,7 +9,6 @@ import pytest
 from repro.errors import MachineError
 from repro.machine.reservation import ModuloReservationTable
 from repro.sched import (
-    HookPolicy,
     PartialSchedule,
     PlacementEngine,
     Schedule,
@@ -157,12 +156,20 @@ def test_try_place_first_fit_equals_sms(axpy_ddg, resources):
     assert slots == sched.slots
 
 
-def test_hook_policy_wraps_hooks(axpy_ddg, resources):
+def test_slot_policy_subclass_drives_every_hook(axpy_ddg, resources):
     seen: list[str] = []
-    policy = HookPolicy(
-        accept=lambda v, c, p: True,
-        on_place=lambda v, c, p: seen.append(v),
-        score=lambda v, c, p: float(c))
+
+    class Recording(SlotPolicy):
+        def accept(self, v, c, p):
+            return True
+
+        def on_place(self, v, c, p):
+            seen.append(v)
+
+        def score(self, v, c, p):
+            return float(c)
+
+    policy = Recording()
     engine = PlacementEngine(axpy_ddg, resources)
     slots = engine.try_place(8, list(axpy_ddg.node_names), {}, policy,
                              alg="SMS")
@@ -192,19 +199,6 @@ def test_engine_metrics_published(axpy_ddg, resources, arch):
     assert snap.get("sched.engine.window_tables", 0) > 0
     # the TMS (II, C_delay) search re-attempts IIs: the memo must hit
     assert snap.get("sched.engine.window_reuses", 0) > 0
-
-
-def test_deprecated_ordering_reexports_warn():
-    import repro.sched as sched_pkg
-    from repro.sched import ordering
-
-    with pytest.warns(DeprecationWarning, match="repro.sched.ordering"):
-        fn = sched_pkg.compute_node_order
-    assert fn is ordering.compute_node_order
-    with pytest.warns(DeprecationWarning):
-        assert sched_pkg.partition_into_sets is ordering.partition_into_sets
-    with pytest.raises(AttributeError):
-        sched_pkg.not_a_symbol
 
 
 def test_schedule_round_trip_still_validates(fig1_ddg, fig1_machine):

@@ -8,7 +8,22 @@ from repro.errors import SchedulingError
 from repro.graph import build_ddg
 from repro.ir import parse_loop
 from repro.machine import LatencyModel, ResourceModel
-from repro.sched import SwingModuloScheduler, schedule_sms, validate_schedule
+from repro.sched import (
+    SlotPolicy,
+    SwingModuloScheduler,
+    schedule_sms,
+    validate_schedule,
+)
+
+
+class _Policy(SlotPolicy):
+    """A slot policy built from loose ``accept``/``on_place``/``score``
+    callables, for exercising each engine hook on its own."""
+
+    def __init__(self, accept=None, on_place=None, score=None):
+        self.accept = accept
+        self.on_place = on_place
+        self.score = score
 
 
 def test_axpy_schedules_at_mii(axpy_ddg, resources):
@@ -62,7 +77,7 @@ n0: s = fdiv s, 2.0
     assert sched.ii >= 12
 
 
-def test_try_ii_accept_hook(axpy_ddg, resources):
+def test_accept_hook_vetoes_a_slot(axpy_ddg, resources):
     s = SwingModuloScheduler(axpy_ddg, resources)
     vetoed = []
     def accept(v, cycle, partial):
@@ -70,7 +85,7 @@ def test_try_ii_accept_hook(axpy_ddg, resources):
             vetoed.append(cycle)
             return False
         return True
-    slots = s.try_ii(s.mii + 4, accept=accept)
+    slots = s.try_policy(s.mii + 4, _Policy(accept=accept))
     assert slots is not None
     assert vetoed  # the hook really ran and vetoed a slot
     assert slots["n4"] != vetoed[0]
@@ -82,7 +97,7 @@ def test_on_place_sees_updated_partial(axpy_ddg, resources):
     def on_place(v, cycle, partial):
         assert partial[v] == cycle
         seen[v] = cycle
-    s.try_ii(s.mii + 2, on_place=on_place)
+    s.try_policy(s.mii + 2, _Policy(on_place=on_place))
     assert set(seen) == set(axpy_ddg.node_names)
 
 
@@ -90,6 +105,7 @@ def test_score_hook_selects_minimum(axpy_ddg, resources):
     s = SwingModuloScheduler(axpy_ddg, resources)
     # a score that prefers the earliest slot in every window
     slots_first = s.try_ii(s.mii + 4)
-    slots_early = s.try_ii(s.mii + 4, score=lambda v, c, p: float(c))
+    slots_early = s.try_policy(s.mii + 4,
+                               _Policy(score=lambda v, c, p: float(c)))
     assert slots_first is not None and slots_early is not None
     assert any(slots_early[n] != slots_first[n] for n in slots_first)

@@ -109,16 +109,13 @@ def test_shutdown_endpoint_drains_and_stops(daemon):
     assert not client.ping()
 
 
-def test_healthz_carries_state_reasons_and_version(daemon):
+def test_healthz_carries_state_and_version(daemon):
     d, client = daemon
-    health = client.healthz()
-    assert health["status"] == "ok"
-    assert health["reasons"] == []
-    assert health["protocol_version"] == PROTOCOL_VERSION
+    assert client.healthz() == {"status": "ok",
+                                "protocol_version": PROTOCOL_VERSION}
     d.broker.begin_drain()
-    health = client.healthz()
-    assert health["status"] == "draining"
-    assert health["reasons"] == ["drain requested"]
+    assert client.healthz() == {"status": "draining",
+                                "protocol_version": PROTOCOL_VERSION}
 
 
 def test_oversized_bodies_get_http_413(registry, span_tracer):
@@ -156,6 +153,31 @@ def test_no_daemon_is_server_unavailable(registry):
     assert not client.ping()
     with pytest.raises(ServerUnavailable):
         client.submit(_req())
+
+
+def test_wait_ready_probes_first_then_backs_off(monkeypatch):
+    import repro.serve.client as client_mod
+
+    slept: list[float] = []
+    monkeypatch.setattr(client_mod.time, "sleep", slept.append)
+
+    class _Up:
+        def __init__(self, down_probes):
+            self.down_probes = down_probes
+            self.probes = 0
+
+        def ping(self):
+            self.probes += 1
+            return self.probes > self.down_probes
+
+    assert wait_ready(_Up(0), timeout=0.0)    # first probe, no sleep
+    assert slept == []
+    client = _Up(12)
+    assert wait_ready(client, timeout=60.0)
+    assert client.probes == 13
+    assert slept[:3] == pytest.approx([0.02, 0.032, 0.0512])
+    assert slept[-3:] == [1.0, 1.0, 1.0]      # capped at 1 s
+    assert not wait_ready(_Up(99), timeout=0.0)
 
 
 def test_from_address_parses_and_validates():

@@ -129,7 +129,7 @@ def test_parallel_results_ordered_despite_completion_order():
     assert all(r.ok for r in results)
 
 
-# -- per-task timeout + retries ----------------------------------------------
+# -- per-task timeout -------------------------------------------------------
 
 def _hang_on_two(x):
     if x == 2:
@@ -138,28 +138,10 @@ def _hang_on_two(x):
     return x * 10
 
 
-_ATTEMPT_DIR = None
-
-
-def _fail_until_marker(x):
-    """Fails until a marker file exists (lets a retry wave succeed)."""
-    import pathlib
-    marker = pathlib.Path(_ATTEMPT_DIR) / f"tried-{x}"
-    if not marker.exists():
-        marker.touch()
-        raise ValueError(f"first attempt of {x} fails")
-    return x
-
-
 def _timeouts_metric():
     from repro.obs import metrics
     return metrics.counter("runner.timeouts",
                            "tasks that hit the per-task timeout").value
-
-
-def _retries_metric():
-    from repro.obs import metrics
-    return metrics.counter("runner.retries", "task retry attempts").value
 
 
 def test_sequential_timeout_fails_soft():
@@ -187,60 +169,7 @@ def test_parallel_timeout_fails_soft_and_terminates_worker():
 
 def test_no_timeout_marks_nothing_timed_out():
     results = ParallelRunner(1).map(_square, [1, 2])
-    assert all(not r.timed_out and r.attempts == 1 for r in results)
-
-
-def test_retries_recover_flaky_task(tmp_path):
-    global _ATTEMPT_DIR
-    _ATTEMPT_DIR = str(tmp_path)
-    before = _retries_metric()
-    results = ParallelRunner(1).map(_fail_until_marker, [1, 2], retries=2)
-    assert all(r.ok for r in results)
-    assert [r.value for r in results] == [1, 2]
-    assert all(r.attempts == 2 for r in results)
-    assert _retries_metric() == before + 2
-
-
-def test_retries_exhausted_keeps_last_error():
-    results = ParallelRunner(1).map(_fail_on_three, [3], retries=2)
-    assert not results[0].ok
-    assert results[0].attempts == 3
-    assert isinstance(results[0].error, ValueError)
-
-
-def test_retries_do_not_rerun_successes(tmp_path):
-    global _ATTEMPT_DIR
-    _ATTEMPT_DIR = str(tmp_path)
-    results = ParallelRunner(1).map(_fail_until_marker, [7], retries=5)
-    assert results[0].ok and results[0].attempts == 2  # not 6
-
-
-def test_negative_retries_rejected():
-    with pytest.raises(ValueError, match="retries"):
-        ParallelRunner(1).map(_square, [1], retries=-1)
-
-
-def test_backoff_sleep_is_seeded(monkeypatch):
-    slept = []
-    import repro.session.runner as runner_mod
-    monkeypatch.setattr(runner_mod.time, "sleep", slept.append)
-    ParallelRunner._backoff_sleep(1, backoff=0.1, seed=42)
-    ParallelRunner._backoff_sleep(1, backoff=0.1, seed=42)
-    assert slept[0] == slept[1]                     # deterministic
-    assert 0.05 <= slept[0] < 0.15                  # jitter in [0.5, 1.5)
-    ParallelRunner._backoff_sleep(2, backoff=0.1, seed=42)
-    assert slept[2] > slept[0]                      # exponential growth
-
-
-def test_backoff_zero_never_sleeps(monkeypatch):
-    import repro.session.runner as runner_mod
-
-    def _boom(_s):
-        raise AssertionError("slept with backoff=0")
-    monkeypatch.setattr(runner_mod.time, "sleep", _boom)
-    results = ParallelRunner(1).map(_fail_on_three, [3], retries=1,
-                                    backoff=0.0)
-    assert results[0].attempts == 2
+    assert all(not r.timed_out for r in results)
 
 
 # -- persistent warm pool ----------------------------------------------------
@@ -300,14 +229,6 @@ def test_persistent_pool_survives_worker_crash():
         after = runner.map(_square, [5, 6])            # ...fresh pool works
     assert [r.value for r in after] == [25, 36]
     assert _rebuilds_metric() > before
-
-
-def test_persistent_pool_crash_recovers_via_retries(tmp_path):
-    global _ATTEMPT_DIR
-    _ATTEMPT_DIR = str(tmp_path)
-    with ParallelRunner(2, persistent=True) as runner:
-        results = runner.map(_fail_until_marker, [1, 2], retries=2)
-    assert all(r.ok for r in results)
 
 
 def test_close_is_idempotent():
