@@ -156,8 +156,10 @@ class SchedulerConfig:
         Hard bound on II as a multiple of the longest dependence path, used
         as a search safety net.
     max_candidates:
-        Upper bound on the number of (II, C_delay) pairs TMS will attempt
-        before giving up (safety net; never hit by the paper workloads).
+        TMS's attempt budget: the number of (II, C_delay) pairs, in
+        ascending ``F``, one search (per ``P_max``) walks — placed or
+        pruned — before it falls back to SMS placement.  The population's
+        ``lucas_fft`` exhausts it on every compile (``tms.fallbacks``).
     budget_ratio_ii:
         IMS backtracking budget per II as a multiple of the node count.
     speculation:
@@ -189,7 +191,7 @@ class SchedulerConfig:
     try_p_max_values: bool = False
     p_max_candidates: tuple[float, ...] = (0.0, 0.01, 0.05, 0.2, 1.0)
     max_ii_factor: float = 2.0
-    max_candidates: int = 200_000
+    max_candidates: int = 4000
     budget_ratio_ii: int = 3
     speculation: bool = True
     include_reg_anti_deps: bool = False

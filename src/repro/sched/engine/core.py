@@ -59,14 +59,13 @@ class PlacementEngine:
                   track_live: bool = False) -> dict[str, int] | None:
         """One placement attempt at ``ii`` over ``order``.
 
-        Each node is probed across its dependence window (scan direction
-        per its ordering ``directions``; unconstrained seeds anchor high
-        when ``seed_high``).  ``policy.accept`` may veto a conflict-free
-        slot; without ``policy.score`` the first acceptable slot wins
-        (SMS's lifetime-minimal strategy), with it the minimum-score slot
-        wins, ties to window order, short-circuiting at a perfect
-        ``score <= 0`` — how TMS "finds the time slot ... that leads to
-        the shortest synchronisation delay" (Section 4.1).
+        Each node takes the slot ``policy.select`` picks in its
+        dependence window (scan direction per its ordering
+        ``directions``; unconstrained seeds anchor high when
+        ``seed_high``): the first conflict-free slot for the base policy
+        (SMS's lifetime-minimal strategy), the minimum-score slot
+        satisfying C1/C2 for TMS — how TMS "finds the time slot ... that
+        leads to the shortest synchronisation delay" (Section 4.1).
 
         Returns the slot map, or ``None`` on failure.
         """
@@ -102,8 +101,7 @@ class PlacementEngine:
         ps = PartialSchedule(self.ctx, ii, track_live=track_live)
         partial = ps.slots
         policy.begin_attempt(ps)
-        accept = policy.accept
-        score = policy.score
+        select = policy.select
         on_place = policy.on_place
         loop_name = self.ctx.name
         probes = 0
@@ -111,33 +109,15 @@ class PlacementEngine:
             start, end, scan_down = table.window(
                 v, partial, directions.get(v, "top-down") == "bottom-up",
                 seed_high)
-            best_cycle: int | None = None
-            best_score = 0.0
-            if scan_down:
-                candidates = range(end, start - 1, -1)
-            else:
-                candidates = range(start, end + 1)
-            for cycle in candidates:
-                probes += 1
-                if not ps.fits(v, cycle):
-                    continue
-                if accept is not None and not accept(v, cycle, partial):
-                    continue
-                if score is None:
-                    best_cycle = cycle
-                    break
-                s = score(v, cycle, partial)
-                if best_cycle is None or s < best_score:
-                    best_cycle, best_score = cycle, s
-                    if s <= 0.0:
-                        break  # cannot do better than "no new sync at all"
+            best_cycle, rows = select(v, start, end, scan_down, ps)
+            probes += rows
             if best_cycle is None:
                 if tracer.enabled:
                     tracer.emit("sched", "place_fail", alg=alg,
                                 loop=loop_name, ii=ii, node=v)
                 metrics.counter(
                     "sched.engine.slot_probes",
-                    "window slots probed by the unified engine").inc(probes)
+                    "window rows evaluated by slot policies").inc(probes)
                 return None
             ps.place(v, best_cycle)
             if tracer.enabled:
@@ -151,7 +131,7 @@ class PlacementEngine:
             "nodes placed in completed scheduling attempts").inc(len(partial))
         metrics.counter(
             "sched.engine.slot_probes",
-            "window slots probed by the unified engine").inc(probes)
+            "window rows evaluated by slot policies").inc(probes)
         return partial
 
     # -- backtracking discipline (IMS) ---------------------------------------

@@ -1,17 +1,17 @@
-"""The SlotPolicy protocol: pluggable slot acceptance and scoring.
+"""The SlotPolicy protocol: pluggable per-node slot selection.
 
 A placement attempt (:meth:`PlacementEngine.try_place`) walks the swing
-node order and, per node, scans its dependence window.  What makes a
-scheduler IMS, SMS or TMS is *policy*: which conflict-free slots are
-acceptable, how competing slots are ranked, and what incremental state a
-commitment updates.  A :class:`SlotPolicy` packages exactly those four
-hooks:
+node order and, per node, asks the policy for a slot in the node's
+dependence window.  What makes a scheduler SMS or TMS is *policy*: which
+conflict-free slots are acceptable, how competing slots are ranked, and
+what incremental state a commitment updates.  A :class:`SlotPolicy`
+packages exactly those hooks:
 
-``accept(v, cycle, slots)``
-    veto an otherwise conflict-free slot (TMS's C1/C2);
-``score(v, cycle, slots)``
-    rank acceptable slots — ``None`` (the attribute, not a return) means
-    first-fit in window order (SMS's lifetime-minimal strategy);
+``select(v, start, end, scan_down, ps)``
+    the slot ``v`` takes in its window ``[start, end]`` (window order is
+    descending when ``scan_down``), or ``None``, plus the number of
+    window rows evaluated.  The base policy is first fit in window order
+    (SMS's lifetime-minimal strategy);
 ``on_place(v, cycle, slots)``
     commit incremental state after a placement (``slots`` already
     updated);
@@ -19,32 +19,30 @@ hooks:
     notification when backtracking (IMS) evicts a node (``slots``
     already updated).
 
-Hooks are *attributes*: a policy that doesn't participate in a stage
-leaves the attribute ``None`` and the engine skips the call entirely —
-the hot loop pays nothing for unused extension points.
+``on_place``/``on_eject`` are *attributes*: a policy that doesn't use
+one leaves it ``None`` and the engine skips the call entirely.
 
 :class:`TMSPolicy` is the paper's Figure-3 slot acceptance as a policy
-instance, with two hot-path improvements over the seed implementation
-(placements are byte-identical; only the work per probe changes):
+instance.  Its ``select`` scans a node's window once: C1 becomes an
+integer row interval per stage (Definition 2's sync delay is linear in
+the row once the stage is fixed), rows outside it are never evaluated,
+and the score and C2 run only on the rows that survive and fit the
+resources.  Committed memory dependences carry a cached *preserved* flag
+(monotone — synchronised dependences are only ever added within an
+attempt), so C2 only checks committed non-preserved dependences against
+the *new* register dependences, and the new memory dependences against
+the committed register set.  The survivors' ``(1 - p_e)`` factors
+multiply in commit order, then the tentative placement's, keeping the
+float product bit-identical to a full rescan.
 
-* all per-DDG state (incident flow-edge tables, latencies, the
-  intra-thread ancestor closures, depth/height tiebreak inputs) lives in
-  a :class:`TMSContext` built once per scheduler and shared by every
-  ``(II, C_delay)`` candidate;
-* the C2 misspeculation product no longer rescans every scheduled
-  memory dependence against every scheduled register dependence:
-  committed memory dependences carry a cached *preserved* flag
-  (monotone — synchronised dependences are only ever added within an
-  attempt), so a probe only checks committed non-preserved dependences
-  against the *new* register dependences, and the new memory
-  dependences against the committed register set.  The survivors'
-  ``(1 - p_e)`` factors are multiplied in the exact order the seed used
-  (commit order, then the tentative placement's), keeping the float
-  product bit-identical.
+:attr:`TMSPolicy.reject_floor` is a lower bound on every sync delay C1
+rejected; the TMS search uses it to skip ``C_delay`` thresholds that
+provably replay the same failed placements.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 from ...config import ArchConfig, SchedulerConfig
@@ -55,19 +53,31 @@ __all__ = ["SlotPolicy", "TMSContext", "TMSPolicy"]
 
 
 class SlotPolicy:
-    """Base policy: first-fit, no veto, no state (plain SMS placement)."""
+    """Base policy: first fit in window order, no state (plain SMS
+    placement)."""
 
     name = "firstfit"
 
     #: hooks; ``None`` means "not used" and is skipped by the engine.
-    accept = None
-    score = None
     on_place = None
     on_eject = None
 
     def begin_attempt(self, partial) -> None:
         """Reset per-attempt incremental state (called by the engine
         before every placement attempt)."""
+
+    def select(self, v: str, start: int, end: int, scan_down: bool,
+               ps) -> tuple[int | None, int]:
+        """``(cycle, rows)``: the first slot of ``[start, end]`` in window
+        order where ``v`` fits the resources (``None`` if none does), and
+        the number of rows evaluated."""
+        fits = ps.fits
+        cycles = range(end, start - 1, -1) if scan_down \
+            else range(start, end + 1)
+        for rows, cycle in enumerate(cycles, 1):
+            if fits(v, cycle):
+                return cycle, rows
+        return None, len(cycles)
 
 
 class TMSContext:
@@ -134,6 +144,66 @@ class TMSContext:
         self.height = ctx.height
 
 
+def _placed(edges, slots: Mapping[str, int], ii: int, v: str) -> list:
+    """``edges`` (a :class:`TMSContext` tuple) whose neighbour is placed,
+    as ``(neighbour, stage, row, distance, latency[, probability])``; a
+    self edge's stage and row are ``None`` (they are ``v``'s own)."""
+    out = []
+    for edge in edges:
+        u = edge[0]
+        if u == v:
+            out.append((u, None, None) + edge[1:])
+            continue
+        s = slots.get(u)
+        if s is not None:
+            out.append((u, s // ii, s % ii) + edge[1:])
+    return out
+
+
+def _crossing(edges: list, stage: int, inbound: bool) -> list:
+    """The :func:`_placed` ``edges`` that cross iterations when ``v``
+    issues in ``stage``, as ``(row, k, latency[, probability],
+    neighbour)`` with ``k >= 1`` the kernel distance; ``row`` is ``None``
+    for a self edge (``k`` is then its distance)."""
+    out = []
+    for u, st, row, dist, *rest in edges:
+        if st is None:
+            k = dist
+        elif inbound:
+            k = dist + stage - st
+        else:
+            k = dist + st - stage
+        if k >= 1:
+            out.append((row, k, *rest, u))
+    return out
+
+
+def _producer_sync(prods: list, row: int, ccom: int, floor: float) -> float:
+    """The largest of ``floor`` and the producers' sync delays at
+    ``row`` (see :meth:`TMSPolicy.select`)."""
+    for a, k in prods:
+        sync = (a - row) / k + ccom
+        if sync > floor:
+            floor = sync
+    return floor
+
+
+def _consumer_sync(cons: list, row: int, ccom: int, floor: float) -> float:
+    """The largest of ``floor`` and the consumers' sync delays at
+    ``row``."""
+    for b, k in cons:
+        sync = (row - b) / k + ccom
+        if sync > floor:
+            floor = sync
+    return floor
+
+
+def _headroom(need: int, shortfall: int) -> float:
+    """The stage-headroom tiebreak term of a node needing ``need`` rows
+    of room that its row leaves ``shortfall`` short of."""
+    return min(0.45, 0.45 * shortfall / need) if shortfall > 0 else 0.0
+
+
 class TMSPolicy(SlotPolicy):
     """Figure 3's C1/C2 slot acceptance for one ``(II, C_delay, P_max)``
     candidate.
@@ -160,104 +230,196 @@ class TMSPolicy(SlotPolicy):
         #                             probability, consumer, preserved]
         self._sreg: list[tuple[int, float, str]] = []
         self._smem: list[list] = []
-        # last (v, cycle) dependence sets — accept/score/on_place for the
-        # same probe share one computation.
-        self._ck: tuple[str, int] | None = None
-        self._creg: list = []
-        self._cmem: list = []
+        # the new dependences of the slot select() last returned, which
+        # on_place commits.
+        self._chosen: tuple[list, list] = ([], [])
+        #: lower bound on every sync delay C1 rejected since construction
+        #: (over every attempt); ``inf`` while C1 rejected nothing.
+        self.reject_floor = math.inf
 
     def begin_attempt(self, partial) -> None:
         self._sreg.clear()
         self._smem.clear()
-        self._ck = None
 
-    # -- new-dependence enumeration ---------------------------------------
+    # -- the per-node window scan ---------------------------------------------
 
-    def _deps(self, v: str, cycle: int, slots: Mapping[str, int]):
-        """The inter-iteration dependences placing ``v`` at ``cycle``
-        would create: ``(reg, mem)`` where reg entries are
-        ``(row_src, sync_delay, consumer)`` and mem entries
-        ``(row_src, sync_delay, required_skew, probability, consumer)``.
+    def select(self, v: str, start: int, end: int, scan_down: bool,
+               ps) -> tuple[int | None, int]:
+        """The minimum-score slot of ``v`` satisfying C1 and C2, first in
+        window order, stopping at a score ``<= 0``; ``None`` if no slot
+        qualifies.
 
-        For edge ``e`` under tentative slots the kernel distance is
-        ``k = d(e) + stage(dst) - stage(src)``; ``k < 1`` means the
-        dependence stays intra-iteration.  ``sync = span/k + C_reg_com``
-        with ``span = row(src) - row(dst) + latency(src)`` (Definition
-        2); ``req = span/k`` is C2's required skew.
+        New inter-iteration dependences: for edge ``e`` the kernel
+        distance is ``k = d(e) + stage(dst) - stage(src)``; ``k < 1``
+        means the dependence stays intra-iteration.  ``sync = span/k +
+        C_reg_com`` with ``span = row(src) - row(dst) + latency(src)``
+        (Definition 2); ``req = span/k`` is C2's required skew.  With the
+        stage fixed, C1's ``sync <= C_delay`` is ``row >= row_s + lat_s -
+        k*(C_delay - C_reg_com)`` per placed producer and ``row <= row_d
+        - lat_v + k*(C_delay - C_reg_com)`` per placed consumer — exact,
+        since latencies, ``C_reg_com`` and ``C_delay`` are ints.
+
+        A slot's score is the largest sync delay it would introduce (0 if
+        none) — TMS picks the slot with the shortest synchronisation
+        delay among the acceptable ones (Section 4.1) — plus a sub-unit
+        tiebreak preferring kernel rows that leave same-stage room for
+        the node's still-unplaced same-iteration neighbours: *below* for
+        its feeder chain (depth), *above* for its consumer chain
+        (height).  Placing a node flush against a stage boundary forces
+        that chain across the boundary and turns intra-thread
+        dependences into synchronised ones.
+
+        Within a stage, a producer's sync delay and the depth tiebreak
+        only fall as the row rises; a consumer's and the height tiebreak
+        only rise.  So the terms growing along the scan at the current
+        row, plus the shrinking ones at the stage's last row, bound the
+        score of every row still ahead (float addition is monotone), and
+        the scan leaves the stage once that bound reaches the best score.
         """
-        key = (v, cycle)
-        if self._ck == key:
-            return self._creg, self._cmem
+        if start > end:
+            return None, 0
         ii = self._ii
         ccom = self._ccom
+        slack = self._c_delay - ccom  # C1 is span <= k * slack
         tms = self._tms
-        stage_v = cycle // ii
-        row_v = cycle % ii
+        slots = ps.slots
+        fits = ps.fits
+        synced_mem = not self._speculation
+        reg_in = _placed(tms.reg_in[v], slots, ii, v)
+        reg_out = _placed(tms.reg_out[v], slots, ii, v)
+        mem_in = _placed(tms.mem_in[v], slots, ii, v)
+        mem_out = _placed(tms.mem_out[v], slots, ii, v)
+
+        # A self edge's sync delay is the same in every row: over the
+        # threshold it rejects the whole window, else it floors the score.
+        self_sync = 0.0
+        for _u, stage, _row, dist, lat, *_p in \
+                (reg_in + mem_in if synced_mem else reg_in):
+            if stage is None and dist >= 1:
+                sync = lat / dist + ccom
+                if lat > dist * slack:
+                    self.reject_floor = min(self.reject_floor, sync)
+                    return None, 0
+                if sync > self_sync:
+                    self_sync = sync
+
+        # the tiebreak's depth/height, 0 once the chain is placed
+        below = tms.depth[v] if any(
+            p not in slots for p in tms.pred0[v]) else 0
+        above = tms.height[v] if any(
+            s not in slots for s in tms.succ0[v]) else 0
+
+        stages = range(start // ii, end // ii + 1)
+        best_cycle: int | None = None
+        best_score = 0.0
+        best_at = None
+        rows = 0
+        for stage in (reversed(stages) if scan_down else stages):
+            base = stage * ii
+            w_lo = max(start - base, 0)
+            w_hi = min(end - base, ii - 1)
+            r_in = _crossing(reg_in, stage, True)
+            r_out = _crossing(reg_out, stage, False)
+            m_in = _crossing(mem_in, stage, True)
+            m_out = _crossing(mem_out, stage, False)
+            # the synchronised dependences, as sync(row) = (a - row)/k +
+            # C_reg_com per producer and (row - b)/k + C_reg_com per
+            # consumer
+            prods = [(row_s + lat, k)
+                     for row_s, k, lat, *_ in r_in if row_s is not None]
+            cons = [(row_d - lat, k) for row_d, k, lat, *_ in r_out]
+            if synced_mem:
+                prods += [(row_s + lat, k)
+                          for row_s, k, lat, *_ in m_in if row_s is not None]
+                cons += [(row_d - lat, k) for row_d, k, lat, *_ in m_out]
+            # C1 as the row interval [lo, hi] of this stage
+            lo, hi = w_lo, w_hi
+            for a, k in prods:
+                if a - k * slack > lo:
+                    lo = a - k * slack
+            for b, k in cons:
+                if b + k * slack < hi:
+                    hi = b + k * slack
+            # The window rows next to the interval bound every sync
+            # delay C1 rejects in this stage.
+            if lo > w_lo:
+                self.reject_floor = min(self.reject_floor, _producer_sync(
+                    prods, min(lo - 1, w_hi), ccom, -math.inf))
+            if hi < w_hi:
+                self.reject_floor = min(self.reject_floor, _consumer_sync(
+                    cons, max(hi + 1, w_lo), ccom, -math.inf))
+            if lo > hi:
+                continue
+            check_c2 = not synced_mem and (m_in or m_out)
+            last = lo if scan_down else hi
+            if scan_down:
+                rest_sync = _consumer_sync(cons, last, ccom, self_sync)
+                rest_above = _headroom(above, above - (ii - 1 - last))
+            else:
+                rest_sync = _producer_sync(prods, last, ccom, self_sync)
+                rest_below = _headroom(below, below - last)
+            for row in (range(hi, lo - 1, -1) if scan_down
+                        else range(lo, hi + 1)):
+                rows += 1
+                cycle = base + row
+                if not fits(v, cycle):
+                    continue
+                p_sync = _producer_sync(prods, row, ccom, self_sync)
+                c_sync = _consumer_sync(cons, row, ccom, self_sync)
+                tb_below = _headroom(below, below - row)
+                tb_above = _headroom(above, above - (ii - 1 - row))
+                score = max(p_sync, c_sync) + tb_below + tb_above
+                if best_cycle is None or score < best_score:
+                    if not check_c2 or self._c2_holds(*self._new_deps(
+                            v, row, r_in, r_out, m_in, m_out)):
+                        best_cycle, best_score = cycle, score
+                        best_at = (row, r_in, r_out, m_in, m_out)
+                        if score <= 0.0:
+                            break  # no new sync at all
+                if best_cycle is None:
+                    continue
+                if scan_down:
+                    bound = max(p_sync, rest_sync) + tb_below + rest_above
+                else:
+                    bound = max(rest_sync, c_sync) + rest_below + tb_above
+                if bound >= best_score:
+                    break
+            if best_cycle is not None and best_score <= 0.0:
+                break
+        if best_cycle is not None:
+            self._chosen = self._new_deps(v, *best_at)
+        return best_cycle, rows
+
+    def _new_deps(self, v: str, row: int, r_in, r_out, m_in, m_out):
+        """The inter-iteration dependences placing ``v`` in ``row`` would
+        create, from the stage's :func:`_crossing` edges, in DDG edge
+        order: ``(reg, mem)`` where reg entries are ``(row_src,
+        sync_delay, consumer)`` and mem entries ``(row_src, sync_delay,
+        required_skew, probability, consumer)``."""
+        ccom = self._ccom
         new_reg = []
-        for src, dist, lat_s in tms.reg_in[v]:
-            s = cycle if src == v else slots.get(src)
-            if s is None:
-                continue
-            k = dist + stage_v - s // ii
-            if k < 1:
-                continue
-            row_s = s % ii
-            span = row_s - row_v + lat_s
-            new_reg.append((row_s, span / k + ccom, v))
-        for dst, dist, lat_v in tms.reg_out[v]:
-            s = slots.get(dst)
-            if s is None:
-                continue
-            k = dist + s // ii - stage_v
-            if k < 1:
-                continue
-            span = row_v - s % ii + lat_v
-            new_reg.append((row_v, span / k + ccom, dst))
+        for row_s, k, lat, _u in r_in:
+            if row_s is None:
+                row_s = row
+            new_reg.append((row_s, (row_s - row + lat) / k + ccom, v))
+        for row_d, k, lat, u in r_out:
+            new_reg.append((row, (row - row_d + lat) / k + ccom, u))
         new_mem = []
-        for src, dist, lat_s, prob in tms.mem_in[v]:
-            s = cycle if src == v else slots.get(src)
-            if s is None:
-                continue
-            k = dist + stage_v - s // ii
-            if k < 1:
-                continue
-            row_s = s % ii
-            req = (row_s - row_v + lat_s) / k
-            new_mem.append((row_s, req + ccom, req, prob, v))
-        for dst, dist, lat_v, prob in tms.mem_out[v]:
-            s = slots.get(dst)
-            if s is None:
-                continue
-            k = dist + s // ii - stage_v
-            if k < 1:
-                continue
-            req = (row_v - s % ii + lat_v) / k
-            new_mem.append((row_v, req + ccom, req, prob, dst))
-        self._ck = key
-        self._creg = new_reg
-        self._cmem = new_mem
+        for row_s, k, lat, p, _u in m_in:
+            if row_s is None:
+                row_s = row
+            req = (row_s - row + lat) / k
+            new_mem.append((row_s, req + ccom, req, p, v))
+        for row_d, k, lat, p, u in m_out:
+            req = (row - row_d + lat) / k
+            new_mem.append((row, req + ccom, req, p, u))
         return new_reg, new_mem
 
-    # -- the Figure-3 acceptance conditions ---------------------------------
-
-    def accept(self, v: str, cycle: int, slots: Mapping[str, int]) -> bool:
-        new_reg, new_mem = self._deps(v, cycle, slots)
-        c_delay = self._c_delay
-        # C1: every new synchronised dependence within threshold
-        for _row, sync, _dst in new_reg:
-            if sync > c_delay:
-                return False
-        if not self._speculation:
-            # no-speculation mode: memory deps are synchronised too
-            for _row, sync, _req, _prob, _dst in new_mem:
-                if sync > c_delay:
-                    return False
-            return True
-        if not new_mem:
-            return True
-        # C2: misspeculation frequency of non-preserved memory deps.  The
-        # (1 - p) factors multiply in commit order then tentative order —
-        # the same sequence the seed's full rescan produced.
+    def _c2_holds(self, new_reg, new_mem) -> bool:
+        """C2: the misspeculation frequency of non-preserved memory deps
+        stays within ``P_max``.  The (1 - p) factors multiply in commit
+        order then tentative order — the same sequence a full rescan
+        produces."""
         ancestors = self._tms.ancestors
         prod = 1.0
         for ent in self._smem:
@@ -292,47 +454,12 @@ class TMSPolicy(SlotPolicy):
             if preserved:
                 continue
             prod *= (1.0 - prob)
-        if 1.0 - prod > self._p_max:
-            return False
-        return True
-
-    def score(self, v: str, cycle: int, slots: Mapping[str, int]) -> float:
-        """The largest sync delay this placement would introduce (0 if
-        none): TMS picks the slot with the shortest synchronisation
-        delay among the acceptable ones (Section 4.1).
-
-        A sub-unit tiebreak prefers slots whose kernel row leaves
-        same-stage room for the node's still-unplaced same-iteration
-        neighbours — *below* for its feeder chain (depth), *above* for
-        its consumer chain (height).  Placing a node flush against a
-        stage boundary forces that chain across the boundary and turns
-        intra-thread dependences into synchronised ones.
-        """
-        new_reg, new_mem = self._deps(v, cycle, slots)
-        worst = 0.0
-        for _row, sync, _dst in new_reg:
-            if sync > worst:
-                worst = sync
-        if not self._speculation:
-            for _row, sync, _req, _prob, _dst in new_mem:
-                if sync > worst:
-                    worst = sync
-        tms = self._tms
-        row = cycle % self._ii
-        need_below = tms.depth[v]
-        if need_below > 0 and any(p not in slots for p in tms.pred0[v]):
-            shortfall = need_below - row
-            if shortfall > 0:
-                worst += min(0.45, 0.45 * shortfall / need_below)
-        need_above = tms.height[v]
-        if need_above > 0 and any(s not in slots for s in tms.succ0[v]):
-            shortfall = need_above - (self._ii - 1 - row)
-            if shortfall > 0:
-                worst += min(0.45, 0.45 * shortfall / need_above)
-        return worst
+        return 1.0 - prod <= self._p_max
 
     def on_place(self, v: str, cycle: int, slots: Mapping[str, int]) -> None:
-        new_reg, new_mem = self._deps(v, cycle, slots)
+        """Commit the new dependences of the slot :meth:`select` just
+        returned."""
+        new_reg, new_mem = self._chosen
         sreg = self._sreg
         smem = self._smem
         if new_reg:

@@ -1,17 +1,20 @@
 """Memoized dependence-window service.
 
-:func:`repro.sched.window.compute_window` re-walks every incident edge of
-the node being placed — including the edge's ``delay - II * distance``
-arithmetic — on every probe of every candidate.  Those deltas depend only
-on ``(DDG, II)``, and TMS re-attempts the same II for many ``C_delay``
-thresholds and two seed passes.  A :class:`WindowTable` folds each edge
-to a ``(neighbour, delta)`` pair once per ``(DDG, II)``; the
+The SMS scheduling window (Section 4.1 of the paper) of the node being
+placed is bounded by its placed neighbours: ``Estart`` is the max of
+``slot(u) + delay(u,v) - II*d(u,v)`` over placed predecessors, ``Lstart``
+the min of ``slot(w) - delay(v,w) + II*d(v,w)`` over placed successors.
+Re-walking every incident edge for that arithmetic on every placement of
+every candidate is wasted work: the deltas depend only on ``(DDG, II)``,
+and TMS re-attempts the same II for many ``C_delay`` thresholds and two
+seed passes.  A :class:`WindowTable` folds each edge to a
+``(neighbour, delta)`` pair once per ``(DDG, II)``; the
 :class:`WindowService` memoizes tables across every candidate of a
 search.
 
-The produced windows are semantically identical to ``compute_window``
-(the engine's test suite asserts exact parity on randomized partial
-schedules).
+The produced windows are identical to the edge-walking reference
+``compute_window`` in ``tests/sched/oracle.py`` (the engine's test suite
+asserts exact parity on randomized partial schedules).
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class WindowTable:
                seed_high: bool) -> tuple[int, int, bool]:
         """``(start, end, scan_down)`` of ``v`` against ``slots``.
 
-        Mirrors :func:`repro.sched.window.compute_window`: both
+        Mirrors the reference ``compute_window``: both
         neighbours -> bounded window scanned by ordering direction;
         predecessors only -> ``[Estart, Estart+II-1]`` upward; successors
         only -> ``[Lstart-II+1, Lstart]`` downward; neither -> the ASAP

@@ -16,10 +16,15 @@ failure discipline) and changes two things:
    frequency ``1 - prod(1 - p_e)`` over all *non-preserved* memory
    dependences among the scheduled instructions stays at most ``P_max``.
 
-Pruning (documented divergence): a failure at ``(II, C)`` is taken to imply
-failure at ``(II, C' < C)`` — C1 with a smaller threshold only rejects more
-slots.  This is how GCC-style implementations keep the restart loop
-tractable and never triggered a false negative on our workloads.
+Pruning (exact): placement reads ``C_delay`` only in C1's ``sync >
+C_delay`` test — C2, the slot score, the windows and the resources never
+read it.  When ``(II, C)`` fails, let ``m`` be the smallest sync delay C1
+rejected in either seed pass (:attr:`TMSPolicy.reject_floor`).  Every
+``(II, C')`` with ``C <= C' < m`` makes the same C1 decisions, replays the
+same placements and fails, so the search marks it ``pruned`` without
+placing it.  Pruned candidates count toward the attempt budget
+(``SchedulerConfig.max_candidates``), so the search stops where an
+unpruned one would, and no divergence from Figure 3 remains.
 
 The ``speculation=False`` mode (Section 5.2's ablation) treats memory flow
 dependences as synchronised: they join C1 and never misspeculate.
@@ -49,9 +54,6 @@ from .schedule import Schedule, validate_schedule
 from .sms import SwingModuloScheduler
 
 __all__ = ["ThreadSensitiveScheduler", "schedule_tms"]
-
-#: hard cap on scheduling attempts per P_max value (safety net).
-_MAX_ATTEMPTS = 4000
 
 
 class ThreadSensitiveScheduler(SwingModuloScheduler):
@@ -137,26 +139,29 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
                         p_max=p_max, mii=self.mii, max_ii=self.max_ii(),
                         ncore=self.arch.ncore)
         attempts = 0
-        highest_failed_cd: dict[int, int] = {}
+        # per II, the last failed candidate's C_delay range [C, m) that
+        # provably fails too (see the module docstring)
+        failed: dict[int, tuple[int, float]] = {}
         for index, (f_value, cd, ii) in enumerate(self._candidates()):
             self._check_watchdog(attempts)
-            if cd <= highest_failed_cd.get(ii, -1):
+            if attempts >= self.config.max_candidates:
+                if tracer.enabled:
+                    tracer.emit("sched", "tms.budget_exhausted",
+                                loop=self.ddg.name, attempts=attempts)
+                break
+            attempts += 1
+            fail_lo, fail_hi = failed.get(ii, (0, 0.0))
+            if fail_lo <= cd < fail_hi:
                 if tracer.enabled:
                     self._emit_candidate(tracer, index, ii, cd, f_value,
                                          "pruned")
                 continue
-            attempts += 1
-            if attempts > min(_MAX_ATTEMPTS, self.config.max_candidates):
-                if tracer.enabled:
-                    tracer.emit("sched", "tms.budget_exhausted",
-                                loop=self.ddg.name, attempts=attempts - 1)
-                break
             metrics.counter(
                 "tms.candidates",
-                "TMS (II, C_delay) candidates attempted").inc()
-            slots = self._try_tms(ii, cd, p_max)
+                "TMS (II, C_delay) candidates placed").inc()
+            slots, reject_floor = self._try_tms(ii, cd, p_max)
             if slots is None:
-                highest_failed_cd[ii] = cd
+                failed[ii] = (cd, reject_floor)
                 if tracer.enabled:
                     self._emit_candidate(tracer, index, ii, cd, f_value,
                                          "reject")
@@ -234,7 +239,7 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
     # -- one TMS scheduling attempt ---------------------------------------------
 
     def _try_tms(self, ii: int, c_delay: int, p_max: float
-                 ) -> dict[str, int] | None:
+                 ) -> tuple[dict[str, int] | None, float]:
         """SMS placement with Figure 3's C1/C2 acceptance conditions
         (a :class:`TMSPolicy` over the shared placement engine).
 
@@ -243,6 +248,9 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         (gives deep sink-seeded chains slack against resource conflicts,
         e.g. equake's smvp strands).  The policy's incremental
         Definition-4 state resets between passes (``begin_attempt``).
+
+        Returns ``(slots, m)``: the slot map (``None`` on failure) and
+        the policy's :attr:`~TMSPolicy.reject_floor` over both passes.
         """
         policy = TMSPolicy(self._tms_ctx, self.arch, self.config, ii,
                            c_delay, p_max)
@@ -250,8 +258,8 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
             self.seed_high = seed_high
             slots = self.try_policy(ii, policy)
             if slots is not None:
-                return slots
-        return None
+                return slots, policy.reject_floor
+        return None, policy.reject_floor
 
 
 def schedule_tms(ddg: DDG, resources: ResourceModel, arch: ArchConfig,

@@ -18,7 +18,8 @@ from repro.sched import (
     schedule_tms,
 )
 from repro.sched.engine import EngineContext, LiveTracker, WindowService
-from repro.sched.window import compute_window
+
+from .oracle import compute_window
 
 
 def _random_partial(ddg, ii, rng):
@@ -157,31 +158,53 @@ def test_try_place_first_fit_equals_sms(axpy_ddg, resources):
 
 
 def test_slot_policy_subclass_drives_every_hook(axpy_ddg, resources):
-    seen: list[str] = []
+    selected: list[str] = []
+    placed: list[str] = []
+    attempts: list[object] = []
 
     class Recording(SlotPolicy):
-        def accept(self, v, c, p):
-            return True
+        def begin_attempt(self, partial):
+            attempts.append(partial)
+
+        def select(self, v, start, end, scan_down, ps):
+            selected.append(v)
+            return super().select(v, start, end, scan_down, ps)
 
         def on_place(self, v, c, p):
-            seen.append(v)
+            assert p[v] == c
+            placed.append(v)
 
-        def score(self, v, c, p):
-            return float(c)
-
-    policy = Recording()
     engine = PlacementEngine(axpy_ddg, resources)
-    slots = engine.try_place(8, list(axpy_ddg.node_names), {}, policy,
-                             alg="SMS")
+    order = list(axpy_ddg.node_names)
+    slots = engine.try_place(8, order, {}, Recording(), alg="SMS")
     assert slots is not None
-    assert set(seen) == set(slots)
+    assert len(attempts) == 1
+    assert selected == placed == order
+    # the base select is first fit: the subclass changed nothing
+    assert slots == engine.try_place(8, order, {}, None, alg="SMS")
 
 
 def test_slot_policy_defaults_are_inert():
     policy = SlotPolicy()
-    assert policy.accept is None and policy.score is None
     assert policy.on_place is None and policy.on_eject is None
     policy.begin_attempt(None)  # no-op
+
+
+def test_base_select_is_first_fit(fig1_ddg, fig1_machine):
+    """The base policy takes the first slot in window order that fits
+    the resources and counts the rows it evaluated."""
+    ps = PartialSchedule(EngineContext(fig1_ddg, fig1_machine), 4)
+    v, *others = fig1_ddg.node_names
+    policy = SlotPolicy()
+    assert policy.select(v, 3, 6, False, ps) == (3, 1)
+    assert policy.select(v, 3, 6, True, ps) == (6, 1)
+    assert policy.select(v, 6, 3, False, ps) == (None, 0)
+    for u in others:  # fill cycle 3 until v no longer fits there
+        if ps.fits(v, 3) and ps.fits(u, 3):
+            ps.place(u, 3)
+    assert not ps.fits(v, 3)
+    assert policy.select(v, 3, 6, False, ps) == (4, 2)
+    assert policy.select(v, 3, 3, False, ps) == (None, 1)
 
 
 def test_engine_metrics_published(axpy_ddg, resources, arch):

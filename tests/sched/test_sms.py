@@ -17,13 +17,13 @@ from repro.sched import (
 
 
 class _Policy(SlotPolicy):
-    """A slot policy built from loose ``accept``/``on_place``/``score``
-    callables, for exercising each engine hook on its own."""
+    """A slot policy built from loose ``select``/``on_place`` callables,
+    for exercising each engine hook on its own."""
 
-    def __init__(self, accept=None, on_place=None, score=None):
-        self.accept = accept
+    def __init__(self, select=None, on_place=None):
+        if select is not None:
+            self.select = select
         self.on_place = on_place
-        self.score = score
 
 
 def test_axpy_schedules_at_mii(axpy_ddg, resources):
@@ -77,18 +77,24 @@ n0: s = fdiv s, 2.0
     assert sched.ii >= 12
 
 
-def test_accept_hook_vetoes_a_slot(axpy_ddg, resources):
+def test_select_hook_can_skip_a_slot(axpy_ddg, resources):
     s = SwingModuloScheduler(axpy_ddg, resources)
-    vetoed = []
-    def accept(v, cycle, partial):
-        if v == "n4" and not vetoed:
-            vetoed.append(cycle)
-            return False
-        return True
-    slots = s.try_policy(s.mii + 4, _Policy(accept=accept))
+    first_fit = SlotPolicy().select
+    skipped = []
+    def select(v, start, end, scan_down, ps):
+        cycle, rows = first_fit(v, start, end, scan_down, ps)
+        if v == "n4" and not skipped:
+            skipped.append(cycle)
+            if scan_down:
+                cycle, more = first_fit(v, start, cycle - 1, True, ps)
+            else:
+                cycle, more = first_fit(v, cycle + 1, end, False, ps)
+            rows += more
+        return cycle, rows
+    slots = s.try_policy(s.mii + 4, _Policy(select=select))
     assert slots is not None
-    assert vetoed  # the hook really ran and vetoed a slot
-    assert slots["n4"] != vetoed[0]
+    assert skipped  # the hook really ran and skipped a slot
+    assert slots["n4"] != skipped[0]
 
 
 def test_on_place_sees_updated_partial(axpy_ddg, resources):
@@ -101,11 +107,13 @@ def test_on_place_sees_updated_partial(axpy_ddg, resources):
     assert set(seen) == set(axpy_ddg.node_names)
 
 
-def test_score_hook_selects_minimum(axpy_ddg, resources):
+def test_select_hook_picks_the_slot(axpy_ddg, resources):
     s = SwingModuloScheduler(axpy_ddg, resources)
-    # a score that prefers the earliest slot in every window
+    first_fit = SlotPolicy().select
+    # the earliest fitting slot of every window, whatever its scan order
+    def earliest(v, start, end, scan_down, ps):
+        return first_fit(v, start, end, False, ps)
     slots_first = s.try_ii(s.mii + 4)
-    slots_early = s.try_policy(s.mii + 4,
-                               _Policy(score=lambda v, c, p: float(c)))
+    slots_early = s.try_policy(s.mii + 4, _Policy(select=earliest))
     assert slots_first is not None and slots_early is not None
     assert any(slots_early[n] != slots_first[n] for n in slots_first)

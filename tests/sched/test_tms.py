@@ -4,12 +4,16 @@ import pytest
 
 from repro.config import ArchConfig, SchedulerConfig
 from repro.costmodel import achieved_c_delay, kernel_misspec_probability, sync_delay
+from repro.graph import build_ddg
+from repro.machine import LatencyModel, ResourceModel
+from repro.obs.events import tracing
 from repro.sched import (
     ThreadSensitiveScheduler,
     schedule_sms,
     schedule_tms,
     validate_schedule,
 )
+from repro.workloads import DOACROSS_LOOPS
 
 
 def test_motivating_anchor(fig1_ddg, fig1_machine, arch):
@@ -96,3 +100,22 @@ def test_meta_fields(fig1_ddg, fig1_machine, arch):
     for key in ("mii", "ldp", "c_delay_threshold", "p_max", "objective_f",
                 "fallback", "achieved_c_delay", "p_m"):
         assert key in tms.meta
+
+
+@pytest.mark.parametrize("budget", [40, 4100])
+def test_max_candidates_is_the_whole_budget(budget):
+    """The search walks exactly ``max_candidates`` (II, C_delay) pairs,
+    pruned ones included, before it falls back to SMS placement — also
+    above 4,000.  lucas_fft fails every pair either budget reaches."""
+    arch = ArchConfig.paper_default()
+    (loop,) = [sl.loop for sl in DOACROSS_LOOPS if sl.loop.name == "lucas_fft"]
+    ddg = build_ddg(loop, LatencyModel.for_arch(arch))
+    config = SchedulerConfig(max_candidates=budget)
+    with tracing() as tracer:
+        sched = ThreadSensitiveScheduler(
+            ddg, ResourceModel.default(arch.issue_width), arch, config
+        ).schedule()
+    walked = [e for e in tracer.events if e.name == "tms.candidate"]
+    (done,) = [e for e in tracer.events if e.name == "tms.budget_exhausted"]
+    assert len(walked) == done.args["attempts"] == budget
+    assert sched.meta["fallback"]

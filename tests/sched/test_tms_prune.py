@@ -1,0 +1,69 @@
+"""The TMS search only prunes (II, C_delay) candidates that fail.
+
+A failed candidate's C1 rejections bound the thresholds that replay its
+placements (:attr:`TMSPolicy.reject_floor`); the search marks those
+candidates ``pruned`` without placing them.  Here every pruned candidate
+of a traced search is placed anyway and must fail — on the Table-3
+DOACROSS kernels and the motivating kernel, under speculation on and
+off, ``C_reg_com`` 1, 3 and 7 and ``P_max`` 0, 0.05 and 1 (with
+speculation off, placement never reads ``P_max``, so one value covers
+it).  ``lucas_fft``, whose search walks the whole 4,000-candidate budget,
+runs at the default configuration only.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from repro.config import ArchConfig, SchedulerConfig
+from repro.graph import build_ddg
+from repro.machine import LatencyModel, ResourceModel
+from repro.obs.events import tracing
+from repro.sched import ThreadSensitiveScheduler
+from repro.workloads import DOACROSS_LOOPS, motivating_ddg, motivating_machine
+
+ARCH = ArchConfig.paper_default()
+RES = ResourceModel.default(ARCH.issue_width)
+LAT = LatencyModel.for_arch(ARCH)
+
+
+def _check_pruned(ddg, resources, arch, config):
+    """Run one traced search, place every candidate it pruned, and
+    return ``(schedule, number pruned)``."""
+    tms = ThreadSensitiveScheduler(ddg, resources, arch, config)
+    with tracing() as tracer:
+        sched = tms.schedule()
+    pruned = [(e.args["ii"], e.args["c_delay"]) for e in tracer.events
+              if e.name == "tms.candidate" and e.args["outcome"] == "pruned"]
+    for ii, c_delay in pruned:
+        slots, _floor = tms._try_tms(ii, c_delay, config.p_max)
+        assert slots is None, (ddg.name, config, ii, c_delay)
+    return sched, len(pruned)
+
+
+@pytest.mark.parametrize("speculation", [True, False])
+@pytest.mark.parametrize("ccom", [1, 3, 7])
+def test_every_pruned_candidate_fails(speculation, ccom):
+    arch = replace(ARCH, reg_comm_latency=ccom)
+    kernels = [(build_ddg(sl.loop, LAT), RES) for sl in DOACROSS_LOOPS
+               if sl.loop.name != "lucas_fft"]
+    kernels.append((motivating_ddg(), motivating_machine()))
+    pruned = 0
+    for ddg, resources in kernels:
+        for p_max in ((0.0, 0.05, 1.0) if speculation else (0.05,)):
+            config = SchedulerConfig(p_max=p_max, speculation=speculation)
+            pruned += _check_pruned(ddg, resources, arch, config)[1]
+    assert pruned > 0
+
+
+def test_lucas_fft_prunes_soundly_and_stops_at_the_budget():
+    (loop,) = [sl.loop for sl in DOACROSS_LOOPS if sl.loop.name == "lucas_fft"]
+    sched, pruned = _check_pruned(build_ddg(loop, LAT), RES, ARCH,
+                                  SchedulerConfig())
+    assert pruned > 0
+    # pruned candidates count toward the budget: the search still gives
+    # up after 4,000 and falls back where it always has
+    assert sched.meta["fallback"]
+    assert (sched.ii, sched.meta["c_delay_threshold"]) == (62, 76)

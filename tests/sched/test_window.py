@@ -1,7 +1,8 @@
 """Scheduling-window computation."""
 
 from repro.graph.paths import compute_metrics
-from repro.sched.window import SchedulingWindow, compute_window
+
+from .oracle import SchedulingWindow, compute_window
 
 
 def test_pred_only_window(axpy_ddg):
