@@ -1,68 +1,81 @@
-"""Steady-state detection and analytic fast-forward for the simulator.
+"""Relative-state fast path for the simulator: re-lock, prove, replay.
 
-The thread recurrence the event loop iterates —
+Thread ``j`` runs on core ``j % ncore`` and the event loop iterates
 
     start(j)  = max(start(j-1) + C_spn, core_free[j % ncore])
     timing(j) = resolve(start(j), arrivals from threads j - hops)
     commit(j) = max(finish(j), commit(j-1)) + C_ci
 
-— is a max-plus system over the kernel template's constants, so after a
-transient it settles into a periodic regime: thread ``j + P`` replays
-thread ``j`` shifted by a constant ``D`` cycles.  The state period ``P``
-is always a multiple of ``ncore`` (core affinity must line up) but its
-other factor is the cyclicity of the system's critical circuit, which is
-*not* predictable from the kernel distances alone — so the detector
-verifies candidate periods at successive multiples of
-``base = lcm(ncore, channel hops, speculated distances)`` against the
-recorded history and uses the first one that proves out.
+plus the violation check against producers ``j - k`` and, on a
+violation, a squash and a restart.  So thread ``t`` reads only a bounded
+window of its predecessors, and this module keys everything on it.
 
-The periodic regime may *include* misspeculations: a speculated
-dependence with probability 1 violates on every thread (the paper's SMS
-pathology), and the squash/restart cascade is a deterministic function
-of the feeder timings and the realisation vector — so a pattern of
-"execute, violate at a fixed relative time, restart, commit" replays
-shifted by ``D`` exactly like a clean one.  The detector therefore
-records each thread's restart count and its squash-statistics deltas and
-verifies them as part of the period.
+**The key.**  At boundary ``t`` (threads ``[0, t)`` committed) let
+``r = start(t-1)``.  The key is
 
-Proof obligations before a skip (all checked, never assumed):
+    start(k) - r and k's issue pattern   for k in [t - max_dist, t)
+    commit(k) - r                        for k in [t - ncore, t)
 
-* **Periodicity** — over the last ``P`` threads, ``start``/``commit``/
-  ``finish`` advance by exactly ``D`` versus ``P`` threads earlier while
-  the per-thread stall, restart count, wasted-execution and
-  squashed-thread deltas are unchanged; the threads that feed future
-  arrivals (the last ``max_dist + 1``) additionally have identical
-  ``issue_rel`` patterns.  With that window fixed, induction over ``j``
-  extends the pattern to every future thread: ``max``/``+`` commute with
-  the shift.
-* **Integrality** — the induction argument needs exact arithmetic, so
-  every window value (and ``D`` and ``C_spn``) must be an integral float
-  and the shifted magnitudes must stay below 2**52.  Fractional timings
-  fall back to the event loop rather than risk one ulp of drift.
-* **Realisation safety** — the realisation RNG draws per thread, so the
-  skip must not change *which* outcomes future threads see.  Deps with
-  probability 0 or 1 are deterministic and need no scan (their
-  violations, if any, are part of the verified pattern).  Probabilistic
-  deps (``0 < p < 1``) have their Bernoulli draws batch-scanned in
-  stream order (:meth:`RealisationTable.block`); the skip stops at the
-  first thread where a probabilistic manifestation could change the
-  outcome — one that would violate under the pattern timings, or one
-  landing on a pattern offset that restarts (where it could perturb an
-  intermediate attempt of the cascade).  That thread, and everything
-  after it, runs through the exact loop.
+where ``max_dist`` is the largest channel hop or speculated distance and
+issue patterns are interned by value.  One dict lookup per keyed
+boundary then does one of three jobs:
+
+1. **Proven cycle.**  The key is a phase of an accepted cycle: skip ahead
+   from that phase.
+2. **Recurrence.**  The key was seen at ``t0`` earlier in the current
+   stretch of individually run threads, with ``t - t0 <= _MAX_PERIOD``:
+   threads ``[t0, t)`` are a cycle of period ``P = t - t0`` and drift
+   ``D = r(t) - r(t0)``.  The key equality is the proof.  Index every
+   phase of it, then skip.
+3. **Replay.**  A thread already committed from this key with the same
+   realisation draws: the caller replays its record shifted to ``r``
+   instead of executing it.
+
+Proof obligations (all checked, never assumed):
+
+* **State completeness.**  Thread ``t`` reads ``prev_start = r``,
+  ``prev_commit = commit(t-1)``, ``core_free[t % ncore] =
+  commit(t - ncore)``, the start and issue pattern of every arrival
+  producer ``t - hops`` and violation producer ``t - k``, and its own
+  realisation draws.  The key holds all of these relative to ``r``, so
+  the key and the draws fix every attempt of thread ``t``, and the next
+  key.
+* **Shift invariance.**  The loop only adds and takes maxima, so
+  translating every input by ``D`` translates every output by ``D``.
+* **Integrality.**  Shift invariance holds bit for bit only in exact
+  arithmetic, so every committed thread's start, commit and issue
+  pattern must be integral floats below 2**52.  A thread that is not
+  leaves the next ``max(max_dist, ncore)`` boundaries without a key, and
+  so do the live-in boundaries ``t <= max(max_dist, ncore)``.  Keyless
+  threads run exactly as in the reference loop.
+* **Realisation scan.**  Draws are per thread, and a skip must not change
+  what any skipped thread would have drawn.  Deps with ``p`` 0 or 1 are
+  the same on every thread.  A probabilistic dep (``0 < p < 1``) that
+  manifests on a clean phase changes the outcome only if it would
+  violate under the cycle's timings.  On a restarting phase any
+  manifestation might, so all of them count, and a cycle in which a
+  restarting thread drew one is rejected.  A skip scans the draws in
+  stream order (:meth:`RealisationTable.block`) and stops at the first
+  thread a manifestation could perturb; that thread runs individually.
+* **The n - ncore cap.**  A violation on thread ``j`` squashes at most
+  ``n - 1 - j`` more speculative threads, which depends on ``j`` itself
+  once ``j > n - ncore``.  A cycle with restarts never skips past
+  ``n - ncore``, and no replay record is stored or used there.
 
 ``SimStats`` accumulated across a skip are affine in the skipped count:
-the stall/wasted/squash/restart patterns sum per period, and
-spawn/commit/pair totals are already ``N``-proportional.  After a skip
-the history rings are backfilled from the proven pattern, so the
-detector can re-lock immediately after the single exact thread a scan
-stop inserts.
+full periods plus a prefix of one, all integral, so regrouping the sums
+is exact.  Every table is bounded independently of ``n``: the history
+holds ``_MAX_PERIOD + max(max_dist, ncore)`` threads, the stretch map
+the last ``_MAX_PERIOD`` boundaries (and is cleared on each skip), and
+the pattern table, cycle index and replay memo ``_MAX_TABLE`` entries
+each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,19 +85,17 @@ from .violations import RealisationTable, manifest_violations
 
 __all__ = ["FastForward", "SteadyStateDetector"]
 
-#: periods past this are not worth proving (the verification window and
-#: per-attempt cost grow with P; real ring kernels sit far below this).
+#: longest cycle proved; sizes the history and the stretch map.
 _MAX_PERIOD = 512
 
-#: candidate periods tried per attempt: base, 2*base, ... up to this many.
-_MAX_MULTIPLES = 16
+#: entries per pattern table, cycle index and replay memo (a full table
+#: is cleared).
+_MAX_TABLE = 4096
 
-#: threads per batched realisation draw while scanning for the next
-#: manifest-unsafe thread (bounds the retained block's memory).
+#: threads in a skip scan's first batch of realisation draws; batches
+#: double up to ``_SCAN_CHUNK``, which bounds the retained block.
+_SCAN_FIRST = 64
 _SCAN_CHUNK = 1 << 15
-
-#: cap on the attempt back-off gap for kernels that never lock.
-_MAX_BACKOFF = 1 << 14
 
 #: shifted timing values must stay exactly representable.
 _MAX_MAGNITUDE = float(2 ** 52)
@@ -102,430 +113,313 @@ class FastForward:
     core_free: list[float]
     timings: dict[int, ThreadTiming]
     #: squash statistics accumulated over the skipped range (all zero
-    #: for a violation-free pattern).
+    #: for a violation-free cycle).
     misspeculations: int = 0
     squashed_threads: int = 0
     wasted_cycles: float = 0.0
     invalidation_cycles: float = 0.0
 
 
+class _Thread(NamedTuple):
+    """One committed thread, as the detector remembers it."""
+
+    timing: ThreadTiming
+    pid: int
+    commit: float
+    restarts: int
+    wasted: float
+    squashed: int
+    #: the key of the boundary before this thread (None: keyless)
+    key: tuple | None
+
+
+@dataclass
+class _Cycle:
+    """``period`` threads that replay shifted by ``drift`` per period.
+    Per-phase times are relative to the start of the thread before
+    phase 0."""
+
+    period: int
+    drift: float
+    start: list[float]
+    finish: list[float]
+    commit: list[float]
+    threads: list[_Thread]
+    #: prefix sums over two periods of stall, restarts, wasted, squashed
+    sums: list[list]
+    #: (period x n_deps) probabilistic deps whose manifestation at a
+    #: phase could perturb it; None when none can
+    mask: np.ndarray | None
+    has_restarts: bool
+
+
 class SteadyStateDetector:
-    """Watches committed threads for the periodic fixed point."""
+    """Keys each boundary on the relative thread state: skips through
+    proven cycles, proves new ones, and memoises thread records."""
 
     def __init__(self, template: KernelTimingTemplate, arch: ArchConfig,
                  n: int) -> None:
         self.template = template
         self.arch = arch
         self.n = n
-        distances = {ch.hops for ch in template.channels}
-        distances |= {k for (_x, _y, k, _p) in template.speculated}
+        distances = [ch.hops for ch in template.channels]
+        distances += [k for (_x, _y, k, _p) in template.speculated]
         self.max_dist = max(distances, default=1)
-        base = arch.ncore
-        for d in sorted(distances):
-            if d > 0:
-                base = lcm(base, d)
-        self.base = base
-        self.candidates = [base * k for k in range(1, _MAX_MULTIPLES + 1)
-                           if base * k <= _MAX_PERIOD]
-        p_max = self.candidates[-1] if self.candidates else base
-        #: ThreadTiming entries the simulator must retain for us (the
-        #: largest candidate's verification reaches P + max_dist + 1 back).
-        self.retention = p_max + self.max_dist + 2
-        self.viable = (base <= _MAX_PERIOD
-                       and n > 2 * base + self.max_dist + 2
-                       and float(arch.spawn_overhead).is_integer())
-        #: deps whose manifestation is a coin flip (0 < p < 1); the
-        #: deterministic rest either never manifests or is part of the
-        #: verified pattern.
+        self.window = max(self.max_dist, arch.ncore)
+        #: a fractional spawn overhead makes every start non-integral,
+        #: and a run this short has only live-in boundaries: no key forms
+        self.viable = (float(arch.spawn_overhead).is_integer()
+                       and n > self.window + 1)
+        #: deps whose manifestation is a coin flip (0 < p < 1)
         self.prob_idx = [i for i, (_x, _y, _k, p)
-                         in enumerate(template.speculated)
-                         if 0.0 < p < 1.0]
-        self.next_try = 0
-        self._gap = base
-        #: sorted thread indices (within the ring horizon) that restarted;
-        #: lets an attempt reject candidates whose window would contain a
-        #: non-periodic restart without touching numpy at all.
-        self._restart_log: list[int] = []
-        #: per-candidate retry gates: a failed verification reports the
-        #: newest offending window position, and the candidate is not
-        #: re-verified until that position has scrolled out of its window.
-        self._cand_gate: dict[int, int] = {}
-        #: scalar history rings sized for the largest candidate's window;
-        #: entries before ``valid_from`` are stale (never observed).
-        self.valid_from = 0
-        self.size = 2 * p_max + self.max_dist + 2
-        self._rstart = np.zeros(self.size, dtype=np.float64)
-        self._rstall = np.zeros(self.size, dtype=np.float64)
-        self._rfinish = np.zeros(self.size, dtype=np.float64)
-        self._rcommit = np.zeros(self.size, dtype=np.float64)
-        self._rrestarts = np.zeros(self.size, dtype=np.int64)
-        self._rwasted = np.zeros(self.size, dtype=np.float64)
-        self._rsquash = np.zeros(self.size, dtype=np.int64)
+                         in enumerate(template.speculated) if 0.0 < p < 1.0]
+        self._hist: list[_Thread] = []
+        self._first = 0          # thread index of _hist[0]
+        self._stretch: dict[tuple, int] = {}
+        self._index: dict[tuple, tuple[_Cycle, int]] = {}
+        self._memo: dict[tuple, tuple] = {}
+        self._pids: dict[tuple, int] = {}
+        self._next_pid = 0
+        #: boundaries before this have no key (live-ins, unclean threads)
+        self._keyed_from = self.window + 1
+        #: newest restarting thread that drew a probabilistic manifestation
+        self._blocked = -1
+        #: key and ``r`` of the current boundary
+        self._key: tuple | None = None
+        self._r = 0.0
+        #: thread whose draws stopped the last skip's scan
+        self._stopped = -1
 
-    # -- observation --------------------------------------------------------
+    # -- the key ------------------------------------------------------------
 
-    def observe(self, j: int, timing: ThreadTiming, commit: float,
-                restarts: int, wasted: float, squashed: int) -> None:
-        """Record thread ``j``'s committed execution (``wasted`` and
-        ``squashed`` are this thread's contributions to the run stats)."""
-        i = j % self.size
-        self._rstart[i] = timing.start
-        self._rstall[i] = timing.total_stall
-        self._rfinish[i] = timing.finish
-        self._rcommit[i] = commit
-        self._rrestarts[i] = restarts
-        self._rwasted[i] = wasted
-        self._rsquash[i] = squashed
-        if restarts:
-            # a squash is a re-lock opportunity: probe at the base
-            # cadence again
-            self._gap = self.base
-            # an isolated violation in an otherwise clean regime knocks
-            # the pattern out for exactly one verification window — aim
-            # the next attempt right past it.  When violations are the
-            # regime (restarts in the recent log too) the pattern can
-            # re-verify with the restarts in it, so leave the schedule to
-            # the back-off machinery instead of pushing it out forever.
-            log = self._restart_log
-            if not (log and log[-1] >= j - self.base):
-                self.next_try = j + 2 * self.base + self.max_dist + 2
-            log.append(j)
+    def _intern(self, issue_rel: list[float]) -> int:
+        """Value id of an issue pattern, -1 if it is not integral.  Ids
+        are never reused, so clearing the full table only loses
+        matches."""
+        values = tuple(issue_rel)
+        pid = self._pids.get(values)
+        if pid is None:
+            if len(self._pids) >= _MAX_TABLE:
+                self._pids.clear()
+            pid = -1
+            if all(v.is_integer() for v in values):
+                pid = self._next_pid
+                self._next_pid += 1
+            self._pids[values] = pid
+        return pid
 
-    # -- attempt ------------------------------------------------------------
-
-    def attempt(self, t: int, timings: dict[int, ThreadTiming],
-                realisations: RealisationTable) -> FastForward | None:
-        """Try to fast-forward from thread ``t`` (threads [0, t) are
-        committed).  Returns the verified skip, or None to keep iterating."""
-        if t < self.next_try or t >= self.n:
+    def _key_at(self, t: int) -> tuple | None:
+        if t < self._keyed_from:
             return None
-        avail = t - self.valid_from
-        tried = False
-        log = self._restart_log
-        while log and log[0] < t - self.size:
-            log.pop(0)
-        gates = self._cand_gate
-        earliest: int | None = None
-        for P in self.candidates:
-            if avail < 2 * P + self.max_dist + 2:
-                break
-            tried = True
-            gate = gates.get(P, 0)
-            if t < gate:
-                earliest = gate if earliest is None else min(earliest, gate)
-                continue
-            # restart positions in the window must be P-periodic; the
-            # sparse log settles that in pure python, so the (frequent)
-            # "isolated restart still in window" case never pays for a
-            # numpy verification
-            r_new = [x for x in log if x >= t - P]
-            r_old = [x - (t - 2 * P) for x in log if t - 2 * P <= x < t - P]
-            if len(r_new) != len(r_old) or \
-                    any(a - (t - P) != b for a, b in zip(r_new, r_old)):
-                # unaligned restarts: retry once the newest one has
-                # scrolled out of the 2P window (earlier re-checks would
-                # find the same mismatch)
-                gate = max(x for x in log if x >= t - 2 * P) + 2 * P + 1
-                gates[P] = gate
-                earliest = gate if earliest is None else min(earliest, gate)
-                continue
-            D, retry = self._verify(t, P)
-            if D is None:
-                gates[P] = retry
-                earliest = retry if earliest is None \
-                    else min(earliest, retry)
-                continue
-            status, unsafe, blocked = self._classify(t, P, timings,
-                                                     realisations)
-            if status == "blocked":
-                # no candidate can succeed while the ambiguous thread is
-                # inside the (smallest) verification window: retry once
-                # it has scrolled out
-                self.next_try = max(t + 1, blocked + self.base + 1)
+        h = self._hist
+        r = self._r = h[-1].timing.start
+        md, nc = self.max_dist, self.arch.ncore
+        return (*[x.timing.start - r for x in h[-md:-1]],
+                *[x.pid for x in h[-md:]],
+                *[x.commit - r for x in h[-nc:]])
+
+    # -- per boundary -------------------------------------------------------
+
+    def attempt(self, t: int, realisations: RealisationTable
+                ) -> FastForward | None:
+        """Key boundary ``t`` (threads [0, t) are committed) and skip from
+        it through a proven or a newly recurring cycle if the draws
+        allow.  Returns the skip, or None to run thread ``t``."""
+        key = self._key = self._key_at(t)
+        if key is None:
+            return None
+        hit = self._index.get(key)
+        if hit is not None:
+            # the last scan already found this thread's draws unsafe
+            if t == self._stopped:
                 return None
-            if status != "ok":
-                gate = t + self.base
-                gates[P] = gate
-                earliest = gate if earliest is None else min(earliest, gate)
-                continue
-            target = self.n if unsafe is None \
-                else self._scan(t, P, unsafe, realisations)
-            if self._pattern_restarts(t, P):
-                # skipped threads must have the full speculative window
-                # ahead of them (the squash estimate's n-1-j cap)
-                target = min(target, self.n - self.arch.ncore)
-            if target <= t:
-                # thread t itself will violate; let the event loop take it
-                self.next_try = t + 1
-                return None
-            plan = self._plan(t, P, target, D, timings)
-            gates.clear()
-            self.next_try = target + 1
-            self._gap = self.base
-            return plan
-        if tried:
-            if earliest is not None:
-                # every candidate reported when it could next verify
-                self.next_try = max(t + 1, earliest)
-                self._gap = self.base
-            else:
-                # nothing reported a retry point: back off exponentially
-                # so kernels that never settle pay a vanishing overhead
-                self.next_try = t + self._gap
-                self._gap = min(self._gap * 2, _MAX_BACKOFF)
-        return None
+            return self._skip(t, hit[0], hit[1], realisations)
+        t0 = self._stretch.get(key)
+        # every thread of [t0, t) must be clean, and none may have
+        # restarted on a probabilistic draw
+        if t0 is None or t0 < self._keyed_from or t0 <= self._blocked:
+            return None
+        cycle = self._cycle(t0, t)
+        if cycle is None:
+            return None
+        return self._skip(t, cycle, 0, realisations)
 
-    # -- verification -------------------------------------------------------
+    def replay(self, t: int, realisations: RealisationTable
+               ) -> tuple[ThreadTiming, int, float, int] | None:
+        """``(timing, restarts, wasted, squashed)`` of thread ``t`` from a
+        thread that committed from the same key with the same draws, or
+        None.  Call after :meth:`attempt` declined to skip."""
+        if self._key is None or t >= self.n - self.arch.ncore:
+            return None
+        rec = self._memo.get((self._key, realisations.realised(t)))
+        if rec is None:
+            return None
+        start, issue_rel, stall, finish, commit, restarts, wasted, \
+            squashed = rec
+        r = self._r
+        if r + commit >= _MAX_MAGNITUDE:
+            return None
+        return (ThreadTiming(start=r + start, issue_rel=issue_rel,
+                             total_stall=stall, finish=r + finish),
+                restarts, wasted, squashed)
 
-    def _at(self, arr: np.ndarray, j: int) -> float:
-        return float(arr[j % self.size])
+    def observe(self, t: int, timing: ThreadTiming, commit: float,
+                restarts: int, wasted: float, squashed: int,
+                realisations: RealisationTable, replayed: bool) -> None:
+        """Record thread ``t``'s committed execution (``wasted`` and
+        ``squashed`` are its contributions to the run stats)."""
+        pid = self._intern(timing.issue_rel)
+        clean = (pid >= 0 and timing.start.is_integer()
+                 and commit.is_integer() and abs(commit) < _MAX_MAGNITUDE)
+        if not clean:
+            self._keyed_from = t + self.window + 1
+        if restarts and self.prob_idx and any(
+                realisations.realised(t)[i] for i in self.prob_idx):
+            self._blocked = t
+        key = self._key
+        h = self._hist
+        h.append(_Thread(timing, pid, commit, restarts, wasted, squashed,
+                         key))
+        if len(h) > _MAX_PERIOD + self.window:
+            del h[0]
+            self._first += 1
+        if key is None:
+            return
+        self._stretch[key] = t
+        # the stretch map keeps the last _MAX_PERIOD boundaries
+        old = t - _MAX_PERIOD
+        if old >= self._first:
+            k_old = h[old - self._first].key
+            if k_old is not None and self._stretch.get(k_old) == old:
+                del self._stretch[k_old]
+        if clean and not replayed and t < self.n - self.arch.ncore:
+            r = self._r
+            if len(self._memo) >= _MAX_TABLE:
+                self._memo.clear()
+            self._memo[(key, realisations.realised(t))] = (
+                timing.start - r, timing.issue_rel, timing.total_stall,
+                timing.finish - r, commit - r, restarts, wasted, squashed)
 
-    def _pattern_restarts(self, t: int, P: int) -> bool:
-        idx = np.arange(t - P, t) % self.size
-        return bool(self._rrestarts[idx].any())
+    # -- cycles -------------------------------------------------------------
 
-    def _verify(self, t: int, P: int) -> tuple[float | None, int]:
-        """``(D, 0)`` if the last ``P`` threads replay the ``P`` before
-        them exactly (and exactly representably); ``(None, retry_at)``
-        otherwise, where ``retry_at`` is the earliest thread at which
-        this candidate could plausibly verify again (the newest
-        offending window position — assumed to be the deviant of its
-        mismatched pair — must scroll out of the 2P window first).
-
-        One fancy-indexed gather of the 2P-thread window per ring, then
-        whole-array comparisons: the cost per attempt is a handful of
-        numpy ops regardless of the candidate period.
-        """
-        idx = np.arange(t - 2 * P, t) % self.size
-        new, old = slice(P, None), slice(None, P)
-
-        def fail(bad: np.ndarray) -> tuple[None, int]:
-            # bad: boolean mask over the P window offsets
-            return None, t + P + int(np.nonzero(bad)[0].max()) + 1
-
-        # integer pre-checks first: restart/squash pattern equality
-        # aborts most failed attempts before any float work
-        rs = self._rrestarts[idx]
-        if not np.array_equal(rs[new], rs[old]):
-            return fail(rs[new] != rs[old])
-        sq = self._rsquash[idx]
-        if not np.array_equal(sq[new], sq[old]):
-            return fail(sq[new] != sq[old])
-        st = self._rstart[idx]
-        D = float(st[-1] - st[P - 1])
-        if not D.is_integer():
-            return None, t + 2 * P
-        # a full skip shifts by at most this much; stay in exact-int range
-        periods_left = float(self.n - t) / P + 2.0
-        cm = self._rcommit[idx]
-        if abs(D) * periods_left + abs(float(cm[-1])) > _MAX_MAGNITUDE:
-            return None, t + 2 * P
-        fn = self._rfinish[idx]
-        wl = self._rstall[idx]
-        wa = self._rwasted[idx]
-        ds = st[new] - st[old]
-        if not np.all(ds == D):
-            return fail(ds != D)
-        dc = cm[new] - cm[old]
-        if not np.all(dc == D):
-            return fail(dc != D)
-        df = fn[new] - fn[old]
-        if not np.all(df == D):
-            return fail(df != D)
-        if not np.array_equal(wl[new], wl[old]):
-            return fail(wl[new] != wl[old])
-        if not np.array_equal(wa[new], wa[old]):
-            return fail(wa[new] != wa[old])
-        win = np.stack((st[new], cm[new], fn[new], wl[new], wa[new]))
-        frac = win != np.floor(win)
-        if frac.any():
-            return fail(frac.any(axis=0))
-        if float(wa[new].sum()) * periods_left > _MAX_MAGNITUDE:
-            return None, t + 2 * P
-        return D, 0
-
-    def _issue_pattern_matches(self, a: ThreadTiming, b: ThreadTiming) -> bool:
-        if a.issue_rel is b.issue_rel:
-            arr = a.issue_array()
-            return bool(np.all(arr == np.floor(arr)))
-        ia, ib = a.issue_array(), b.issue_array()
-        return bool(np.array_equal(ia, ib) and np.all(ia == np.floor(ia)))
-
-    def _classify(self, t: int, P: int, timings: dict[int, ThreadTiming],
-                  realisations: RealisationTable
-                  ) -> tuple[str, np.ndarray | None, int]:
-        """Issue-pattern check plus per-offset realisation classification.
-
-        Returns ``("retry", None, -1)`` when the pattern cannot be proven
-        at this period (a longer candidate may still prove out),
-        ``("blocked", None, m)`` when an ambiguous coin-flip
-        manifestation on restarting thread ``m`` forbids any skip until
-        ``m`` leaves the verification window, ``("ok", None, -1)`` when
-        no realisation can ever change the outcome (skip needs no scan),
-        or ``("ok", mask, -1)`` with the (P x n_deps) mask of
-        probabilistic deps whose manifestation at each offset would
-        perturb the pattern.
-        """
-        # threads that feed future arrivals must replay exactly
-        for j in range(t - self.max_dist - 1, t):
-            a = timings.get(j)
-            b = timings.get(j - P)
-            if a is None or b is None:
-                return "retry", None, -1
-            if a.total_stall != b.total_stall:
-                return "retry", None, -1
-            if not self._issue_pattern_matches(a, b):
-                return "retry", None, -1
-        nspec = len(self.template.speculated)
-        if nspec == 0:
-            return "ok", None, -1
-        restarts = [bool(self._rrestarts[(t - P + o) % self.size])
-                    for o in range(P)]
-        if self.prob_idx and any(restarts):
-            # a coin-flip manifestation on a restarting window thread is
-            # ambiguous (it may have driven an intermediate attempt of
-            # the cascade): refuse rather than misattribute.  This is
-            # terminal for the whole attempt — any longer candidate's
-            # window contains this one — so report the newest such
-            # thread and let the caller schedule the retry past it.
-            blocked = -1
-            for o in range(P):
-                if not restarts[o]:
-                    continue
-                realised = realisations.realised(t - P + o)
-                if any(realised[idx] for idx in self.prob_idx):
-                    blocked = max(blocked, t - P + o)
-            if blocked >= 0:
-                return "blocked", None, blocked
-        # fully deterministic deps need no scan: p == 0 never manifests
-        # and p == 1 violations are part of the verified pattern (a p == 1
-        # dep that were timing-unsafe on a clean offset would have
-        # violated there, contradicting the pattern)
-        mask = np.zeros((P, nspec), dtype=bool)
-        for o in range(P):
-            if not self.prob_idx:
-                break
-            # a probabilistic manifestation perturbs the pattern if it
-            # would violate under the pattern timings, or if it lands on
-            # a restarting thread (whose intermediate attempts see other
-            # timings than the committed one)
-            if restarts[o]:
-                for idx in self.prob_idx:
-                    mask[o, idx] = True
-            else:
-                unsafe = manifest_violations(self.template, timings,
-                                             t - P + o)
-                for idx in self.prob_idx:
-                    if idx in unsafe:
-                        mask[o, idx] = True
-        return "ok", (mask if mask.any() else None), -1
-
-    def _scan(self, t: int, P: int, unsafe: np.ndarray,
-              realisations: RealisationTable) -> int:
-        """First thread >= ``t`` whose realisation manifests a dependence
-        that would perturb the pattern, or ``n`` if none does."""
-        cur = t
-        while cur < self.n:
-            cnt = min(_SCAN_CHUNK, self.n - cur)
-            mat = realisations.block(cur, cnt)
-            offsets = (np.arange(cur - t, cur - t + cnt)) % P
-            hits = (mat & unsafe[offsets]).any(axis=1)
-            nz = np.nonzero(hits)[0]
-            if nz.size:
-                return cur + int(nz[0])
-            cur += cnt
-        return self.n
-
-    # -- plan construction --------------------------------------------------
-
-    def _plan(self, t: int, P: int, target: int, D: float,
-              timings: dict[int, ThreadTiming]) -> FastForward:
-        skipped = target - t
-        # snapshot the window pattern first: the ring backfill below may
-        # overwrite window positions (when the skip exceeds the ring size
-        # minus one period), and every computation here must read the
-        # pattern as observed
-        offs = [(t - P + o) % self.size for o in range(P)]
-        pat_start = [float(self._rstart[i]) for i in offs]
-        pat_stall = np.array([self._rstall[i] for i in offs])
-        pat_finish = [float(self._rfinish[i]) for i in offs]
-        pat_commit = [float(self._rcommit[i]) for i in offs]
-        pat_restarts = np.array([self._rrestarts[i] for i in offs])
-        pat_wasted = np.array([self._rwasted[i] for i in offs])
-        pat_squash = np.array([self._rsquash[i] for i in offs])
-
-        # per-period stats: every per-thread contribution is affine in
-        # the skipped count (full periods plus a prefix); all values are
-        # integral so regrouping the sums is exact.
-        full, rem = divmod(skipped, P)
-        stall_cycles = full * float(pat_stall.sum()) \
-            + float(pat_stall[:rem].sum())
-        misspec = full * int(pat_restarts.sum()) \
-            + int(pat_restarts[:rem].sum())
-        wasted = full * float(pat_wasted.sum()) \
-            + float(pat_wasted[:rem].sum())
-        squashed = full * int(pat_squash.sum()) + int(pat_squash[:rem].sum())
-        invalidation = float(misspec) * self.arch.invalidation_overhead
-
-        def shift_of(j: int) -> tuple[int, float]:
-            """(pattern offset, cycle shift) of thread ``j >= t - P``."""
-            o = (j - (t - P)) % P
-            return o, D * ((j - (t - P + o)) // P)
-
-        def start_at(j: int) -> float:
-            if j < t - P:
-                return self._at(self._rstart, j)
-            o, shift = shift_of(j)
-            return pat_start[o] + shift
-
-        def commit_at(j: int) -> float:
-            if j < t - P:
-                return self._at(self._rcommit, j)
-            o, shift = shift_of(j)
-            return pat_commit[o] + shift
-
-        ncore = self.arch.ncore
-        core_free = []
-        for c in range(ncore):
-            jc = target - 1 - ((target - 1 - c) % ncore)
-            core_free.append(commit_at(jc) if jc >= 0 else 0.0)
-        prev_start = start_at(target - 1)
-        prev_commit = commit_at(target - 1)
-        new_timings: dict[int, ThreadTiming] = {}
-        if target < self.n:
-            for j in range(max(0, target - self.retention), target):
-                if j < t:
-                    src = timings.get(j)
-                    if src is not None:
-                        new_timings[j] = src
+    def _cycle(self, t0: int, t: int) -> _Cycle | None:
+        """Threads [t0, t) as a cycle (their boundary keys are equal), with
+        every phase entered in the index."""
+        h, first = self._hist, self._first
+        threads = h[t0 - first:t - first]
+        P = len(threads)
+        base = h[t0 - 1 - first].timing.start
+        start = [x.timing.start - base for x in threads]
+        finish = [x.timing.finish - base for x in threads]
+        commit = [x.commit - base for x in threads]
+        sums = [list(accumulate(col + col, initial=0)) for col in (
+            [x.timing.total_stall for x in threads],
+            [x.restarts for x in threads],
+            [x.wasted for x in threads],
+            [x.squashed for x in threads])]
+        # skipped stats stay exact sums of integral values
+        periods = self.n // P + 2
+        if max(sums[0][P], sums[2][P]) * periods >= _MAX_MAGNITUDE:
+            return None
+        mask = None
+        if self.prob_idx:
+            mask = np.zeros((P, len(self.template.speculated)), dtype=bool)
+            timings = {j: h[j - first].timing
+                       for j in range(t0 - self.max_dist, t)}
+            for q, x in enumerate(threads):
+                if x.restarts:
+                    unsafe = self.prob_idx
                 else:
-                    o, shift = shift_of(j)
-                    new_timings[j] = timings[t - P + o].shifted(shift)
-            # backfill the history rings from the proven pattern so the
-            # next attempt can verify (and re-lock) immediately after the
-            # exact thread a scan stop inserts
-            for j in range(max(t, target - self.size), target):
-                i = j % self.size
-                o, shift = shift_of(j)
-                self._rstart[i] = pat_start[o] + shift
-                self._rstall[i] = pat_stall[o]
-                self._rfinish[i] = pat_finish[o] + shift
-                self._rcommit[i] = pat_commit[o] + shift
-                self._rrestarts[i] = pat_restarts[o]
-                self._rwasted[i] = pat_wasted[o]
-                self._rsquash[i] = pat_squash[o]
-                if pat_restarts[o]:
-                    self._restart_log.append(j)
+                    unsafe = [i for i in manifest_violations(
+                        self.template, timings, t0 + q)
+                        if i in self.prob_idx]
+                mask[q, unsafe] = True
+            if not mask.any():
+                mask = None
+        cycle = _Cycle(period=P, drift=start[-1], start=start, finish=finish,
+                       commit=commit, threads=threads, sums=sums, mask=mask,
+                       has_restarts=sums[1][P] > 0)
+        if len(self._index) + P > _MAX_TABLE:
+            self._index.clear()
+        for q, x in enumerate(threads):
+            self._index[x.key] = (cycle, q)
+        return cycle
+
+    def _scan(self, t: int, phase: int, cycle: _Cycle, limit: int,
+              realisations: RealisationTable) -> int:
+        """First thread in [t, limit) whose draws manifest a dependence
+        that could perturb its phase (thread ``t`` is at ``phase``), or
+        ``limit`` if none does."""
+        cur, count = t, _SCAN_FIRST
+        while cur < limit:
+            count = min(count, limit - cur)
+            mat = realisations.block(cur, count)
+            offset = cur - t + phase
+            phases = np.arange(offset, offset + count) % cycle.period
+            hits = np.flatnonzero((mat & cycle.mask[phases]).any(axis=1))
+            if hits.size:
+                return cur + int(hits[0])
+            cur += count
+            count = min(2 * count, _SCAN_CHUNK)
+        return limit
+
+    def _skip(self, t: int, cycle: _Cycle, phase: int,
+              realisations: RealisationTable) -> FastForward | None:
+        """Skip from boundary ``t``, at ``phase`` of ``cycle``, as far as
+        the draws allow."""
+        n, ncore, P, D = self.n, self.arch.ncore, cycle.period, cycle.drift
+        limit = n - ncore if cycle.has_restarts else n
+        # per-phase times are relative to r at phase 0
+        base = self._r - (cycle.start[phase - 1] if phase else 0.0)
+        # commits are nondecreasing: the last phase's bounds every value
+        if t >= limit or abs(base) + cycle.commit[-1] \
+                + D * ((phase + limit - t) // P + 1) >= _MAX_MAGNITUDE:
+            return None
+        target = limit if cycle.mask is None \
+            else self._scan(t, phase, cycle, limit, realisations)
+        self._stopped = target
+        if target <= t:
+            return None
+        skipped = target - t
+        full, rem = divmod(skipped, P)
+        stall, restarts, wasted, squashed = (
+            full * s[P] + s[phase + rem] - s[phase] for s in cycle.sums)
+
+        # the last ``window`` threads before target rebuild the history
+        h, first = self._hist, self._first
+        tail: list[_Thread] = []
+        for j in range(target - self.window, target):
+            if j < t:
+                tail.append(h[j - first])
+                continue
+            w, q = divmod(phase + j - t, P)
+            shift = base + w * D
+            x = cycle.threads[q]
+            timing = ThreadTiming(start=shift + cycle.start[q],
+                                  issue_rel=x.timing.issue_rel,
+                                  total_stall=x.timing.total_stall,
+                                  finish=shift + cycle.finish[q])
+            tail.append(_Thread(timing, x.pid, shift + cycle.commit[q],
+                                x.restarts, x.wasted, x.squashed, None))
+        self._hist = tail
+        self._first = target - self.window
+        self._stretch.clear()
+        core_free = [0.0] * ncore
+        for j, x in enumerate(tail[-ncore:], target - ncore):
+            core_free[j % ncore] = x.commit
+        timings = {j: x.timing for j, x in
+                   enumerate(tail[-self.max_dist:], target - self.max_dist)}
         return FastForward(
             target=target,
             skipped=skipped,
-            stall_cycles=stall_cycles,
-            prev_start=prev_start,
-            prev_commit=prev_commit,
+            stall_cycles=stall,
+            prev_start=tail[-1].timing.start,
+            prev_commit=tail[-1].commit,
             core_free=core_free,
-            timings=new_timings,
-            misspeculations=misspec,
+            timings=timings,
+            misspeculations=restarts,
             squashed_threads=squashed,
             wasted_cycles=wasted,
-            invalidation_cycles=invalidation,
+            invalidation_cycles=float(restarts)
+            * self.arch.invalidation_overhead,
         )

@@ -29,11 +29,13 @@ Two execution strategies produce byte-identical :class:`SimStats`:
 * the **reference event loop** iterates every thread with the scalar
   resolver — forced by ``SimConfig.exact`` or ``REPRO_SIM_EXACT=1``;
 * the default path vectorises per-thread arrival resolution over the
-  kernel template and, once :class:`~repro.spmt.fastpath.
-  SteadyStateDetector` proves the periodic steady state, fast-forwards
-  the remaining iterations analytically.  Tracing, cache-miss draws and
-  fault hooks all disengage the parts of the fast path they would
-  perturb (see docs/simulator.md).
+  kernel template and keys every thread boundary on the relative thread
+  state (:class:`~repro.spmt.fastpath.SteadyStateDetector`): it skips
+  analytically through proven cycles of that state, and replays a
+  thread already committed from the same state with the same
+  realisation draws.  Tracing, cache-miss draws and fault hooks all
+  disengage the parts of the fast path they would perturb (see
+  docs/simulator.md).
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ class SpMTSimulator:
         vectorise = (not self._exact and not tracer.enabled
                      and arch.l1_miss_rate <= 0.0
                      and cls._perturb_arrivals is SpMTSimulator._perturb_arrivals)
-        # the steady-state fast-forward additionally needs every thread to
-        # be deterministic and unrecorded: no per-thread records, no fault
+        # skips and replays additionally need every thread to be
+        # deterministic and unrecorded: no per-thread records, no fault
         # hooks of any kind
         detector = None
         if vectorise and not trace \
@@ -165,15 +167,22 @@ class SpMTSimulator:
             candidate = SteadyStateDetector(template, arch, n)
             if candidate.viable:
                 detector = candidate
-                retention = max(retention, detector.retention)
         fastforwards = 0
         fastforwarded_threads = 0
+        replayed_threads = 0
 
         j = 0
         while j < n:
+            replay = None
             if detector is not None:
-                ff = detector.attempt(j, timings, realisations)
+                ff = detector.attempt(j, realisations)
                 if ff is not None:
+                    # each skipped thread stands for 1 + restarts events
+                    events += ff.skipped + ff.misspeculations
+                    if events > self.sim.max_events:
+                        raise SimulationError(
+                            f"simulation exceeded max_events="
+                            f"{self.sim.max_events}")
                     stats.sync_stall_cycles += ff.stall_cycles
                     stats.misspeculations += ff.misspeculations
                     stats.squashed_threads += ff.squashed_threads
@@ -187,14 +196,28 @@ class SpMTSimulator:
                     fastforwarded_threads += ff.skipped
                     j = ff.target
                     continue
+                replay = detector.replay(j, realisations)
             core = j % arch.ncore
-            start = max(prev_start + arch.spawn_overhead, core_free[core])
-            start += self._start_delay(j, core)
             restarts = 0
             thread_wasted = 0.0
             thread_squashed = 0
             stall_log: list[tuple[int, float, float]] | None = None
-            while True:
+            if replay is not None:
+                timings[j], restarts, thread_wasted, thread_squashed = replay
+                events += 1 + restarts
+                if events > self.sim.max_events:
+                    raise SimulationError(
+                        f"simulation exceeded max_events={self.sim.max_events}")
+                stats.misspeculations += restarts
+                stats.invalidation_cycles += \
+                    restarts * arch.invalidation_overhead
+                replayed_threads += 1
+            else:
+                start = max(prev_start + arch.spawn_overhead, core_free[core])
+                start += self._start_delay(j, core)
+            # execution attempts until one commits (a replayed thread's
+            # attempts are already in its record)
+            while replay is None:
                 events += 1
                 if events > self.sim.max_events:
                     raise SimulationError(
@@ -281,7 +304,8 @@ class SpMTSimulator:
                                          commit, restarts, stall_log)
             if detector is not None:
                 detector.observe(j, timings[j], commit, restarts,
-                                 thread_wasted, thread_squashed)
+                                 thread_wasted, thread_squashed,
+                                 realisations, replay is not None)
             # bound memory: drop state no longer reachable by any kernel
             # distance (communication hops or speculated distances)
             horizon = j - retention
@@ -300,6 +324,11 @@ class SpMTSimulator:
             metrics.counter(
                 "sim.fastforward_threads",
                 "threads skipped analytically").inc(fastforwarded_threads)
+        if replayed_threads:
+            metrics.counter(
+                "sim.replayed_threads",
+                "threads replayed from a memoised record").inc(
+                replayed_threads)
         metrics.counter("sim.runs", "simulations completed").inc()
         metrics.counter("sim.threads", "threads committed").inc(n)
         metrics.counter("sim.violations", "misspeculations detected").inc(

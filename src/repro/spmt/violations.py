@@ -48,14 +48,16 @@ class RealisationTable:
         """Which speculated dependences manifest for consumer ``thread``.
 
         Draws are made in thread order; querying out of order is supported
-        through the cache.
+        through the cache.  Realisations are sticky: the paper's model
+        re-executes the *same* dynamic iteration, so a restarted thread
+        sees the draws of its first execution.
         """
         got = self._cache.get(thread)
         if got is None:
             block = self._block
             if block is not None and \
                     self._block_first <= thread < self._block_first + len(block):
-                got = tuple(bool(x) for x in block[thread - self._block_first])
+                got = tuple(block[thread - self._block_first].tolist())
             else:
                 draws = self._rng.random(len(self.template.speculated)) \
                     if self.template.speculated else np.empty(0)
@@ -72,34 +74,25 @@ class RealisationTable:
         sequential :meth:`realised` calls would, so per-thread and batched
         access interleave without diverging from the reference simulator.
         An overlap with the previous block is served from that block
-        (those threads' draws were already consumed); only threads beyond
-        it draw fresh values.  The caller must request threads in
-        simulation order, which is how the event loop proceeds.
+        (those threads' draws were already consumed), and rows it holds
+        past the request stay retained; only threads beyond it draw fresh
+        values.  The caller must request threads in simulation order,
+        which is how the event loop proceeds.
         """
         nspec = len(self.template.speculated)
         if nspec == 0:
             return np.zeros((count, 0), dtype=bool)
-        parts: list[np.ndarray] = []
-        draw_from = first
+        mat = np.zeros((0, nspec), dtype=bool)
         prev, prev_first = self._block, self._block_first
         if prev is not None and prev_first <= first < prev_first + len(prev):
-            overlap = prev[first - prev_first:first - prev_first + count]
-            parts.append(overlap)
-            draw_from = first + len(overlap)
-        missing = first + count - draw_from
+            mat = prev[first - prev_first:]
+        missing = count - len(mat)
         if missing > 0:
             draws = self._rng.random((missing, nspec))
-            parts.append(draws < self._probs)
-        mat = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            mat = np.concatenate((mat, draws < self._probs))
         self._block_first = first
         self._block = mat
-        return mat
-
-    def forget(self, thread: int) -> None:
-        """Drop cached draws for threads being re-executed?  No — the
-        paper's model re-executes the *same* dynamic iteration, so the same
-        dependences manifest; realisations are sticky by design."""
-        # intentionally a no-op; documented for clarity.
+        return mat[:count]
 
 
 def detect_violation(template: KernelTimingTemplate,
@@ -139,10 +132,10 @@ def manifest_violations(template: KernelTimingTemplate,
     manifested — :func:`detect_violation`'s timing condition evaluated
     under an all-manifest realisation.
 
-    The steady-state fast path uses this to classify each dependence at
-    each period offset: an empty list at every offset proves no
-    realisation can produce a violation, and a non-empty one marks the
-    dependences whose Bernoulli draws must be scanned before skipping.
+    The fast path uses this to classify each dependence at each phase of
+    a cycle: an empty list at every phase proves no realisation can
+    produce a violation, and a non-empty one marks the dependences whose
+    Bernoulli draws must be scanned before skipping.
     """
     out: list[int] = []
     cons = timings[thread]

@@ -1,8 +1,11 @@
 """Property-based tests on the SpMT simulator: conservation laws, plus
-the differential oracle for the steady-state fast path — every random
+the differential oracle for the fast path — every random
 (loop, arch, fault-plan) draw must produce byte-identical ``SimStats``
-through the default vectorised/fast-forward path and the reference
+through the default vectorised/skip/replay path and the reference
 event loop (``SimConfig.exact``)."""
+
+from dataclasses import replace
+from itertools import cycle
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +13,7 @@ from repro.config import ArchConfig, SimConfig
 from repro.faults import FaultPlan, FaultSpec, simulate_with_faults
 from repro.graph import build_ddg
 from repro.machine import LatencyModel, ResourceModel
-from repro.sched import run_postpass, schedule_sms
+from repro.sched import run_postpass, schedule_sms, schedule_tms
 from repro.spmt import simulate
 from repro.workloads import LoopShape, SyntheticLoopGenerator
 
@@ -29,9 +32,26 @@ shapes = st.builds(
 )
 
 
-def _pipelined(shape, seed):
+#: the oracle's loops also draw frequent and certain misspeculation
+#: (p = 1 manifests on every thread), so violation cycles and re-locks
+#: after isolated violations are both exercised
+spec_probabilities = st.sampled_from([0.001, 0.01, 0.05, 0.2, 0.5, 1.0])
+oracle_shapes = st.builds(
+    LoopShape,
+    n_instr=st.integers(8, 20),
+    n_counters=st.integers(1, 2),
+    n_reg_recurrences=st.integers(0, 1),
+    n_mem_recurrences=st.integers(0, 1),
+    n_spec_deps=st.integers(0, 2),
+    spec_probability=spec_probabilities,
+)
+
+
+def _pipelined(shape, seed, tms=False):
     loop = SyntheticLoopGenerator(shape, seed).generate("prop")
-    return run_postpass(schedule_sms(build_ddg(loop, LAT), RES), ARCH)
+    ddg = build_ddg(loop, LAT)
+    sched = schedule_tms(ddg, RES, ARCH) if tms else schedule_sms(ddg, RES)
+    return run_postpass(sched, ARCH)
 
 
 @given(shape=shapes, seed=st.integers(0, 5000),
@@ -61,6 +81,7 @@ def test_monotone_in_iterations(shape, seed):
 archs = st.sampled_from([
     ArchConfig.paper_default(),
     ArchConfig(ncore=2),
+    ArchConfig(ncore=3),
     ArchConfig(ncore=8),
     ArchConfig(spawn_overhead=0),
     ArchConfig(spawn_overhead=1.5),
@@ -70,14 +91,22 @@ archs = st.sampled_from([
 ])
 
 
-@given(shape=shapes, seed=st.integers(0, 5000), arch=archs,
-       n=st.integers(1, 1200))
-@settings(max_examples=30, deadline=None)
-def test_fast_path_matches_reference_loop(shape, seed, arch, n):
-    """The differential oracle: random loop x arch grid, default path vs
-    the reference event loop, full SimStats equality (dataclass ``==``
-    compares every field, so cycle counts must match to the last bit)."""
-    pipelined = _pipelined(shape, seed)
+@given(shape=oracle_shapes, tms=st.booleans(), seed=st.integers(0, 5000),
+       arch=archs, n=st.integers(1, 6000),
+       mixed=st.lists(spec_probabilities, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_fast_path_matches_reference_loop(shape, tms, seed, arch, n, mixed):
+    """The differential oracle: random SMS or TMS loop x arch grid,
+    default path vs the reference event loop, full SimStats equality
+    (dataclass ``==`` compares every field, so cycle counts must match to
+    the last bit).  ``mixed`` reassigns per-dependence probabilities, so
+    a certain violation can restart a thread that also draws coin
+    flips."""
+    pipelined = _pipelined(shape, seed, tms)
+    if mixed:
+        pipelined = replace(pipelined, speculated=tuple(
+            replace(e, probability=p)
+            for e, p in zip(pipelined.speculated, cycle(mixed))))
     fast = simulate(pipelined, arch, SimConfig(iterations=n, seed=seed))
     exact = simulate(pipelined, arch,
                      SimConfig(iterations=n, seed=seed, exact=True))

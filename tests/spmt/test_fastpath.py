@@ -2,16 +2,21 @@
 event-loop bugfixes that rode along (spawn-chain estimate, lazy cache rng).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.config import ArchConfig, SimConfig
+from repro.errors import SimulationError
+from repro.graph import build_ddg
 from repro.obs import metrics
 from repro.sched import run_postpass, schedule_sms, schedule_tms
 from repro.spmt import simulate
 from repro.spmt.fastpath import SteadyStateDetector
 from repro.spmt.sim import SpMTSimulator
 from repro.spmt.violations import RealisationTable
+from repro.workloads import LoopShape, SyntheticLoopGenerator
 
 
 @pytest.fixture
@@ -118,10 +123,55 @@ def test_fractional_spawn_still_matches_exact(fig1_pipelined_tms):
     assert fast == exact
 
 
-def test_detector_period_multiple_of_ncore(fig1_pipelined_sms, arch):
-    sim = SpMTSimulator(fig1_pipelined_sms, arch)
-    det = SteadyStateDetector(sim.template, arch, 10_000)
-    assert all(p % arch.ncore == 0 for p in det.candidates)
+@pytest.mark.parametrize("alg", ["sms", "tms"])
+@pytest.mark.parametrize("seed", [0xACE5, 3])
+def test_relocks_after_each_violation(fig1_ddg, fig1_machine, arch, alg,
+                                      seed):
+    """Each isolated violation costs the event loop a couple of threads:
+    the relative state is back on a proven cycle (or a replayable
+    transient) right after it, instead of a fresh period proof."""
+    sched = schedule_sms(fig1_ddg, fig1_machine) if alg == "sms" \
+        else schedule_tms(fig1_ddg, fig1_machine, arch)
+    pipelined = run_postpass(sched, arch)
+    skipped = metrics.counter("sim.fastforward_threads",
+                              "threads skipped analytically")
+    replayed = metrics.counter("sim.replayed_threads",
+                               "threads replayed from a memoised record")
+    before = skipped.value + replayed.value
+    fast = simulate(pipelined, arch, SimConfig(iterations=5000, seed=seed))
+    resolved = 5000 - (skipped.value + replayed.value - before)
+    exact = simulate(pipelined, arch,
+                     SimConfig(iterations=5000, seed=seed, exact=True))
+    assert fast == exact
+    assert fast.misspeculations > 100
+    assert resolved <= 2 * (fast.misspeculations + 1)
+
+
+def test_certain_violation_beside_coin_flips(latency, resources, arch):
+    """A p = 1 dependence restarts every other thread; a coin flip drawn
+    on a restarting thread can change its intermediate attempts even
+    where the committed timing is safe, so a skip must stop on it."""
+    loop = SyntheticLoopGenerator(
+        LoopShape(n_instr=12, n_spec_deps=2, spec_probability=0.5),
+        1).generate("mixed")
+    pipelined = run_postpass(
+        schedule_sms(build_ddg(loop, latency), resources), arch)
+    certain, coin = pipelined.speculated
+    pipelined = replace(pipelined, speculated=(
+        replace(certain, probability=1.0), replace(coin, probability=0.3)))
+    fast, exact = _both(pipelined, arch, iterations=1000, seed=1)
+    assert fast.misspeculations == 499
+    assert fast == exact
+
+
+def test_max_events_counts_skipped_threads(axpy_pipelined, arch):
+    """Skipped and replayed threads count their events, so the fast path
+    trips the same ``max_events`` bound as the reference loop."""
+    for exact in (True, False):
+        with pytest.raises(SimulationError, match="max_events=1000"):
+            simulate(axpy_pipelined, arch,
+                     SimConfig(iterations=20_000, max_events=1_000,
+                               exact=exact))
 
 
 # -- realisation block draws -------------------------------------------------
@@ -147,6 +197,20 @@ def test_block_overlap_does_not_redraw(fig1_pipelined_tms, arch):
     assert np.array_equal(first[16:], again[:16])
     for j in range(48, 52):
         assert tab.realised(j) == seq_realised_at(seq, j)
+
+
+def test_block_keeps_rows_past_a_shorter_request(fig1_pipelined_tms, arch):
+    """A request inside the previous block must not drop that block's
+    later rows: their draws are already consumed from the stream."""
+    sim = SpMTSimulator(fig1_pipelined_tms, arch)
+    seq = RealisationTable(sim.template, seed=11)
+    expected = [seq.realised(j) for j in range(89)]
+    tab = RealisationTable(sim.template, seed=11)
+    tab.block(0, 64)
+    tab.block(16, 8)
+    later = tab.block(24, 64)
+    assert [tuple(row.tolist()) for row in later] == expected[24:88]
+    assert tab.realised(88) == expected[88]
 
 
 def seq_realised_at(table, j):

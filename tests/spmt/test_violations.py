@@ -21,9 +21,10 @@ def test_realisations_deterministic(template):
 
 
 def test_realisations_sticky(template):
+    """A re-executed thread sees the draws of its first execution."""
     table = RealisationTable(template, seed=1)
     first = table.realised(5)
-    table.forget(5)
+    table.realised(6)
     assert table.realised(5) == first
 
 
