@@ -85,64 +85,65 @@ def measure_serve(repeats: int) -> dict:
 
     daemon = ServeDaemon(port=0).start()
     try:
-        client = ServeClient("127.0.0.1", daemon.port, timeout=120.0)
-        if not wait_ready(client, timeout=30.0):
-            raise RuntimeError("serve daemon never became ready")
+        with ServeClient("127.0.0.1", daemon.port,
+                         timeout=120.0) as client:
+            if not wait_ready(client, timeout=30.0):
+                raise RuntimeError("serve daemon never became ready")
 
-        start = time.perf_counter()
-        first = client.submit(_request())
-        first_seconds = time.perf_counter() - start
-        assert first.ok, first.response
-
-        warm = []
-        for _ in range(repeats):
             start = time.perf_counter()
-            out = client.submit(_request())
-            warm.append(time.perf_counter() - start)
-            assert out.ok and out.served == "cached", out.served
+            first = client.submit(_request())
+            first_seconds = time.perf_counter() - start
+            assert first.ok, first.response
 
-        # burst: concurrent threads over a small request mix, so the
-        # daemon sees coalescible duplicates AND distinct work at once
-        variants = [_request(), _request(iterations=400),
-                    _request(kind="compile"), _request(cores=2)]
-        latencies = [0.0] * BURST_SIZE
-        errors: list[str] = []
+            warm = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                out = client.submit(_request())
+                warm.append(time.perf_counter() - start)
+                assert out.ok and out.served == "cached", out.served
 
-        def fire(i: int) -> None:
-            begin = time.perf_counter()
-            try:
-                out = client.submit(variants[i % len(variants)])
-                if not out.ok:
-                    errors.append(out.response.get("error", out.status))
-            except Exception as exc:  # noqa: BLE001 — recorded, reported
-                errors.append(str(exc))
-            latencies[i] = time.perf_counter() - begin
+            # burst: concurrent threads over a small request mix, so the
+            # daemon sees coalescible duplicates AND distinct work at once
+            variants = [_request(), _request(iterations=400),
+                        _request(kind="compile"), _request(cores=2)]
+            latencies = [0.0] * BURST_SIZE
+            errors: list[str] = []
 
-        threads = [threading.Thread(target=fire, args=(i,))
-                   for i in range(BURST_SIZE)]
-        burst_start = time.perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        burst_seconds = time.perf_counter() - burst_start
-        if errors:
-            raise RuntimeError(f"burst produced errors: {errors[:3]}")
+            def fire(i: int) -> None:
+                begin = time.perf_counter()
+                try:
+                    out = client.submit(variants[i % len(variants)])
+                    if not out.ok:
+                        errors.append(out.response.get("error", out.status))
+                except Exception as exc:  # noqa: BLE001 — recorded, reported
+                    errors.append(str(exc))
+                latencies[i] = time.perf_counter() - begin
 
-        ordered = sorted(latencies)
-        stats = daemon.broker.stats()
-        return {
-            "first_request_seconds": first_seconds,
-            "warm_samples": warm,
-            "warm_seconds": min(warm),
-            "burst_size": BURST_SIZE,
-            "burst_wall_seconds": burst_seconds,
-            "burst_p50_seconds": _percentile(ordered, 0.50),
-            "burst_p95_seconds": _percentile(ordered, 0.95),
-            "server_counts": stats["counts"],
-            "cache": {"hits": stats["cache"]["hits"],
-                      "misses": stats["cache"]["misses"]},
-        }
+            threads = [threading.Thread(target=fire, args=(i,))
+                       for i in range(BURST_SIZE)]
+            burst_start = time.perf_counter()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            burst_seconds = time.perf_counter() - burst_start
+            if errors:
+                raise RuntimeError(f"burst produced errors: {errors[:3]}")
+
+            ordered = sorted(latencies)
+            stats = daemon.broker.stats()
+            return {
+                "first_request_seconds": first_seconds,
+                "warm_samples": warm,
+                "warm_seconds": min(warm),
+                "burst_size": BURST_SIZE,
+                "burst_wall_seconds": burst_seconds,
+                "burst_p50_seconds": _percentile(ordered, 0.50),
+                "burst_p95_seconds": _percentile(ordered, 0.95),
+                "server_counts": stats["counts"],
+                "cache": {"hits": stats["cache"]["hits"],
+                          "misses": stats["cache"]["misses"]},
+            }
     finally:
         daemon.stop(drain_timeout=30.0)
 

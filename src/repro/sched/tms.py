@@ -32,9 +32,10 @@ dependences as synchronised: they join C1 and never misspeculate.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from ..config import ArchConfig, SchedulerConfig
 from ..costmodel.exectime import (
@@ -117,16 +118,19 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         II; beyond it C1 never binds."""
         return ii - 1 + self._max_lat + self.arch.reg_comm_latency
 
-    def _candidates(self) -> list[tuple[float, int, int]]:
-        """(F, C_delay, II) triples sorted by increasing F, then C_delay
-        (prefer TLP), then II."""
-        out: list[tuple[float, int, int]] = []
-        cd_min = self._c_delay_min()
-        for ii in range(self.mii, self.max_ii() + 1):
-            for cd in range(cd_min, self._c_delay_cap(ii) + 1):
-                out.append((objective_f(ii, cd, self.arch), cd, ii))
-        out.sort()
-        return out
+    def _candidates(self) -> Iterator[tuple[float, int, int]]:
+        """(F, C_delay, II) triples by increasing F, then C_delay (prefer
+        TLP), then II — lazily: the attempt budget stops the walk long
+        before the end.  F never falls as C_delay grows at a fixed II, so
+        each II's row is already in that order and merging the rows
+        yields the fully sorted sequence."""
+        return heapq.merge(*(self._ii_candidates(ii) for ii in
+                             range(self.mii, self.max_ii() + 1)))
+
+    def _ii_candidates(self, ii: int) -> Iterator[tuple[float, int, int]]:
+        """One II's (F, C_delay, II) triples by increasing C_delay."""
+        for cd in range(self._c_delay_min(), self._c_delay_cap(ii) + 1):
+            yield objective_f(ii, cd, self.arch), cd, ii
 
     # -- main search ----------------------------------------------------------
 

@@ -148,8 +148,9 @@ def run_submit_command(ns: argparse.Namespace) -> int:
                                unroll=ns.unroll, iterations=ns.iterations,
                                seed=ns.seed, policy=ns.policy,
                                deadline_seconds=ns.deadline)
-        client = ServeClient.from_address(ns.server, timeout=ns.timeout)
-        outcome = client.submit(request, raise_on_reject=False)
+        with ServeClient.from_address(ns.server,
+                                      timeout=ns.timeout) as client:
+            outcome = client.submit(request, raise_on_reject=False)
     except ProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

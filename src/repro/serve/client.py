@@ -5,9 +5,19 @@
 errors become :class:`~repro.errors.ServerUnavailable`; admission
 rejections become :class:`~repro.errors.AdmissionRejected` (or, with
 ``raise_on_reject=False``, a normal :class:`SubmitOutcome` the caller
-inspects).  One connection is opened per call — the daemon's threading
-server is connection-per-request, and serve requests are long relative
-to TCP setup.
+inspects).
+
+Calls reuse kept-alive HTTP/1.1 connections.  A cached request costs
+the daemon well under a millisecond, about what opening a TCP
+connection and starting a handler thread for it costs, so a fresh
+connection per call would double its latency.  The client keeps a stack
+of idle connections, so each thread calling at once gets one of its
+own.  A reused connection the daemon has since closed (it restarted, or
+ended the connection with ``Connection: close``) fails before any
+response byte arrives; such a call is retried once on a fresh
+connection.  Every endpoint is idempotent, so the retry cannot do work
+twice: ``/submit`` is keyed by the request's fingerprint, ``/healthz``
+and ``/stats`` only read, and ``/shutdown`` repeats harmlessly.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -23,6 +34,11 @@ from ..errors import AdmissionRejected, ProtocolError, ServerUnavailable
 from .protocol import ServeRequest
 
 __all__ = ["ServeClient", "SubmitOutcome", "wait_ready"]
+
+#: how a reused connection the daemon has closed fails before a response
+#: byte arrives (``http.client.RemoteDisconnected`` is a
+#: ``ConnectionResetError``); a timeout is never among them
+_STALE = (ConnectionResetError, BrokenPipeError)
 
 
 @dataclass(frozen=True)
@@ -48,13 +64,22 @@ class SubmitOutcome:
 
 
 class ServeClient:
-    """A thin, connection-per-call client for one daemon address."""
+    """A client for one daemon address over kept-alive connections.
+
+    Safe to share between threads: each call takes an idle connection
+    off the stack (or opens one) and puts it back once the response is
+    read, unless the daemon closes it.  :meth:`close` (or leaving a
+    ``with`` block) closes the idle connections; a later call opens a
+    new one.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8437, *,
                  timeout: float | None = 300.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     @classmethod
     def from_address(cls, address: str, *,
@@ -68,27 +93,62 @@ class ServeClient:
                 f"malformed server address {address!r}; expected host:port"
             ) from None
 
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
     # -- transport -----------------------------------------------------------
 
     def _round_trip(self, method: str, path: str,
                     body: bytes | None = None
                     ) -> tuple[int, dict[str, str], bytes]:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        headers = {"Content-Type": "application/json"} if body else {}
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
         try:
-            headers = {"Content-Type": "application/json"} if body else {}
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
+            if conn is not None:
+                try:
+                    resp = self._send(conn, method, path, body, headers)
+                except _STALE:
+                    # closed by the daemon while idle: reconnect once
+                    conn.close()
+                    conn = None
+            if conn is None:
+                conn = http.client.HTTPConnection(self.host, self.port,
+                                                  timeout=self.timeout)
+                resp = self._send(conn, method, path, body, headers)
             payload = resp.read()
         except (ConnectionError, socket.timeout, socket.gaierror,
                 http.client.HTTPException, OSError) as exc:
+            if conn is not None:
+                conn.close()
             raise ServerUnavailable(
                 f"no serve daemon reachable at {self.host}:{self.port} "
                 f"({type(exc).__name__}: {exc})") from exc
-        finally:
+        if resp.will_close:
             conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
         return resp.status, {k.lower(): v for k, v in
                              resp.getheaders()}, payload
+
+    @staticmethod
+    def _send(conn: http.client.HTTPConnection, method: str, path: str,
+              body: bytes | None, headers: dict[str, str]
+              ) -> http.client.HTTPResponse:
+        """Send one request and read the response's status and headers."""
+        conn.request(method, path, body=body, headers=headers)
+        return conn.getresponse()
 
     def _json(self, status: int, body: bytes) -> dict[str, Any]:
         try:

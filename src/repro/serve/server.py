@@ -20,18 +20,29 @@ the JSON protocol of :mod:`repro.serve.protocol`:
 ``POST /shutdown``
     Graceful drain-and-stop, the in-band twin of SIGTERM.
 
+Connections are HTTP/1.1 and stay open between requests.  Each
+response leaves in one send (status line, headers and body together)
+with Nagle's algorithm off: a response written in two sends would hold
+its second part until the client's delayed ACK of the first, some 40 ms
+on a kept-alive connection.  A response carries ``Connection: close``
+and ends its connection when it is a 4xx (the request body may be left
+unread, and its bytes must not be parsed as the next request) or when
+the broker is draining (the daemon takes no further requests).
+
 Shutdown discipline: SIGTERM/SIGINT (and ``/shutdown``) first flip the
 broker to *draining* — new submissions get typed ``draining``
-rejections while in-flight jobs finish — then stop the HTTP listener
-and release the warm worker pool.  The actual teardown runs on a
-separate thread because ``HTTPServer.shutdown()`` deadlocks when
-called from the ``serve_forever`` thread itself.
+rejections while in-flight jobs finish — then stop the HTTP listener,
+end the kept-alive connections still open, and release the warm worker
+pool.  The actual teardown runs on a separate thread because
+``HTTPServer.shutdown()`` deadlocks when called from the
+``serve_forever`` thread itself.
 """
 
 from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -46,6 +57,10 @@ __all__ = ["MAX_BODY_BYTES", "ServeDaemon"]
 #: malformed (override per daemon with ``max_body_bytes``).
 MAX_BODY_BYTES = 1 << 20
 
+#: seconds a stopping daemon waits for its connection handlers to close
+#: their connections once it has stopped reading from them
+_CLOSE_TIMEOUT = 5.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP requests into the daemon's broker."""
@@ -54,6 +69,7 @@ class _Handler(BaseHTTPRequestHandler):
     # hangs itself off the server object.
     server: "_Server"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -66,15 +82,22 @@ class _Handler(BaseHTTPRequestHandler):
             self.daemon._log(f"{self.address_string()} {format % args}")
 
     def _send_json(self, status: int, payload: dict[str, Any],
-                   headers: dict[str, str] | None = None) -> None:
+                   headers: dict[str, str] | None = None, *,
+                   close: bool = False) -> None:
+        """Send one response in one write; a 4xx, a response while
+        draining and ``close=True`` end the connection after it."""
         body = response_bytes(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if close or 400 <= status < 500 or self.daemon.broker.draining:
+            self.send_header("Connection", "close")
+        # end_headers() would send the headers on their own: queue the
+        # blank line and the body behind them and flush all at once
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _client_error(self, status: int, message: str) -> None:
         self._send_json(status, {"protocol_version": PROTOCOL_VERSION,
@@ -122,7 +145,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._do_submit()
         elif path == "/shutdown":
             self._send_json(200, {"status": "stopping",
-                                  "protocol_version": PROTOCOL_VERSION})
+                                  "protocol_version": PROTOCOL_VERSION},
+                            close=True)
             self.daemon.request_stop("shutdown request")
         else:
             self._client_error(404, f"unknown path {path!r}")
@@ -149,9 +173,44 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _Server(ThreadingHTTPServer):
+    """The threading HTTP server, tracking its open connections so a
+    stopping daemon can end the kept-alive ones."""
+
     daemon_threads = True
     allow_reuse_address = True
     daemon: "ServeDaemon"
+
+    def __init__(self, address: tuple[str, int],
+                 handler: type[_Handler]) -> None:
+        super().__init__(address, handler)
+        self._open: set[socket.socket] = set()
+        self._open_changed = threading.Condition()
+
+    def process_request(self, request: socket.socket,
+                        client_address: Any) -> None:
+        with self._open_changed:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        super().shutdown_request(request)
+        with self._open_changed:
+            self._open.discard(request)
+            self._open_changed.notify_all()
+
+    def end_connections(self, timeout: float) -> None:
+        """Stop reading from every open connection, then wait up to
+        ``timeout`` seconds for their handlers to close them.  ``SHUT_RD``
+        leaves the sending side alone: a handler still writing its last
+        response finishes it, then reads end-of-stream and closes the
+        connection."""
+        with self._open_changed:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RD)
+                except OSError:      # closed meanwhile
+                    pass
+            self._open_changed.wait_for(lambda: not self._open, timeout)
 
 
 class ServeDaemon:
@@ -244,6 +303,9 @@ class ServeDaemon:
         self.drained = self.broker.stop(drain=True, timeout=drain_timeout)
         self._httpd.shutdown()
         self._httpd.server_close()
+        # idle kept-alive connections would otherwise keep their handler
+        # threads answering after the daemon stopped
+        self._httpd.end_connections(_CLOSE_TIMEOUT)
         self._stopped.set()
 
     def wait(self, timeout: float | None = None) -> bool:

@@ -306,6 +306,7 @@ class SpMTSimulator:
                 detector.observe(j, timings[j], commit, restarts,
                                  thread_wasted, thread_squashed,
                                  realisations, replay is not None)
+            realisations.release(j)
             # bound memory: drop state no longer reachable by any kernel
             # distance (communication hops or speculated distances)
             horizon = j - retention

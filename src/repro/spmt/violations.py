@@ -29,8 +29,9 @@ __all__ = ["RealisationTable", "detect_violation", "manifest_violations"]
 class RealisationTable:
     """Pre-drawn Bernoulli realisations for every (dependence, thread).
 
-    Drawing lazily per thread keeps memory bounded for long runs while
-    staying deterministic for a given seed.
+    Drawing lazily per thread, and releasing a thread's draws once it
+    has committed (:meth:`release`), keeps memory bounded for long runs
+    while staying deterministic for a given seed.
     """
 
     def __init__(self, template: KernelTimingTemplate, seed: int) -> None:
@@ -65,6 +66,11 @@ class RealisationTable:
                             in zip(draws, self.template.speculated))
             self._cache[thread] = got
         return got
+
+    def release(self, thread: int) -> None:
+        """Forget ``thread``'s draws: it has committed, and only its own
+        restarts re-read them."""
+        self._cache.pop(thread, None)
 
     def block(self, first: int, count: int) -> np.ndarray:
         """Realisation matrix (``count`` x n_deps, bool) for threads

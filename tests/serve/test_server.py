@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import http.client
+import json
 import socket
+import sys
+import threading
 
 import pytest
 
@@ -30,6 +34,7 @@ def daemon(registry, span_tracer):
     client = ServeClient("127.0.0.1", d.port, timeout=60.0)
     assert wait_ready(client, timeout=15.0)
     yield d, client
+    client.close()
     if not d.wait(timeout=0):
         d.stop(drain_timeout=10.0)
 
@@ -186,6 +191,192 @@ def test_from_address_parses_and_validates():
     assert ServeClient.from_address(":9000").host == "127.0.0.1"
     with pytest.raises(ServerUnavailable, match="malformed"):
         ServeClient.from_address("no-port-here")
+
+
+# -- kept-alive connections -------------------------------------------------
+
+def _count_accepts(monkeypatch, d):
+    """Record every connection the daemon accepts from now on."""
+    accepted = []
+    process_request = d._httpd.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    monkeypatch.setattr(d._httpd, "process_request", counting)
+    return accepted
+
+
+def test_one_thread_reuses_one_connection(daemon, monkeypatch):
+    d, _ = daemon
+    accepted = _count_accepts(monkeypatch, d)
+    with ServeClient("127.0.0.1", d.port, timeout=60.0) as client:
+        assert client.submit(_req()).served == "computed"
+        assert client.submit(_req()).served == "cached"
+        assert client.submit(_req(kind="compile")).ok
+        assert client.stats()["counts"]["requests"] == 3
+        assert client.healthz()["status"] == "ok"
+        assert len(client._idle) == 1
+    assert client._idle == []                  # closed on leaving the block
+    assert len(accepted) == 1
+
+
+def test_old_client_reconnects_once_after_restart(registry, span_tracer,
+                                                  monkeypatch):
+    d = ServeDaemon(port=0).start()
+    client = ServeClient("127.0.0.1", d.port, timeout=30.0)
+    assert wait_ready(client, timeout=15.0)    # leaves a connection idle
+    assert d.stop(drain_timeout=10.0)
+    restarted = ServeDaemon(port=d.port).start()
+    try:
+        accepted = _count_accepts(monkeypatch, restarted)
+        assert client.healthz()["status"] == "ok"
+        assert client.submit(_req()).ok
+        assert len(accepted) == 1
+    finally:
+        client.close()
+        restarted.stop(drain_timeout=10.0)
+
+
+def test_idle_connection_is_unavailable_after_stop(daemon):
+    d, _ = daemon
+    other = ServeClient("127.0.0.1", d.port, timeout=10.0)
+    assert other.healthz()["status"] == "ok"   # then idles
+    assert d.stop(drain_timeout=10.0)
+    # a handler left on the idle connection would answer "draining"
+    with pytest.raises(ServerUnavailable):
+        other.healthz()
+    assert not other.ping()
+
+
+def _post(path, body=b""):
+    return (f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+def _exchange(sock, request):
+    sock.sendall(request)
+    resp = http.client.HTTPResponse(sock)
+    resp.begin()
+    return resp, resp.read()
+
+
+def _closed_by_peer(sock):
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (_post("/nope", b"{}"), 404),
+    (_post("/submit", b"{" * 100), 413),
+    (b"POST /submit HTTP/1.1\r\nHost: t\r\nContent-Length: ten\r\n\r\n"
+     b"{}", 400),
+], ids=["unknown-path", "oversized", "malformed-length"])
+def test_client_errors_close_kept_alive_connections(registry, span_tracer,
+                                                    request_bytes, status):
+    """Each of these leaves the request body unread: parsed as the next
+    request, it would answer garbage, so the daemon closes instead."""
+    d = ServeDaemon(port=0, max_body_bytes=64).start()
+    try:
+        with socket.create_connection(("127.0.0.1", d.port),
+                                      timeout=10.0) as sock:
+            resp, _ = _exchange(sock,
+                                b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert resp.status == 200 and not resp.will_close
+            resp, body = _exchange(sock, request_bytes)
+            assert resp.status == status
+            assert resp.getheader("Connection") == "close"
+            assert json.loads(body)["status"] == "error"
+            assert _closed_by_peer(sock)
+        with ServeClient("127.0.0.1", d.port, timeout=10.0) as client:
+            assert client.healthz()["status"] == "ok"
+    finally:
+        d.stop(drain_timeout=10.0)
+
+
+@pytest.mark.parametrize("path, expected", [
+    ("/healthz", 200), ("/submit", 503), ("/shutdown", 200)])
+def test_responses_while_draining_end_the_connection(daemon, path, expected):
+    """The daemon takes no further requests once it drains, so it does
+    not leave their connections open; ``/shutdown`` starts the drain."""
+    d, _ = daemon
+    if path != "/shutdown":
+        d.broker.begin_drain()
+    request = {"/healthz": b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+               "/submit": _post("/submit", json.dumps(
+                   _req().to_dict()).encode()),
+               "/shutdown": _post("/shutdown")}[path]
+    with socket.create_connection(("127.0.0.1", d.port),
+                                  timeout=10.0) as sock:
+        resp, _ = _exchange(sock, request)
+        assert resp.status == expected
+        assert resp.getheader("Connection") == "close"
+        assert _closed_by_peer(sock)
+
+
+def test_threads_sharing_a_client_get_a_connection_each(daemon, monkeypatch):
+    """Eight threads (more than cores) submit one request four times
+    each through one client, with thread switches forced often: one
+    computation, byte-identical bodies, never two threads on one
+    connection, and at most one connection per thread."""
+    d, _ = daemon
+    accepted = _count_accepts(monkeypatch, d)
+    barrier = threading.Barrier(8, timeout=30.0)
+    outcomes = [[] for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ServeClient("127.0.0.1", d.port, timeout=60.0) as client:
+            def fire(i):
+                barrier.wait()
+                for _ in range(4):
+                    outcomes[i].append(client.submit(_req()))
+
+            threads = [threading.Thread(target=fire, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+            stats = client.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    flat = [o for per_thread in outcomes for o in per_thread]
+    assert len(flat) == 32 and all(o.ok for o in flat)
+    assert len({o.body for o in flat}) == 1
+    assert [o.served for o in flat].count("computed") == 1
+    assert stats["counts"]["completed"] == 1
+    assert stats["session"]["compiles"] == 1
+    assert 1 <= len(accepted) <= 8
+
+
+def test_timeouts_are_not_retried(daemon, monkeypatch):
+    d, _ = daemon
+    accepted = _count_accepts(monkeypatch, d)
+    release = threading.Event()
+    calls = []
+    stats = d.broker.stats
+
+    def slow_stats():
+        calls.append(1)
+        release.wait(10.0)
+        return stats()
+
+    monkeypatch.setattr(d.broker, "stats", slow_stats)
+    client = ServeClient("127.0.0.1", d.port, timeout=1.0)
+    try:
+        assert client.healthz()["status"] == "ok"   # a connection to reuse
+        with pytest.raises(ServerUnavailable, match="timed out"):
+            client.stats()
+    finally:
+        release.set()
+        client.close()
+    assert len(calls) == 1
+    assert len(accepted) == 1
 
 
 # -- serve-vs-direct equivalence ---------------------------------------------

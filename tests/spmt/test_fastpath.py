@@ -219,6 +219,30 @@ def seq_realised_at(table, j):
     return got
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_realisation_table_holds_only_the_running_thread(
+        fig1_pipelined_sms, arch, monkeypatch, exact):
+    """Committed threads' draws are released: the table never holds more
+    than the running thread's, at 2,000 iterations or 20,000.  The
+    motivating kernel's SMS schedule misspeculates, so threads restart
+    and re-read their draws."""
+    peaks = []
+
+    class Recording(RealisationTable):
+        def realised(self, thread):
+            got = super().realised(thread)
+            peaks[-1] = max(peaks[-1], len(self._cache))
+            return got
+
+    monkeypatch.setattr("repro.spmt.sim.RealisationTable", Recording)
+    for n in (2_000, 20_000):
+        peaks.append(0)
+        stats = simulate(fig1_pipelined_sms, arch,
+                         SimConfig(iterations=n, exact=exact))
+        assert stats.misspeculations > 0
+    assert peaks == [1, 1]
+
+
 # -- spawn-chain squash estimate (satellite bugfix) --------------------------
 
 
