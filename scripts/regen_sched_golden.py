@@ -1,4 +1,4 @@
-"""Regenerate the scheduler golden file and the seed timing baseline.
+"""Regenerate the scheduler golden file.
 
 ``tests/golden/sched_golden.json`` pins (II, slots, MaxLive, C_delay)
 for every scheduler on every paper kernel (the table2 synthetic SPECfp
@@ -10,21 +10,13 @@ as a review-able diff of this file, not a silent drift.
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python scripts/regen_sched_golden.py            # golden
-    PYTHONPATH=src python scripts/regen_sched_golden.py --timing \
-        --timing-out benchmarks/baselines/bench_sched_seed.json   # baseline
-
-``--timing`` measures cold TMS schedule wall-time per kernel on the
-synthetic SPECfp population (same measurement ``benchmarks/bench_sched.py``
-performs), for the engine-vs-seed comparison.  Timings are
-machine-specific: regenerate the baseline on the machine you compare on.
+    PYTHONPATH=src python scripts/regen_sched_golden.py
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -86,61 +78,18 @@ def capture_golden() -> dict:
     return {"max_loops": MAX_LOOPS, "rows": rows}
 
 
-def time_tms_cold(repeats: int = 3) -> dict:
-    """Best-of-``repeats`` cold TMS schedule time per synthetic-SPECfp
-    kernel (fresh scheduler per run; no session cache involved)."""
-    from repro.config import ArchConfig
-    from repro.experiments.validate import suite_loops
-    from repro.graph import build_ddg
-    from repro.machine import LatencyModel, ResourceModel
-    from repro.sched.tms import ThreadSensitiveScheduler
-
-    arch = ArchConfig.paper_default()
-    resources = ResourceModel.default(arch.issue_width)
-    latency = LatencyModel.for_arch(arch)
-    per_kernel = {}
-    for _benchmark, loop in suite_loops(("table2",), MAX_LOOPS):
-        ddg = build_ddg(loop, latency)
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            ThreadSensitiveScheduler(ddg, resources, arch).schedule()
-            best = min(best, time.perf_counter() - start)
-        per_kernel[loop.name] = best
-    return {
-        "max_loops": MAX_LOOPS,
-        "repeats": repeats,
-        "total_seconds": sum(per_kernel.values()),
-        "per_kernel_seconds": per_kernel,
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out",
                         default=REPO / "tests" / "golden" /
                         "sched_golden.json")
-    parser.add_argument("--timing", action="store_true",
-                        help="also capture the cold-TMS timing baseline")
-    parser.add_argument("--timing-out",
-                        default=REPO / "benchmarks" / "baselines" /
-                        "bench_sched_seed.json")
-    parser.add_argument("--skip-golden", action="store_true")
     args = parser.parse_args()
 
-    if not args.skip_golden:
-        golden = capture_golden()
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
-        print(f"[golden: {len(golden['rows'])} rows -> {out}]")
-    if args.timing:
-        timing = time_tms_cold()
-        tout = Path(args.timing_out)
-        tout.parent.mkdir(parents=True, exist_ok=True)
-        tout.write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")
-        print(f"[timing: {timing['total_seconds']:.3f}s total over "
-              f"{len(timing['per_kernel_seconds'])} kernels -> {tout}]")
+    golden = capture_golden()
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print(f"[golden: {len(golden['rows'])} rows -> {out}]")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Regenerate the simulator golden file and the sim timing baseline.
+"""Regenerate the simulator golden file.
 
 ``tests/golden/sim_golden.json`` pins :meth:`SimStats.to_dict` for the
 SMS and TMS schedules of every paper kernel (table2 synthetic SPECfp at
@@ -12,21 +12,13 @@ silent corruption.
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python scripts/regen_sim_golden.py              # golden
-    PYTHONPATH=src python scripts/regen_sim_golden.py --timing \
-        --timing-out benchmarks/baselines/bench_sim_seed.json      # baseline
-
-``--timing`` measures exact-loop simulation wall-time per kernel (the
-measurement ``benchmarks/bench_sim.py`` compares its fast-path runs
-against).  Timings are machine-specific: regenerate the baseline on the
-machine you compare on.
+    PYTHONPATH=src python scripts/regen_sim_golden.py
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -80,61 +72,18 @@ def capture_golden() -> dict:
             "rows": rows}
 
 
-def time_exact_sim(iterations: int = 20000, repeats: int = 3) -> dict:
-    """Best-of-``repeats`` reference-loop simulation time per kernel.
-
-    This is the baseline ``benchmarks/bench_sim.py`` divides by to report
-    the fast path's speedup, so it must be captured with the same
-    iteration count the benchmark simulates.
-    """
-    from repro.config import SimConfig
-    from repro.spmt.sim import SpMTSimulator
-
-    per_kernel = {}
-    for _b, name, alg, pipelined, arch in _pipelined_kernels():
-        sim = SimConfig(iterations=iterations, seed=SEED, exact=True)
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            SpMTSimulator(pipelined, arch, sim).run()
-            best = min(best, time.perf_counter() - start)
-        per_kernel[f"{name}/{alg}"] = best
-    return {
-        "max_loops": MAX_LOOPS,
-        "iterations": iterations,
-        "repeats": repeats,
-        "mode": "exact",
-        "total_seconds": sum(per_kernel.values()),
-        "per_kernel_seconds": per_kernel,
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out",
                         default=REPO / "tests" / "golden" /
                         "sim_golden.json")
-    parser.add_argument("--timing", action="store_true",
-                        help="also capture the exact-loop timing baseline")
-    parser.add_argument("--timing-out",
-                        default=REPO / "benchmarks" / "baselines" /
-                        "bench_sim_seed.json")
-    parser.add_argument("--skip-golden", action="store_true")
     args = parser.parse_args()
 
-    if not args.skip_golden:
-        golden = capture_golden()
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
-        print(f"[golden: {len(golden['rows'])} rows -> {out}]")
-    if args.timing:
-        timing = time_exact_sim()
-        tout = Path(args.timing_out)
-        tout.parent.mkdir(parents=True, exist_ok=True)
-        tout.write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")
-        print(f"[timing: {timing['total_seconds']:.3f}s total over "
-              f"{len(timing['per_kernel_seconds'])} kernels -> {tout}]")
+    golden = capture_golden()
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print(f"[golden: {len(golden['rows'])} rows -> {out}]")
     return 0
 
 

@@ -12,19 +12,16 @@ count, operand-network latency, and cache behaviour.
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import MachineError
 
-__all__ = ["ArchConfig", "KNOWN_POLICIES", "SchedulerConfig", "SimConfig",
-           "coerce_field_value", "config_field_types", "replace_config"]
+__all__ = ["ArchConfig", "KNOWN_POLICIES", "SchedulerConfig", "SimConfig"]
 
 #: scheduling policies selectable via ``SchedulerConfig.policy`` (and the
-#: ``--policy`` CLI flag / ``sched.policy`` DSE dimension).  Each names the
-#: first rung of the degradation chain in
-#: :func:`repro.sched.degrade.schedule_with_degradation`.
+#: ``--policy`` CLI flag).  Each names the first rung of the degradation
+#: chain in :func:`repro.sched.degrade.schedule_with_degradation`.
 KNOWN_POLICIES: tuple[str, ...] = ("tms", "sms", "ims", "seq")
 
 
@@ -55,8 +52,7 @@ class ArchConfig:
         latency: 1 cycle for SEND + 1 per hop + 1 for RECV = 3.
     spawn_overhead:
         ``C_spn`` — cycles to spawn the next iteration's thread (paper: 3).
-        May be fractional (or zero): the DSE ``paper-overheads`` sweep
-        explores sub-cycle spawn costs.
+        May be fractional (or zero).
     commit_overhead:
         ``C_ci`` — head-thread commit overhead (paper: 2, thanks to the
         double-buffered speculative write buffer).
@@ -183,8 +179,7 @@ class SchedulerConfig:
         :data:`KNOWN_POLICIES`): ``"tms"`` (the default) runs the full
         TMS -> SMS -> IMS -> SEQ ladder; ``"sms"``/``"ims"``/``"seq"``
         start further down, scheduling with the named baseline instead of
-        TMS (useful for ablations and the ``sched.policy`` DSE
-        dimension).
+        TMS (useful for ablations).
     """
 
     p_max: float = 0.05
@@ -254,73 +249,6 @@ class SimConfig:
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)
-
-
-# -- field introspection (used by the repro.dse space spec) ------------------
-
-def config_field_types(cls: type) -> dict[str, type]:
-    """Concrete python type of every dataclass field of a config class.
-
-    Resolves the postponed (string) annotations this module uses, so
-    ``config_field_types(ArchConfig)["ncore"] is int``.  Parameterised
-    generics (e.g. ``tuple[float, ...]``) are reduced to their origin
-    (``tuple``).
-    """
-    hints = typing.get_type_hints(cls)
-    out: dict[str, type] = {}
-    for name in cls.__dataclass_fields__:  # type: ignore[attr-defined]
-        hint = hints.get(name, Any)
-        origin = typing.get_origin(hint)
-        out[name] = origin if origin is not None else hint
-    return out
-
-
-def coerce_field_value(cls: type, name: str, value: Any) -> Any:
-    """Coerce ``value`` to the declared type of field ``name`` of ``cls``.
-
-    Integral floats become ints for int fields, ints widen to floats for
-    float fields; anything else that mismatches raises ``MachineError``.
-    The (field missing) case also raises, which is how the DSE space spec
-    rejects typoed dimension names early instead of at trial time.
-    """
-    types = config_field_types(cls)
-    if name not in types:
-        raise MachineError(
-            f"{cls.__name__} has no field {name!r}; known fields: "
-            f"{sorted(types)}")
-    expected = types[name]
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MachineError(
-                f"{cls.__name__}.{name} expects a number, got {value!r}")
-        return float(value)
-    if expected is int:
-        if isinstance(value, bool):
-            raise MachineError(
-                f"{cls.__name__}.{name} expects an int, got {value!r}")
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise MachineError(
-                    f"{cls.__name__}.{name} expects an int, got {value!r}")
-            return int(value)
-        if not isinstance(value, int):
-            raise MachineError(
-                f"{cls.__name__}.{name} expects an int, got {value!r}")
-        return value
-    if expected is bool and not isinstance(value, bool):
-        raise MachineError(
-            f"{cls.__name__}.{name} expects a bool, got {value!r}")
-    if expected is str and not isinstance(value, str):
-        raise MachineError(
-            f"{cls.__name__}.{name} expects a string, got {value!r}")
-    return value
-
-
-def replace_config(cfg: Any, updates: Mapping[str, Any]) -> Any:
-    """``dataclasses.replace`` with per-field coercion and validation."""
-    coerced = {name: coerce_field_value(type(cfg), name, value)
-               for name, value in updates.items()}
-    return replace(cfg, **coerced) if coerced else cfg
 
 
 def summarize_config(cfg: Any) -> str:

@@ -105,9 +105,3 @@ class AdmissionRejected(ServeError):
 class ServerUnavailable(ServeError):
     """The serve client could not reach (or lost) the daemon."""
 
-
-class PerfRegressionError(ReproError):
-    """``tms-experiments report --check`` found a tracked metric that
-    regressed beyond the configured threshold versus its baseline.  The
-    CLI maps this to the typed exit code
-    :data:`repro.experiments.report_cli.EXIT_REGRESSION`."""

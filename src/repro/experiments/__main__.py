@@ -1,5 +1,6 @@
 """``python -m repro.experiments`` — same CLI as ``tms-experiments``:
-tables/figures, ``compile``, ``validate`` and ``dse`` subcommands."""
+tables/figures and the ``compile``, ``validate``, ``chaos``, ``report``,
+``serve`` and ``submit`` subcommands."""
 
 from .runner import main
 

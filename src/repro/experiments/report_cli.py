@@ -1,42 +1,43 @@
-"""``tms-experiments report``: the perf-regression observatory.
+"""``tms-experiments report``: the run ledger and the perfbench gate.
 
-Renders the run ledger (:mod:`repro.obs.ledger`) and any benchmark JSON
-files — both the repo's own shape (``benchmarks/bench_sched.py --out``)
-and pytest-benchmark's ``--benchmark-json`` shape — as a markdown report
-and, optionally, a self-contained HTML dashboard (inline CSS, no
-external assets, safe to archive as a CI artifact).
+Renders the run ledger (:mod:`repro.obs.ledger`) as markdown, and
+compares files of perfbench result lines — the JSON object that ends
+every ``perfbench/run.py`` run, one run per line — of a change
+(``--bench``) with its parent's (``--against``), paired positionally.
 
-``--check`` turns the report into a gate: every tracked metric (a
-lower-is-better seconds value) of each ``--bench`` file is compared
-against its baseline — an explicitly paired ``--against`` file, or the
-same-named file under ``--baselines`` (default
-``benchmarks/baselines/``).  A metric exceeding
-``baseline * (1 + threshold)`` is a regression; the command prints every
-offender and exits with :data:`EXIT_REGRESSION` (raised internally as
-:class:`~repro.errors.PerfRegressionError`).  Comparisons are
-file-vs-file, never wall-clock-vs-constant, so the gate is meaningful on
-any machine that produced both files.
+``--check`` applies ``BENCHMARK.json``'s rule to each pair and exits
+with :data:`EXIT_REGRESSION` when the change breaks it:
+
+* every result line, on either side, is ``correct``;
+* the change fails no larger share of its ops than the parent;
+* on each end-to-end metric, the median over the change's runs is no
+  worse than the parent's by more than the metric's ``bound``, in the
+  metric's ``better`` direction.
+
+Metric names, directions and bounds come only from the
+``BENCHMARK.json`` at the repository root.  A traced run
+(``--trace 1``) prints per-layer metrics only, so its line is rejected.
 """
 
 from __future__ import annotations
 
 import argparse
-import html
 import json
+import math
+import statistics
 import sys
 from pathlib import Path
 from typing import Any
 
-from ..errors import PerfRegressionError
-
-__all__ = ["EXIT_REGRESSION", "add_report_arguments", "check_regressions",
-           "extract_bench_metrics", "run_report_command"]
+__all__ = ["BENCHMARK_JSON", "EXIT_REGRESSION", "add_report_arguments",
+           "compare_files", "compare_runs", "read_results",
+           "run_report_command"]
 
 #: typed exit code of ``report --check`` on a detected regression.
 EXIT_REGRESSION = 3
 
-#: default baseline directory, relative to the working tree.
-DEFAULT_BASELINES = Path("benchmarks") / "baselines"
+#: the benchmark declaration at the repository root.
+BENCHMARK_JSON = Path(__file__).resolve().parents[3] / "BENCHMARK.json"
 
 
 def add_report_arguments(parser: argparse.ArgumentParser) -> None:
@@ -44,80 +45,102 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
                         help="ledger JSONL to render (default: "
                              "$REPRO_LEDGER_DIR/ledger.jsonl when set)")
     parser.add_argument("--bench", action="append", default=None,
-                        metavar="FILE",
-                        help="benchmark JSON file(s) to include (repeatable; "
-                             "bench_sched --out or pytest-benchmark shape)")
+                        metavar="CHANGE",
+                        help="file of the change's perfbench result lines "
+                             "(repeatable, each paired with an --against)")
     parser.add_argument("--against", action="append", default=None,
-                        metavar="FILE",
-                        help="baseline JSON paired positionally with each "
-                             "--bench (default: the same-named file under "
-                             "--baselines)")
-    parser.add_argument("--baselines", default=None, metavar="DIR",
-                        help=f"baseline directory (default: "
-                             f"{DEFAULT_BASELINES})")
+                        metavar="PARENT",
+                        help="file of the parent's perfbench result lines, "
+                             "paired positionally with each --bench")
     parser.add_argument("--markdown", default=None, metavar="FILE",
                         help="also write the markdown report to this file")
-    parser.add_argument("--html", default=None, metavar="FILE",
-                        help="write a self-contained HTML dashboard here")
     parser.add_argument("--check", action="store_true",
-                        help=f"exit {EXIT_REGRESSION} if any tracked metric "
-                             f"regressed beyond --threshold vs its baseline")
-    parser.add_argument("--threshold", type=float, default=0.10,
-                        help="allowed fractional slowdown before --check "
-                             "fails (default: 0.10 = 10%%)")
+                        help=f"exit {EXIT_REGRESSION} if a change breaks "
+                             f"BENCHMARK.json's rule against its parent")
 
 
-# -- metric extraction --------------------------------------------------------
+# -- the rule -----------------------------------------------------------------
 
-def extract_bench_metrics(data: dict[str, Any],
-                          label: str) -> dict[str, float]:
-    """The tracked (lower-is-better, seconds) metrics of one bench JSON.
+def read_results(path: Path, metrics: list[str]) -> list[dict[str, Any]]:
+    """The perfbench result lines of ``path``, blank lines skipped.
 
-    Understands both shapes in this repo: the ``bench_sched.py`` report
-    (``total_seconds`` + ``per_kernel_seconds``) and pytest-benchmark's
-    ``--benchmark-json`` (``benchmarks[*].stats.mean``).
+    Raises ``ValueError`` naming the first line that is not a result
+    line or lacks one of ``metrics``, or a file with no result line.
     """
-    out: dict[str, float] = {}
-    if isinstance(data.get("total_seconds"), (int, float)):
-        out[f"{label}.total_seconds"] = float(data["total_seconds"])
-    for entry in data.get("benchmarks") or []:
-        if not isinstance(entry, dict):
+    runs = []
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
             continue
-        mean = (entry.get("stats") or {}).get("mean")
-        if isinstance(mean, (int, float)):
-            out[f"{label}.{entry.get('name', '?')}.mean_seconds"] = \
-                float(mean)
-    return out
+        try:
+            run = json.loads(line)
+        except ValueError:
+            run = None
+        if not (isinstance(run, dict)
+                and {"correct", "attempted", "failed", "metrics"} <= set(run)
+                and isinstance(run["metrics"], dict)):
+            raise ValueError(f"{path} line {lineno}: not a perfbench "
+                             f"result line")
+        values = run["metrics"]
+        missing = [m for m in metrics if not isinstance(values.get(m), dict)
+                   or "value" not in values[m]]
+        if missing:
+            raise ValueError(f"{path} line {lineno}: no {missing[0]} (a "
+                             f"traced run has no end-to-end metrics)")
+        runs.append(run)
+    if not runs:
+        raise ValueError(f"{path}: no perfbench result lines")
+    return runs
 
 
-def check_regressions(current: dict[str, float],
-                      baseline: dict[str, float],
-                      threshold: float) -> list[dict[str, Any]]:
-    """Rows for every metric present in both maps; ``regressed`` is set
-    where current exceeds ``baseline * (1 + threshold)``."""
+def compare_runs(change: list[dict], parent: list[dict],
+                 end_to_end: list[dict]) -> list[dict[str, Any]]:
+    """One row per end-to-end metric: both medians and how much worse
+    the change is, as a fraction of the parent's median in the metric's
+    ``better`` direction; ``regressed`` when that exceeds ``bound``."""
     rows = []
-    for name in sorted(set(current) & set(baseline)):
-        cur, base = current[name], baseline[name]
-        ratio = cur / base if base > 0 else float("inf") if cur > 0 else 1.0
-        rows.append({
-            "metric": name,
-            "current": cur,
-            "baseline": base,
-            "ratio": ratio,
-            "regressed": ratio > 1.0 + threshold,
-        })
+    for spec in end_to_end:
+        name = spec["name"]
+        new = statistics.median(r["metrics"][name]["value"] for r in change)
+        old = statistics.median(r["metrics"][name]["value"] for r in parent)
+        worse = new - old if spec["better"] == "lower" else old - new
+        worse_by = worse / old if old else (math.inf if worse > 0 else 0.0)
+        rows.append({"metric": name, "better": spec["better"],
+                     "bound": spec["bound"], "parent": old, "change": new,
+                     "worse_by": worse_by,
+                     "regressed": worse_by > spec["bound"]})
     return rows
 
 
-def _resolve_baseline(bench: Path, against: Path | None,
-                      baselines_dir: Path) -> Path | None:
-    if against is not None:
-        return against
-    for candidate in (baselines_dir / bench.name,
-                      baselines_dir / f"{bench.stem}_seed.json"):
-        if candidate.exists():
-            return candidate
-    return None
+def _failed(runs: list[dict]) -> tuple[int, int]:
+    return (sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
+
+
+def compare_files(change_path: Path, parent_path: Path,
+                  end_to_end: list[dict]) -> dict[str, Any]:
+    """Read one ``--bench``/``--against`` pair and apply the rule: the
+    rows of :func:`compare_runs` and every breach, each naming its
+    file."""
+    metrics = [spec["name"] for spec in end_to_end]
+    change = read_results(change_path, metrics)
+    parent = read_results(parent_path, metrics)
+    rows = compare_runs(change, parent, end_to_end)
+    problems = [f"{path}: run {n} is not correct"
+                for path, runs in ((change_path, change),
+                                   (parent_path, parent))
+                for n, run in enumerate(runs, start=1)
+                if run["correct"] is not True]
+    (cf, ca), (pf, pa) = _failed(change), _failed(parent)
+    if cf * pa > pf * ca:
+        problems.append(f"{change_path}: {cf} of {ca} ops failed against "
+                        f"{pf} of {pa} in {parent_path}")
+    problems += [f"{change_path}: {row['metric']} worse by "
+                 f"{row['worse_by']:.3f} of the parent's median (bound "
+                 f"{row['bound']:g})" for row in rows if row["regressed"]]
+    return {"change": str(change_path), "parent": str(parent_path),
+            "runs": (len(change), len(parent)),
+            "failed": ((cf, ca), (pf, pa)), "rows": rows,
+            "problems": problems}
 
 
 # -- rendering ----------------------------------------------------------------
@@ -161,142 +184,26 @@ def _ledger_section(records: list[dict], skipped: int,
     return lines
 
 
-def _bench_sections(bench_reports: list[dict]) -> list[str]:
-    lines = ["## Benchmarks", ""]
-    if not bench_reports:
-        lines += ["No benchmark files given (`--bench FILE`).", ""]
-        return lines
-    for rep in bench_reports:
-        lines.append(f"### {rep['path']}")
-        lines.append("")
-        base_label = rep["baseline_path"] or "none found"
-        lines.append(f"Baseline: `{base_label}`")
-        lines.append("")
-        if rep["rows"]:
-            lines += ["| metric | current | baseline | ratio | status |",
-                      "|---|---:|---:|---:|---|"]
-            for row in rep["rows"]:
-                status = "**REGRESSED**" if row["regressed"] else "ok"
-                lines.append(
-                    f"| {row['metric']} | {row['current']:.4f} "
-                    f"| {row['baseline']:.4f} | {row['ratio']:.3f}x "
-                    f"| {status} |")
-        else:
-            lines += ["| metric | current |", "|---|---:|"]
-            for name, value in sorted(rep["metrics"].items()):
-                lines.append(f"| {name} | {value:.4f} |")
-        lines.append("")
+def _pair_section(pair: dict) -> list[str]:
+    (cf, ca), (pf, pa) = pair["failed"]
+    lines = [f"## perfbench: `{pair['change']}` against `{pair['parent']}`",
+             "",
+             f"{pair['runs'][0]} runs against {pair['runs'][1]}; failed "
+             f"ops {cf} of {ca} against {pf} of {pa}.",
+             "",
+             "| metric | better | bound | parent median | change median "
+             "| worse by | status |",
+             "|---|---|---:|---:|---:|---:|---|"]
+    for row in pair["rows"]:
+        status = "**REGRESSED**" if row["regressed"] else "ok"
+        lines.append(
+            f"| {row['metric']} | {row['better']} | {row['bound']:g} "
+            f"| {row['parent']:.4g} | {row['change']:.4g} "
+            f"| {row['worse_by']:+.3f} | {status} |")
+    lines.append("")
+    if pair["problems"]:
+        lines += [f"- {problem}" for problem in pair["problems"]] + [""]
     return lines
-
-
-def render_markdown(records: list[dict], skipped: int,
-                    ledger_path: Path | None,
-                    bench_reports: list[dict],
-                    threshold: float, checked: bool) -> str:
-    lines = ["# repro perf & run report", ""]
-    lines += _ledger_section(records, skipped, ledger_path)
-    lines += _bench_sections(bench_reports)
-    if checked:
-        regressions = [row for rep in bench_reports
-                       for row in rep["rows"] if row["regressed"]]
-        lines += ["## Regression check", ""]
-        if regressions:
-            lines.append(f"{len(regressions)} metric(s) regressed beyond "
-                         f"{threshold:.0%}:")
-            lines += [f"- `{r['metric']}`: {r['current']:.4f} vs "
-                      f"{r['baseline']:.4f} ({r['ratio']:.3f}x)"
-                      for r in regressions]
-        else:
-            lines.append(f"All compared metrics within {threshold:.0%} of "
-                         f"baseline.")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _bar(fraction: float, color: str) -> str:
-    width = max(1.0, min(100.0, fraction * 100.0))
-    return (f'<div class="bar" style="width:{width:.1f}%;'
-            f'background:{color}"></div>')
-
-
-def render_html(records: list[dict], skipped: int,
-                ledger_path: Path | None,
-                bench_reports: list[dict], threshold: float) -> str:
-    """A self-contained dashboard: no scripts, no external assets."""
-    esc = html.escape
-    parts = [
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>",
-        "<title>repro perf dashboard</title><style>",
-        "body{font-family:system-ui,sans-serif;margin:2rem;color:#222}",
-        "table{border-collapse:collapse;margin:0.5rem 0}",
-        "td,th{border:1px solid #ccc;padding:0.25rem 0.6rem;"
-        "font-size:0.9rem}",
-        "th{background:#f0f0f0;text-align:left}",
-        ".bar{height:0.8rem;border-radius:2px}",
-        ".cell{min-width:12rem}",
-        ".bad{color:#b00020;font-weight:bold}",
-        ".ok{color:#2e7d32}",
-        "</style></head><body>",
-        "<h1>repro perf dashboard</h1>",
-    ]
-    parts.append("<h2>Run ledger</h2>")
-    if ledger_path is None:
-        parts.append("<p>No ledger configured.</p>")
-    else:
-        parts.append(f"<p><code>{esc(str(ledger_path))}</code> — "
-                     f"{len(records)} records"
-                     + (f", {skipped} corrupt lines skipped" if skipped
-                        else "") + "</p>")
-        if records:
-            max_dur = max((r.get("duration_seconds", 0.0) for r in records),
-                          default=0.0) or 1.0
-            parts.append("<table><tr><th>timestamp</th><th>command</th>"
-                         "<th>exit</th><th>seconds</th>"
-                         "<th class='cell'>duration</th></tr>")
-            for r in records:
-                dur = r.get("duration_seconds", 0.0)
-                parts.append(
-                    f"<tr><td>{esc(str(r.get('timestamp', '')))}</td>"
-                    f"<td>{esc(str(r.get('command', '')))}</td>"
-                    f"<td>{r.get('exit_code', '')}</td>"
-                    f"<td>{dur:.2f}</td>"
-                    f"<td class='cell'>{_bar(dur / max_dur, '#4c7fb5')}"
-                    f"</td></tr>")
-            parts.append("</table>")
-    parts.append("<h2>Benchmarks</h2>")
-    if not bench_reports:
-        parts.append("<p>No benchmark files given.</p>")
-    for rep in bench_reports:
-        parts.append(f"<h3>{esc(rep['path'])}</h3>")
-        parts.append(f"<p>Baseline: <code>"
-                     f"{esc(rep['baseline_path'] or 'none found')}"
-                     f"</code></p>")
-        rows = rep["rows"]
-        if rows:
-            parts.append("<table><tr><th>metric</th><th>current</th>"
-                         "<th>baseline</th><th>ratio</th>"
-                         "<th class='cell'>vs baseline</th></tr>")
-            for row in rows:
-                color = "#b00020" if row["regressed"] else "#2e7d32"
-                cls = "bad" if row["regressed"] else "ok"
-                parts.append(
-                    f"<tr><td>{esc(row['metric'])}</td>"
-                    f"<td>{row['current']:.4f}</td>"
-                    f"<td>{row['baseline']:.4f}</td>"
-                    f"<td class='{cls}'>{row['ratio']:.3f}x</td>"
-                    f"<td class='cell'>"
-                    f"{_bar(min(row['ratio'], 2.0) / 2.0, color)}"
-                    f"</td></tr>")
-            parts.append("</table>")
-        elif rep["metrics"]:
-            parts.append("<table><tr><th>metric</th><th>current</th></tr>")
-            for name, value in sorted(rep["metrics"].items()):
-                parts.append(f"<tr><td>{esc(name)}</td>"
-                             f"<td>{value:.4f}</td></tr>")
-            parts.append("</table>")
-    parts.append(f"<p>Regression threshold: {threshold:.0%}</p>")
-    parts.append("</body></html>")
-    return "\n".join(parts)
 
 
 # -- the command --------------------------------------------------------------
@@ -316,72 +223,44 @@ def run_report_command(ns: argparse.Namespace) -> int:
     if ledger_path is not None:
         records, skipped = read_ledger(ledger_path)
 
-    bench_paths = [Path(p) for p in (ns.bench or [])]
-    against = [Path(p) for p in (ns.against or [])]
-    if against and len(against) != len(bench_paths):
-        print(f"error: {len(against)} --against for "
-              f"{len(bench_paths)} --bench (pair them positionally)",
+    bench = [Path(p) for p in ns.bench or []]
+    against = [Path(p) for p in ns.against or []]
+    if len(against) != len(bench):
+        print(f"error: {len(against)} --against for {len(bench)} --bench "
+              f"(pair them positionally)", file=sys.stderr)
+        return 1
+    if ns.check and not bench:
+        print("error: --check needs --bench CHANGE --against PARENT",
               file=sys.stderr)
         return 1
-    baselines_dir = Path(ns.baselines) if ns.baselines \
-        else DEFAULT_BASELINES
-    bench_reports: list[dict] = []
-    for i, bench in enumerate(bench_paths):
+    pairs: list[dict] = []
+    if bench:
         try:
-            data = json.loads(bench.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read bench JSON {bench}: {exc}",
-                  file=sys.stderr)
+            end_to_end = json.loads(
+                BENCHMARK_JSON.read_text(encoding="utf-8"))["end_to_end"]
+            pairs = [compare_files(c, p, end_to_end)
+                     for c, p in zip(bench, against)]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 1
-        metrics = extract_bench_metrics(data, bench.stem)
-        base_path = _resolve_baseline(
-            bench, against[i] if against else None, baselines_dir)
-        rows: list[dict] = []
-        if base_path is not None:
-            try:
-                base_data = json.loads(
-                    base_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                print(f"error: cannot read baseline JSON {base_path}: "
-                      f"{exc}", file=sys.stderr)
-                return 1
-            rows = check_regressions(
-                metrics, extract_bench_metrics(base_data, bench.stem),
-                ns.threshold)
-        bench_reports.append({
-            "path": str(bench),
-            "baseline_path": str(base_path) if base_path else None,
-            "metrics": metrics,
-            "rows": rows,
-        })
 
-    markdown = render_markdown(records, skipped, ledger_path,
-                               bench_reports, ns.threshold, ns.check)
+    lines = ["# repro perf & run report", ""]
+    lines += _ledger_section(records, skipped, ledger_path)
+    for pair in pairs:
+        lines += _pair_section(pair)
+    markdown = "\n".join(lines)
     print(markdown)
     if ns.markdown:
         Path(ns.markdown).parent.mkdir(parents=True, exist_ok=True)
         Path(ns.markdown).write_text(markdown, encoding="utf-8")
         print(f"[markdown -> {ns.markdown}]", file=sys.stderr)
-    if ns.html:
-        dashboard = render_html(records, skipped, ledger_path,
-                                bench_reports, ns.threshold)
-        Path(ns.html).parent.mkdir(parents=True, exist_ok=True)
-        Path(ns.html).write_text(dashboard, encoding="utf-8")
-        print(f"[dashboard -> {ns.html}]", file=sys.stderr)
 
     if ns.check:
-        regressions = [row for rep in bench_reports
-                       for row in rep["rows"] if row["regressed"]]
-        compared = sum(len(rep["rows"]) for rep in bench_reports)
-        try:
-            if regressions:
-                names = ", ".join(r["metric"] for r in regressions)
-                raise PerfRegressionError(
-                    f"{len(regressions)} metric(s) regressed beyond "
-                    f"{ns.threshold:.0%}: {names}")
-        except PerfRegressionError as exc:
-            print(f"REGRESSION: {exc}", file=sys.stderr)
+        problems = [p for pair in pairs for p in pair["problems"]]
+        if problems:
+            for problem in problems:
+                print(f"REGRESSION: {problem}", file=sys.stderr)
             return EXIT_REGRESSION
-        print(f"[check: {compared} metrics within {ns.threshold:.0%} "
-              f"of baseline]", file=sys.stderr)
+        print(f"[check: {len(pairs)} pair(s) within BENCHMARK.json's "
+              f"bounds]", file=sys.stderr)
     return 0

@@ -12,7 +12,7 @@ Regenerates any (or all) of the paper's tables and figures:
     tms-experiments all --quick --stats       # cache/metrics dump on stderr
     tms-experiments table2 --trace out/run    # JSONL + Chrome trace export
     tms-experiments validate --quick          # cost model vs simulator
-    tms-experiments dse --preset paper-cores  # design-space sweep
+    tms-experiments report --check --bench CHANGE --against PARENT
 
 Everything routes through the process :class:`repro.session.Session`;
 set ``REPRO_CACHE_DIR`` to persist compiled artifacts across runs (a
@@ -26,11 +26,10 @@ enables structured event tracing (:mod:`repro.obs.events`) and writes
 ``chrome://tracing`` format) — deterministic for a given seed.  The
 ``validate`` subcommand compares the Section 4.2 cost model against the
 simulator per kernel and reports aggregate MAPE
-(:mod:`repro.experiments.validate`).  The ``dse`` subcommand runs a
-design-space sweep (:mod:`repro.dse`): a preset or TOML/JSON space,
-grid/random/adaptive search, checkpointed to JSONL (``--resume``) and
-reported as versioned JSON + markdown with a Pareto frontier — see
-``docs/dse.md``.
+(:mod:`repro.experiments.validate`).  The ``report`` subcommand renders
+the run ledger and, with ``--check``, gates perfbench result lines of a
+change against its parent by ``BENCHMARK.json``'s bounds
+(:mod:`repro.experiments.report_cli`).
 """
 
 from __future__ import annotations
@@ -92,13 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     val.add_argument("--out", default=None,
                      help="also write the report as JSON (stable schema)")
     _add_obs_flags(val)
-    dse = sub.add_parser(
-        "dse", help="design-space sweep: grid/random/adaptive search over "
-                    "arch/scheduler/workload parameters with Pareto "
-                    "reporting and resumable checkpoints")
-    from ..dse.cli import add_dse_arguments
-    add_dse_arguments(dse)
-    _add_obs_flags(dse)
     chaos = sub.add_parser(
         "chaos", help="seeded fault-injection campaign: squash storms, "
                       "operand-network jitter/loss, flaky spawns — every "
@@ -107,9 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_chaos_arguments(chaos)
     _add_obs_flags(chaos)
     rep = sub.add_parser(
-        "report", help="render the run ledger (REPRO_LEDGER_DIR) and the "
-                       "benchmarks/baselines trajectory as markdown / an "
-                       "HTML dashboard; --check gates on perf regressions")
+        "report", help="render the run ledger (REPRO_LEDGER_DIR) and "
+                       "compare perfbench result lines of a change with "
+                       "its parent's; --check gates on BENCHMARK.json's "
+                       "bounds")
     from .report_cli import add_report_arguments
     add_report_arguments(rep)
     from ..serve.cli import add_serve_arguments, add_submit_arguments
@@ -221,18 +214,6 @@ def _run_validate_command(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _run_dse_command(ns: argparse.Namespace) -> int:
-    from ..dse.cli import run_dse_command
-    _begin_trace(ns.trace)
-    code = run_dse_command(ns)
-    _finish_trace(ns.trace)
-    if ns.stats:
-        _print_stats()
-    from ..session import get_session
-    print(f"[{get_session().report()}]", file=sys.stderr)
-    return code
-
-
 #: the last serve run's request tally, surfaced into its ledger record
 _ledger_extra: dict | None = None
 
@@ -279,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs import enable_spans
         enable_spans(True)
     command = raw[0] if raw and raw[0] in (
-        "compile", "validate", "dse", "chaos", "serve", "submit") \
+        "compile", "validate", "chaos", "serve", "submit") \
         else "suite"
     start = time.perf_counter()
     code = _dispatch(command, raw)
@@ -300,8 +281,6 @@ def _dispatch(command: str, raw: list[str]) -> int:
                                    policy=ns.policy)
     if command == "validate":
         return _run_validate_command(_build_parser().parse_args(raw))
-    if command == "dse":
-        return _run_dse_command(_build_parser().parse_args(raw))
     if command == "chaos":
         return _run_chaos_command(_build_parser().parse_args(raw))
     if command == "serve":

@@ -33,7 +33,7 @@ __all__ = [
 #: Categories the instrumented layers emit.  Anything else (a plugin, a
 #: future layer, a hand-built event) still renders — it lands in the
 #: shared ``other`` lane instead of being dropped.
-KNOWN_CATS: tuple[str, ...] = ("sched", "sim", "dse")
+KNOWN_CATS: tuple[str, ...] = ("sched", "sim")
 
 #: Lane name unknown categories are grouped under.
 OTHER_LANE = "other"

@@ -1,14 +1,13 @@
 """The run ledger: an append-only JSONL history of CLI invocations.
 
 When ``REPRO_LEDGER_DIR`` is set, every ``tms-experiments`` command
-(``compile``, ``validate``, ``dse``, ``chaos``, ``all``, ...) and the
-standalone benchmark drivers append one schema-versioned record to
+(``compile``, ``validate``, ``chaos``, ``serve``, ``all``, ...) and
+``benchmarks/bench_serve.py`` append one schema-versioned record to
 ``$REPRO_LEDGER_DIR/ledger.jsonl``: what ran (command, argv, package
 version, a config fingerprint), how it went (exit code, wall seconds),
 and what it did (the registry's deterministic metric totals plus a
 per-name span roll-up).  ``tms-experiments report`` renders the ledger
-and the ``benchmarks/baselines/*.json`` trajectory as markdown / an HTML
-dashboard, and ``report --check`` turns it into a CI perf gate.
+as markdown.
 
 Design rules:
 
@@ -25,7 +24,7 @@ Design rules:
   them) instead of raising.
 * **Records are self-describing.**  ``schema_version`` gates every
   consumer; :func:`validate_ledger_record_dict` is the golden-schema
-  gate CI pins.
+  gate, pinned by the fixture ``benchmarks/baselines/ledger_seed.jsonl``.
 """
 
 from __future__ import annotations
@@ -225,6 +224,6 @@ def read_ledger(path: str | os.PathLike
 def validate_ledger_record_dict(data: dict[str, Any]) -> None:
     """Check ``data`` against :data:`LEDGER_SCHEMA`; raises ``ValueError``
     on a missing key, mistyped value or unsupported schema version (the
-    golden-schema gate in CI)."""
+    golden-schema gate)."""
     check_versioned(data, LEDGER_SCHEMA, SCHEMA_VERSION, lists=("spans",),
                     label="ledger record")

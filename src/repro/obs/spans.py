@@ -2,8 +2,8 @@
 
 A :class:`SpanTracer` records one :class:`Span` per instrumented region —
 ``span("compile.tms", kernel=...)`` context managers wired through the
-session layer, the sweep engine, the degradation ladder, the placement
-engine and the simulator.  Each span carries:
+session layer, the degradation ladder, the placement engine and the
+simulator.  Each span carries:
 
 * a deterministic integer ``id`` (assigned in open order) and its
   parent's id, so the spans form a tree;

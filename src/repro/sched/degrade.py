@@ -14,9 +14,9 @@ degradation chain the pipeline routes through:
    succeeds.
 
 ``SchedulerConfig.policy`` names the chain's first rung (one of
-:data:`repro.config.KNOWN_POLICIES`), so the same driver sweeps the
-baseline schedulers by config alone — the ``sched.policy`` DSE dimension
-and the ``--policy`` CLI flag ride on this.  Every schedule the chain
+:data:`repro.config.KNOWN_POLICIES`), so the same driver runs the
+baseline schedulers by config alone — the ``--policy`` CLI flag rides on
+this.  Every schedule the chain
 returns carries ``meta["policy"]`` naming the rung that actually
 produced it.
 

@@ -24,10 +24,13 @@ Connections are HTTP/1.1 and stay open between requests.  Each
 response leaves in one send (status line, headers and body together)
 with Nagle's algorithm off: a response written in two sends would hold
 its second part until the client's delayed ACK of the first, some 40 ms
-on a kept-alive connection.  A response carries ``Connection: close``
-and ends its connection when it is a 4xx (the request body may be left
-unread, and its bytes must not be parsed as the next request) or when
-the broker is draining (the daemon takes no further requests).
+on a kept-alive connection.  Every error reply is the JSON error
+envelope, those the HTTP layer makes before any route runs (501, 505, a
+malformed request line) included.  A response carries
+``Connection: close`` and ends its connection when it is an error reply
+(the request body may be left unread, and its bytes must not be parsed
+as the next request) or when the broker is draining (the daemon takes
+no further requests).
 
 Shutdown discipline: SIGTERM/SIGINT (and ``/shutdown``) first flip the
 broker to *draining* — new submissions get typed ``draining``
@@ -60,6 +63,10 @@ MAX_BODY_BYTES = 1 << 20
 #: seconds a stopping daemon waits for its connection handlers to close
 #: their connections once it has stopped reading from them
 _CLOSE_TIMEOUT = 5.0
+
+#: seconds between the listener's checks for a stop request; a stop
+#: waits up to this long for ``serve_forever`` to return
+_POLL_INTERVAL = 0.05
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -99,19 +106,29 @@ class _Handler(BaseHTTPRequestHandler):
         self._headers_buffer.extend((b"\r\n", body))
         self.flush_headers()
 
-    def _client_error(self, status: int, message: str) -> None:
-        self._send_json(status, {"protocol_version": PROTOCOL_VERSION,
-                                 "status": "error", "error": message})
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """Every error reply, the ones ``BaseHTTPRequestHandler`` makes
+        itself included (501 for an unsupported method, 400 for a
+        malformed request line, 414, 431, 505): the JSON error envelope,
+        ending the connection."""
+        # a request line that failed to parse leaves the HTTP/0.9
+        # default, under which no status line or header is written
+        self.request_version = self.protocol_version
+        self._send_json(code, {"protocol_version": PROTOCOL_VERSION,
+                               "status": "error",
+                               "error": message or self.responses[code][0]},
+                        close=True)
 
     def _read_body(self) -> bytes | None:
         length = self.headers.get("Content-Length")
         try:
             n = int(length) if length is not None else 0
         except ValueError:
-            self._client_error(400, "malformed Content-Length")
+            self.send_error(400, "malformed Content-Length")
             return None
         if n <= 0:
-            self._client_error(400, "request body required")
+            self.send_error(400, "request body required")
             return None
         cap = self.daemon.max_body_bytes
         if n > cap:
@@ -137,7 +154,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/stats":
             self._send_json(200, self.daemon.broker.stats())
         else:
-            self._client_error(404, f"unknown path {path!r}")
+            self.send_error(404, f"unknown path {path!r}")
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
         path = self.path.split("?", 1)[0]
@@ -149,7 +166,7 @@ class _Handler(BaseHTTPRequestHandler):
                             close=True)
             self.daemon.request_stop("shutdown request")
         else:
-            self._client_error(404, f"unknown path {path!r}")
+            self.send_error(404, f"unknown path {path!r}")
 
     def _do_submit(self) -> None:
         body = self._read_body()
@@ -158,12 +175,12 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._client_error(400, f"request body is not valid JSON: {exc}")
+            self.send_error(400, f"request body is not valid JSON: {exc}")
             return
         try:
             response, served = self.daemon.broker.submit(payload)
         except ProtocolError as exc:
-            self._client_error(400, str(exc))
+            self.send_error(400, str(exc))
             return
         status = 200
         if response["status"] == "rejected":
@@ -273,7 +290,8 @@ class ServeDaemon:
         """Start the broker and the HTTP listener in the background."""
         self.broker.start()
         self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="serve-http", daemon=True)
+            target=self._httpd.serve_forever, args=(_POLL_INTERVAL,),
+            name="serve-http", daemon=True)
         self._serve_thread.start()
         return self
 

@@ -38,7 +38,7 @@ Quickstart::
 from __future__ import annotations
 
 from .cache import ArtifactCache, CacheStats
-from .fingerprint import artifact_key, fingerprint, trial_key
+from .fingerprint import artifact_key, fingerprint
 from .runner import ParallelRunner, TaskResult, resolve_jobs
 from .session import Session, SessionStats, get_session, reset_session, set_session
 
@@ -55,5 +55,4 @@ __all__ = [
     "reset_session",
     "resolve_jobs",
     "set_session",
-    "trial_key",
 ]

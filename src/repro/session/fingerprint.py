@@ -30,7 +30,7 @@ from ..ir.serialize import loop_to_dict
 from ..machine.latency import LatencyModel
 from ..machine.resources import ResourceModel
 
-__all__ = ["artifact_key", "fingerprint", "fingerprint_payload", "trial_key"]
+__all__ = ["artifact_key", "fingerprint", "fingerprint_payload"]
 
 
 def _canonical(obj: Any) -> Any:
@@ -121,23 +121,4 @@ def artifact_key(source: Loop | DDG,
         "resources": resources,
         "config": config,
         "latency": latency,
-    })
-
-
-def trial_key(spec: Any) -> str:
-    """Cache key of one design-space-exploration trial evaluation.
-
-    ``spec`` is a :class:`repro.dse.trial.TrialSpec` (or any dataclass
-    capturing everything that determines a trial's result: configs,
-    workload recipe, trip count, seed).  Like :func:`artifact_key`, the
-    key embeds the library version so persisted trial results are never
-    served across builds, and a ``kind`` tag so trial entries can never
-    collide with compile artifacts.
-    """
-    from .. import __version__
-
-    return fingerprint({
-        "version": __version__,
-        "kind": "dse-trial",
-        "trial": spec,
     })

@@ -12,7 +12,7 @@ from .motivating import (
     motivating_latency,
 )
 from .memprofile import profile_memory_dependences
-from .generator import LoopShape, SyntheticLoopGenerator, generate_population
+from .generator import LoopShape, SyntheticLoopGenerator
 from .specfp import (
     BenchmarkSpec,
     SPECFP_BENCHMARKS,
@@ -34,7 +34,6 @@ __all__ = [
     "benchmark_by_name",
     "kernel_by_name",
     "generate_benchmark_loops",
-    "generate_population",
     "motivating_ddg",
     "motivating_latency",
     "motivating_loop",

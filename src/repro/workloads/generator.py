@@ -37,7 +37,7 @@ from ..ir.loop import Loop
 from ..ir.opcode import Opcode
 from ..ir.operand import Reg
 
-__all__ = ["LoopShape", "SyntheticLoopGenerator", "generate_population"]
+__all__ = ["LoopShape", "SyntheticLoopGenerator"]
 
 #: arithmetic opcodes (latency under the default model in parentheses)
 _ARITH_LIGHT = (Opcode.FADD, Opcode.FSUB)          # 2 cycles
@@ -289,19 +289,3 @@ class SyntheticLoopGenerator:
         if counters and u < 0.7:
             return Reg(counters[int(self.rng.integers(len(counters)))])
         return float(np.round(self.rng.uniform(0.25, 2.0), 3))
-
-
-def generate_population(shape: LoopShape, n: int, seed: int,
-                        prefix: str = "syn") -> list[Loop]:
-    """``n`` loops of one shape, each from its own derived seed.
-
-    The per-loop seed is ``seed + 7919 * index`` (the same derivation
-    :func:`repro.workloads.specfp.generate_benchmark_loops` uses), so a
-    population is fully determined by ``(shape, n, seed)`` — the
-    end-to-end reproducibility contract behind the experiments CLI's
-    ``--seed`` option and the DSE synthetic-workload sweeps.
-    """
-    if n < 1:
-        raise WorkloadError(f"population size must be >= 1, got {n}")
-    return [SyntheticLoopGenerator(shape, seed=seed + 7919 * i)
-            .generate(f"{prefix}{i}") for i in range(n)]

@@ -1,19 +1,28 @@
-"""``tms-experiments report``: rendering and the perf-regression gate."""
+"""``tms-experiments report``: the ledger rendering and the perfbench gate."""
 
 from __future__ import annotations
 
 import argparse
 import json
 
+import pytest
+
 from repro.experiments.report_cli import (
+    BENCHMARK_JSON,
     EXIT_REGRESSION,
     add_report_arguments,
-    check_regressions,
-    extract_bench_metrics,
+    compare_runs,
     run_report_command,
 )
 from repro.experiments.runner import main
 from repro.obs.ledger import LEDGER_FILENAME, append_run_record
+
+END_TO_END = json.loads(BENCHMARK_JSON.read_text())["end_to_end"]
+SPEC = {m["name"]: m for m in END_TO_END}
+
+#: every metric's parent value; binary-exact, so a value at the bound
+#: lands on it exactly
+BASE = 8.0
 
 
 def parse(argv: list[str]) -> argparse.Namespace:
@@ -22,143 +31,200 @@ def parse(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-BENCH_SCHED_SHAPE = {
-    "total_seconds": 2.0,
-    "per_kernel_seconds": {"art_loop0": 1.2, "art_loop1": 0.8},
-    "repeats": 1,
-}
-
-PYTEST_BENCHMARK_SHAPE = {
-    "benchmarks": [
-        {"name": "test_table1", "stats": {"mean": 0.5, "rounds": 3}},
-        {"name": "test_table2", "stats": {"mean": 0.25}},
-        "not-a-dict",
-        {"name": "no_stats"},
-    ],
-}
+def result_line(correct: bool = True, attempted: int = 100, failed: int = 0,
+                **values: float) -> dict:
+    """A perfbench result line with every end-to-end metric at ``BASE``
+    except those named in ``values``."""
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {name: {"value": values.get(name, BASE),
+                               "unit": spec["unit"]}
+                        for name, spec in SPEC.items()}}
 
 
-class TestExtraction:
-    def test_bench_sched_shape(self):
-        metrics = extract_bench_metrics(BENCH_SCHED_SHAPE, "bench-sched")
-        assert metrics == {"bench-sched.total_seconds": 2.0}
+def write_runs(path, *runs: dict):
+    path.write_text("".join(json.dumps(run) + "\n" for run in runs))
+    return path
 
-    def test_pytest_benchmark_shape(self):
-        metrics = extract_bench_metrics(PYTEST_BENCHMARK_SHAPE, "t1")
-        assert metrics == {"t1.test_table1.mean_seconds": 0.5,
-                           "t1.test_table2.mean_seconds": 0.25}
 
-    def test_unknown_shape_yields_nothing(self):
-        assert extract_bench_metrics({"hello": "world"}, "x") == {}
+def check(tmp_path, change: list[dict], parent: list[dict]) -> int:
+    c = write_runs(tmp_path / "change.jsonl", *change)
+    p = write_runs(tmp_path / "parent.jsonl", *parent)
+    return run_report_command(parse(
+        ["--bench", str(c), "--against", str(p), "--check"]))
+
+
+def at_bound(name: str, factor: float = 1.0) -> float:
+    """``name``'s value worse than ``BASE`` by ``factor`` times its bound."""
+    sign = 1.0 if SPEC[name]["better"] == "lower" else -1.0
+    return BASE * (1.0 + sign * factor * SPEC[name]["bound"])
+
+
+def regressed(change: list[dict], parent: list[dict]) -> list[str]:
+    return [row["metric"] for row in compare_runs(change, parent, END_TO_END)
+            if row["regressed"]]
 
 
 class TestCheckMath:
     def test_threshold_boundary(self):
-        rows = check_regressions({"m": 1.10}, {"m": 1.0}, threshold=0.10)
-        assert rows[0]["regressed"] is False  # exactly at the limit
-        rows = check_regressions({"m": 1.11}, {"m": 1.0}, threshold=0.10)
-        assert rows[0]["regressed"] is True
+        for name in ("op_ms_p50", "ops_per_s"):
+            at = result_line(**{name: at_bound(name)})
+            assert regressed([at], [result_line()]) == []
+            over = result_line(**{name: at_bound(name, 1.001)})
+            assert regressed([over], [result_line()]) == [name]
+        assert at_bound("op_ms_p50") == 10.0  # the bound lands exactly
+        assert at_bound("ops_per_s") == 6.0
 
     def test_improvement_never_regresses(self):
-        rows = check_regressions({"m": 0.5}, {"m": 1.0}, threshold=0.0)
-        assert rows[0]["ratio"] == 0.5
-        assert not rows[0]["regressed"]
+        better = result_line(**{name: at_bound(name, -2.0) for name in SPEC})
+        rows = compare_runs([better], [result_line()], END_TO_END)
+        assert all(row["worse_by"] < 0 and not row["regressed"]
+                   for row in rows)
 
-    def test_only_shared_metrics_compared(self):
-        rows = check_regressions({"a": 1.0, "b": 1.0}, {"b": 1.0, "c": 1.0},
-                                 threshold=0.1)
-        assert [r["metric"] for r in rows] == ["b"]
+    def test_ops_per_s_is_higher_is_better(self):
+        assert SPEC["ops_per_s"]["better"] == "higher"
+        assert regressed([result_line(ops_per_s=2 * BASE)],
+                         [result_line()]) == []
+        assert regressed([result_line(ops_per_s=0.7 * BASE)],
+                         [result_line()]) == ["ops_per_s"]
+
+    def test_every_end_to_end_metric_is_gated(self):
+        worse = result_line(**{name: at_bound(name, 1.1) for name in SPEC})
+        assert regressed([worse], [result_line()]) == list(SPEC)
+
+    def test_medians_not_single_runs_are_compared(self):
+        clean, outlier = result_line(), result_line(op_ms_p90=100 * BASE)
+        parent = [clean] * 3
+        assert regressed([outlier, clean, clean, clean, outlier],
+                         parent) == []
+        assert regressed([clean, outlier, outlier, outlier, clean],
+                         parent) == ["op_ms_p90"]
+        fast = result_line(op_ms_p90=BASE / 100)
+        assert regressed([clean], [fast, clean, clean, clean, fast]) == []
 
     def test_zero_baseline_handled(self):
-        rows = check_regressions({"m": 0.1}, {"m": 0.0}, threshold=0.1)
-        assert rows[0]["ratio"] == float("inf")
-        assert rows[0]["regressed"]
+        parent = [result_line(op_ms_p50=0.0)]
+        rows = {row["metric"]: row for row in compare_runs(
+            [result_line()], parent, END_TO_END)}
+        assert rows["op_ms_p50"]["worse_by"] == float("inf")
+        assert rows["op_ms_p50"]["regressed"]
+        assert regressed(parent, parent) == []
 
 
 class TestRunReportCommand:
-    def _write_pair(self, tmp_path, factor: float):
-        """A current bench JSON scaled ``factor``x over its baseline."""
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(BENCH_SCHED_SHAPE))
-        scaled = dict(BENCH_SCHED_SHAPE,
-                      total_seconds=BENCH_SCHED_SHAPE["total_seconds"]
-                      * factor)
-        current = tmp_path / "bench-sched.json"
-        current.write_text(json.dumps(scaled))
-        return current, baseline
-
     def test_clean_check_exits_zero(self, tmp_path, capsys):
-        current, baseline = self._write_pair(tmp_path, factor=1.05)
-        code = run_report_command(parse(
-            ["--bench", str(current), "--against", str(baseline),
-             "--check", "--threshold", "0.10"]))
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "ok" in captured.out
-        assert "metrics within 10%" in captured.err
+        runs = [result_line(), result_line(), result_line()]
+        assert check(tmp_path, runs, runs) == 0
+        err = capsys.readouterr().err
+        assert "REGRESSION" not in err
+        assert "1 pair(s) within BENCHMARK.json's bounds" in err
 
     def test_synthetic_regression_exits_typed_code(self, tmp_path, capsys):
-        current, baseline = self._write_pair(tmp_path, factor=1.20)
-        code = run_report_command(parse(
-            ["--bench", str(current), "--against", str(baseline),
-             "--check", "--threshold", "0.10"]))
-        assert code == EXIT_REGRESSION == 3
+        assert SPEC["op_ms_p50"]["better"] == "lower"
+        worse = result_line(op_ms_p50=at_bound("op_ms_p50", 1.001))
+        assert check(tmp_path, [worse], [result_line()]) == EXIT_REGRESSION
         captured = capsys.readouterr()
         assert "**REGRESSED**" in captured.out
-        assert "REGRESSION:" in captured.err
-        assert "bench-sched.total_seconds" in captured.err
+        [line] = [ln for ln in captured.err.splitlines()
+                  if ln.startswith("REGRESSION:")]
+        assert str(tmp_path / "change.jsonl") in line
+        assert "op_ms_p50" in line
+
+    def test_incorrect_line_fails(self, tmp_path, capsys):
+        change = [result_line(), result_line(correct=False)]
+        assert check(tmp_path, change, [result_line()]) == EXIT_REGRESSION
+        assert "change.jsonl: run 2 is not correct" in capsys.readouterr().err
+        parent = [result_line(correct=False)]
+        assert check(tmp_path, [result_line()], parent) == EXIT_REGRESSION
+
+    def test_larger_failed_share_fails(self, tmp_path, capsys):
+        parent = [result_line(attempted=100, failed=1)]
+        same = [result_line(attempted=200, failed=2)]
+        assert check(tmp_path, same, parent) == 0
+        more = [result_line(attempted=200, failed=3)]
+        assert check(tmp_path, more, parent) == EXIT_REGRESSION
+        assert "3 of 200 ops failed against 1 of 100" in \
+            capsys.readouterr().err
+
+    def test_printed_bounds_are_benchmark_json_bounds(self, tmp_path,
+                                                      capsys):
+        c = write_runs(tmp_path / "c.jsonl", result_line())
+        assert run_report_command(parse(
+            ["--bench", str(c), "--against", str(c)])) == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if cells[0] in SPEC:
+                rows[cells[0]] = (cells[1], float(cells[2]))
+        assert rows == {name: (spec["better"], spec["bound"])
+                        for name, spec in SPEC.items()}
 
     def test_no_check_reports_without_gating(self, tmp_path, capsys):
-        current, baseline = self._write_pair(tmp_path, factor=2.0)
-        code = run_report_command(parse(
-            ["--bench", str(current), "--against", str(baseline)]))
-        assert code == 0  # regression shown but not gated
+        c = write_runs(tmp_path / "c.jsonl",
+                       result_line(ops_per_s=BASE / 4))
+        p = write_runs(tmp_path / "p.jsonl", result_line())
+        assert run_report_command(parse(
+            ["--bench", str(c), "--against", str(p)])) == 0
         assert "**REGRESSED**" in capsys.readouterr().out
 
     def test_against_count_mismatch_is_usage_error(self, tmp_path, capsys):
-        current, baseline = self._write_pair(tmp_path, factor=1.0)
+        c = write_runs(tmp_path / "c.jsonl", result_line())
         code = run_report_command(parse(
-            ["--bench", str(current), "--bench", str(baseline),
-             "--against", str(baseline)]))
+            ["--bench", str(c), "--bench", str(c), "--against", str(c)]))
         assert code == 1
         assert "pair them positionally" in capsys.readouterr().err
 
+    def test_check_without_bench_is_usage_error(self, capsys):
+        assert run_report_command(parse(["--check"])) == 1
+        assert "--check needs --bench" in capsys.readouterr().err
+
     def test_unreadable_bench_is_an_error(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.jsonl")
         code = run_report_command(parse(
-            ["--bench", str(tmp_path / "absent.json")]))
+            ["--bench", absent, "--against", absent, "--check"]))
         assert code == 1
-        assert "cannot read bench JSON" in capsys.readouterr().err
+        assert "absent.jsonl" in capsys.readouterr().err
 
-    def test_baseline_resolved_from_baselines_dir(self, tmp_path):
-        basedir = tmp_path / "baselines"
-        basedir.mkdir()
-        (basedir / "bench-sched_seed.json").write_text(
-            json.dumps(BENCH_SCHED_SHAPE))
-        current = tmp_path / "bench-sched.json"
-        current.write_text(json.dumps(
-            dict(BENCH_SCHED_SHAPE, total_seconds=3.0)))
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "not json\n", "[1, 2]\n",
+        json.dumps({"correct": True, "metrics": {}}) + "\n",
+    ], ids=["empty", "blank", "not-json", "not-object", "missing-keys"])
+    def test_malformed_files_are_errors(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        good = write_runs(tmp_path / "good.jsonl", result_line())
         code = run_report_command(parse(
-            ["--bench", str(current), "--baselines", str(basedir),
-             "--check", "--threshold", "0.10"]))
-        assert code == EXIT_REGRESSION
+            ["--bench", str(bad), "--against", str(good), "--check"]))
+        assert code == 1
+        assert "bad.jsonl" in capsys.readouterr().err
 
-    def test_markdown_and_html_outputs(self, tmp_path, monkeypatch):
+    def test_traced_line_is_rejected(self, tmp_path, capsys):
+        traced = {"correct": True, "attempted": 100, "failed": 0,
+                  "metrics": {"sched.tms_s": {"value": 0.1, "unit": "s"}}}
+        bad = write_runs(tmp_path / "traced.jsonl", traced)
+        code = run_report_command(parse(
+            ["--bench", str(bad), "--against", str(bad), "--check"]))
+        assert code == 1
+        assert "traced run" in capsys.readouterr().err
+
+    def test_blank_lines_skipped(self, tmp_path):
+        c = tmp_path / "c.jsonl"
+        c.write_text("\n" + json.dumps(result_line()) + "\n\n")
+        assert run_report_command(parse(
+            ["--bench", str(c), "--against", str(c), "--check"])) == 0
+
+    def test_markdown_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "ledger"))
         append_run_record("compile", ["--stats"], duration_seconds=0.5)
-        current, baseline = self._write_pair(tmp_path, factor=1.0)
+        c = write_runs(tmp_path / "c.jsonl", result_line())
         md = tmp_path / "out" / "report.md"
-        dashboard = tmp_path / "out" / "dash.html"
         code = run_report_command(parse(
-            ["--bench", str(current), "--against", str(baseline),
-             "--markdown", str(md), "--html", str(dashboard)]))
+            ["--bench", str(c), "--against", str(c),
+             "--markdown", str(md)]))
         assert code == 0
         text = md.read_text()
         assert "# repro perf & run report" in text
         assert "| compile " in text  # the ledger row made it in
-        page = dashboard.read_text()
-        assert page.startswith("<!DOCTYPE html>")
-        assert "<script" not in page  # self-contained, no JS
-        assert "bench-sched.total_seconds" in page
+        assert f"## perfbench: `{c}` against `{c}`" in text
 
     def test_corrupt_ledger_lines_reported_not_fatal(self, tmp_path,
                                                      capsys):
@@ -175,9 +241,19 @@ class TestCliWiring:
     def test_report_subcommand_reachable_from_main(self, tmp_path, capsys,
                                                    monkeypatch):
         monkeypatch.delenv("REPRO_LEDGER_DIR", raising=False)
-        bench = tmp_path / "b.json"
-        bench.write_text(json.dumps(BENCH_SCHED_SHAPE))
-        code = main(["report", "--bench", str(bench),
-                     "--against", str(bench), "--check"])
+        c = write_runs(tmp_path / "c.jsonl", result_line())
+        code = main(["report", "--bench", str(c), "--against", str(c),
+                     "--check"])
         assert code == 0
         assert "Run ledger" in capsys.readouterr().out
+
+    def test_regression_exit_code_reaches_main(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.delenv("REPRO_LEDGER_DIR", raising=False)
+        c = write_runs(tmp_path / "c.jsonl",
+                       result_line(ops_per_s=0.7 * BASE))
+        p = write_runs(tmp_path / "p.jsonl", result_line())
+        code = main(["report", "--bench", str(c), "--against", str(p),
+                     "--check"])
+        assert code == EXIT_REGRESSION == 3
+        assert f"{c}: ops_per_s worse by 0.300" in capsys.readouterr().err

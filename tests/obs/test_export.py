@@ -104,7 +104,6 @@ def test_format_trace_counts_every_event():
 
 def test_format_trace_known_lane_order():
     t = Tracer(enabled=True)
-    t.emit("dse", "trial")
     t.emit("sim", "commit")
     t.emit("sched", "place")
     lanes = [line.split()[0] for line in format_trace(t.events).splitlines()]

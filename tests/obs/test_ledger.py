@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,10 @@ from repro.obs.ledger import (
     read_ledger,
     validate_ledger_record_dict,
 )
+
+#: the committed ledger fixture: every line must pass the schema gate
+SEED_LEDGER = (Path(__file__).resolve().parents[2] / "benchmarks"
+               / "baselines" / "ledger_seed.jsonl")
 
 
 def valid_record(**overrides) -> dict:
@@ -103,6 +108,10 @@ class TestGoldenSchemaGate:
             validate_ledger_record_dict(valid_record(spans={"name": "x"}))
         with pytest.raises(ValueError, match=r"spans\[0\]"):
             validate_ledger_record_dict(valid_record(spans=["oops"]))
+
+    def test_seed_ledger_fixture_reads_whole(self):
+        records, skipped = read_ledger(SEED_LEDGER)
+        assert records and skipped == 0, (len(records), skipped)
 
 
 class TestAppend:

@@ -8,6 +8,7 @@ import json
 import socket
 import sys
 import threading
+import time
 
 import pytest
 
@@ -126,21 +127,21 @@ def test_healthz_carries_state_and_version(daemon):
 def test_oversized_bodies_get_http_413(registry, span_tracer):
     d = ServeDaemon(port=0, broker=None, max_body_bytes=64).start()
     try:
-        client = ServeClient("127.0.0.1", d.port, timeout=30.0)
-        assert wait_ready(client, timeout=15.0)
-        import json
-        body = json.dumps(_req().to_dict()).encode("utf-8")
-        assert len(body) > 64
-        status, headers, raw = client._round_trip("POST", "/submit", body)
-        assert status == 413
-        assert headers["x-repro-served"] == "rejected"
-        payload = json.loads(raw)
-        assert "exceeds the 64-byte limit" in payload["error"]
-        # the typed client surfaces the refusal as a protocol error
-        with pytest.raises(ProtocolError, match="64-byte limit"):
-            client.submit(_req())
-        # undersized requests still work: the daemon is not poisoned
-        assert client.healthz()["status"] == "ok"
+        with ServeClient("127.0.0.1", d.port, timeout=30.0) as client:
+            assert wait_ready(client, timeout=15.0)
+            body = json.dumps(_req().to_dict()).encode("utf-8")
+            assert len(body) > 64
+            status, headers, raw = client._round_trip("POST", "/submit",
+                                                      body)
+            assert status == 413
+            assert headers["x-repro-served"] == "rejected"
+            payload = json.loads(raw)
+            assert "exceeds the 64-byte limit" in payload["error"]
+            # the typed client surfaces the refusal as a protocol error
+            with pytest.raises(ProtocolError, match="64-byte limit"):
+                client.submit(_req())
+            # undersized requests still work: the daemon is not poisoned
+            assert client.healthz()["status"] == "ok"
     finally:
         d.stop(drain_timeout=10.0)
 
@@ -269,16 +270,23 @@ def _closed_by_peer(sock):
         return True
 
 
-@pytest.mark.parametrize("request_bytes, status", [
-    (_post("/nope", b"{}"), 404),
-    (_post("/submit", b"{" * 100), 413),
+@pytest.mark.parametrize("request_bytes, status, error", [
+    (_post("/nope", b"{}"), 404, "unknown path '/nope'"),
+    (_post("/submit", b"{" * 100), 413, "exceeds the 64-byte limit"),
     (b"POST /submit HTTP/1.1\r\nHost: t\r\nContent-Length: ten\r\n\r\n"
-     b"{}", 400),
-], ids=["unknown-path", "oversized", "malformed-length"])
+     b"{}", 400, "malformed Content-Length"),
+    (b"PUT /submit HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n{}",
+     501, "Unsupported method ('PUT')"),
+    (b"GARBAGE\r\n\r\n", 400, "Bad request syntax ('GARBAGE')"),
+], ids=["unknown-path", "oversized", "malformed-length", "unsupported-method",
+        "garbage-request-line"])
 def test_client_errors_close_kept_alive_connections(registry, span_tracer,
-                                                    request_bytes, status):
-    """Each of these leaves the request body unread: parsed as the next
-    request, it would answer garbage, so the daemon closes instead."""
+                                                    request_bytes, status,
+                                                    error):
+    """Each of these may leave request bytes unread: parsed as the next
+    request, they would answer garbage, so the daemon closes instead.
+    Errors the HTTP layer answers before any route runs carry a status
+    line and the JSON error envelope too."""
     d = ServeDaemon(port=0, max_body_bytes=64).start()
     try:
         with socket.create_connection(("127.0.0.1", d.port),
@@ -288,13 +296,28 @@ def test_client_errors_close_kept_alive_connections(registry, span_tracer,
             assert resp.status == 200 and not resp.will_close
             resp, body = _exchange(sock, request_bytes)
             assert resp.status == status
+            assert resp.getheader("Content-Type") == "application/json"
             assert resp.getheader("Connection") == "close"
-            assert json.loads(body)["status"] == "error"
+            payload = json.loads(body)
+            assert set(payload) == {"protocol_version", "status", "error"}
+            assert payload["status"] == "error"
+            assert error in payload["error"]
             assert _closed_by_peer(sock)
         with ServeClient("127.0.0.1", d.port, timeout=10.0) as client:
             assert client.healthz()["status"] == "ok"
     finally:
         d.stop(drain_timeout=10.0)
+
+
+def test_stop_on_an_idle_daemon_is_quick(registry, span_tracer):
+    """The listener checks for a stop request often, so stopping does not
+    wait out a long poll."""
+    d = ServeDaemon(port=0).start()
+    with ServeClient("127.0.0.1", d.port, timeout=10.0) as client:
+        assert wait_ready(client, timeout=15.0)
+    start = time.perf_counter()
+    assert d.stop(drain_timeout=10.0)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("path, expected", [
@@ -423,9 +446,10 @@ def test_serve_and_direct_execution_are_equivalent():
         daemon = ServeDaemon(
             port=0, broker=RequestBroker(session=serve_session)).start()
         try:
-            client = ServeClient("127.0.0.1", daemon.port, timeout=60.0)
-            assert wait_ready(client, timeout=15.0)
-            outcome = client.submit(req)
+            with ServeClient("127.0.0.1", daemon.port,
+                             timeout=60.0) as client:
+                assert wait_ready(client, timeout=15.0)
+                outcome = client.submit(req)
         finally:
             daemon.stop(drain_timeout=10.0)
         serve_tree = span_tree(tr_serve.spans, normalize=True)

@@ -80,25 +80,3 @@ def test_invalid_shapes():
         LoopShape(n_instr=10, spec_probability=2.0)
     with pytest.raises(WorkloadError):
         LoopShape(n_instr=10, mul_fraction=-0.1)
-
-
-def test_generate_population_is_seed_deterministic():
-    from repro.session.fingerprint import fingerprint
-    from repro.workloads import generate_population
-    shape = LoopShape(n_instr=12, n_spec_deps=1)
-    a = generate_population(shape, 3, seed=11)
-    b = generate_population(shape, 3, seed=11)
-    assert [l.name for l in a] == ["syn0", "syn1", "syn2"]
-    assert [fingerprint(l) for l in a] == [fingerprint(l) for l in b]
-    c = generate_population(shape, 3, seed=12)
-    assert [fingerprint(l) for l in c] != [fingerprint(l) for l in a]
-    # loops within one population are distinct (derived per-loop seeds)
-    assert len({fingerprint(l) for l in a}) == 3
-    for loop in a:
-        validate_loop(loop)
-
-
-def test_generate_population_rejects_empty():
-    from repro.workloads import generate_population
-    with pytest.raises(WorkloadError):
-        generate_population(LoopShape(n_instr=8), 0, seed=1)
