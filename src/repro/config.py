@@ -12,8 +12,7 @@ count, operand-network latency, and cache behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, replace
 
 from .errors import MachineError
 
@@ -60,11 +59,6 @@ class ArchConfig:
         ``C_inv`` — cycles to squash a misspeculated thread: gang-clear MDT
         and L1 bits, flush send/receive queues and the write buffer
         (paper: 15).
-    write_buffer_entries:
-        Speculative write buffer capacity per core (paper: 64, Hydra-style).
-    mdt_entries:
-        Memory disambiguation table capacity (entries tracked between L1 and
-        L2).  0 means unbounded.
     """
 
     ncore: int = 4
@@ -78,8 +72,6 @@ class ArchConfig:
     spawn_overhead: float = 3
     commit_overhead: int = 2
     invalidation_overhead: int = 15
-    write_buffer_entries: int = 64
-    mdt_entries: int = 0
 
     def __post_init__(self) -> None:
         if self.ncore < 1:
@@ -163,17 +155,6 @@ class SchedulerConfig:
         dependences instead of speculating them (the Section 5.2 ablation:
         every memory dependence must be preserved, i.e. treated like a
         register dependence for C1 purposes).
-    include_reg_anti_deps:
-        Include register anti/output dependences in the DDG.  Off by
-        default: the schedulers assume virtual registers are renamed by the
-        post-pass (modulo variable expansion), matching GCC's SMS.
-    max_schedule_seconds:
-        Wall-clock watchdog on one TMS ``(II, C_delay)`` search.  ``None``
-        (the default) disables the watchdog; when set, a search that
-        exceeds the budget raises
-        :class:`~repro.errors.SchedulingBudgetExceeded`, which
-        :func:`repro.sched.degrade.schedule_with_degradation` turns into a
-        TMS -> SMS -> sequential fallback instead of a hang.
     policy:
         First rung of the degradation chain (one of
         :data:`KNOWN_POLICIES`): ``"tms"`` (the default) runs the full
@@ -189,8 +170,6 @@ class SchedulerConfig:
     max_candidates: int = 4000
     budget_ratio_ii: int = 3
     speculation: bool = True
-    include_reg_anti_deps: bool = False
-    max_schedule_seconds: float | None = None
     policy: str = "tms"
 
     def __post_init__(self) -> None:
@@ -204,9 +183,6 @@ class SchedulerConfig:
             raise MachineError("max_ii_factor must be >= 1.0")
         if self.max_candidates < 1:
             raise MachineError("max_candidates must be >= 1")
-        if self.max_schedule_seconds is not None \
-                and self.max_schedule_seconds < 0:
-            raise MachineError("max_schedule_seconds must be >= 0 or None")
 
 
 @dataclass(frozen=True)
@@ -250,10 +226,3 @@ class SimConfig:
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)
 
-
-def summarize_config(cfg: Any) -> str:
-    """One-line human-readable summary of any config dataclass."""
-    fields_str = ", ".join(
-        f"{name}={getattr(cfg, name)!r}" for name in cfg.__dataclass_fields__
-    )
-    return f"{type(cfg).__name__}({fields_str})"

@@ -45,13 +45,6 @@ class ScheduleValidationError(SchedulingError):
     """A produced schedule violates a dependence or resource constraint."""
 
 
-class SchedulingBudgetExceeded(SchedulingError):
-    """A scheduler watchdog fired: the (II, C_delay) search exceeded its
-    wall-clock or candidate budget before finding a schedule.  Callers that
-    route through :func:`repro.sched.degrade.schedule_with_degradation`
-    recover by falling back to a cheaper algorithm."""
-
-
 class SimulationError(ReproError):
     """The SpMT simulator reached an inconsistent state."""
 

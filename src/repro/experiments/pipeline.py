@@ -26,7 +26,7 @@ from ..graph.scc import strongly_connected_components
 from ..ir.loop import Loop
 from ..machine.latency import LatencyModel
 from ..machine.resources import ResourceModel
-from ..obs.spans import span
+from ..obs.telemetry import span
 from ..sched.degrade import schedule_with_degradation
 from ..sched.ims import IterativeModuloScheduler
 from ..sched.maxlive import max_live

@@ -130,13 +130,15 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 def _begin_trace(prefix: str | None) -> None:
     if prefix:
-        from ..obs import enable_spans, enable_tracing
-        enable_tracing(True).clear()
+        from ..obs import telemetry
+        context = telemetry.current()
+        context.tracer.clear()
+        context.tracer.enabled = True
         # --trace also turns on detail-level spans (per placement
         # attempt, per simulator thread loop); PREFIX.spans.json gets
         # the full tree.
-        tracer = enable_spans(True, detail=True)
-        tracer.clear()
+        context.spans.clear()
+        context.spans.enabled = context.spans.detail = True
 
 
 def _finish_trace(prefix: str | None) -> None:
@@ -146,12 +148,11 @@ def _finish_trace(prefix: str | None) -> None:
         return
     import json
 
-    from ..obs import (enable_spans, enable_tracing, format_trace,
-                       get_span_tracer, get_tracer, span_tree,
-                       spans_to_dicts, write_chrome_trace,
-                       write_events_jsonl)
-    tracer = get_tracer()
-    enable_tracing(False)
+    from ..obs import (format_trace, span_tree, spans_to_dicts, telemetry,
+                       write_chrome_trace, write_events_jsonl)
+    context = telemetry.current()
+    tracer = context.tracer
+    tracer.enabled = False
     parent = Path(prefix).parent
     if parent and not parent.exists():
         parent.mkdir(parents=True, exist_ok=True)
@@ -159,8 +160,8 @@ def _finish_trace(prefix: str | None) -> None:
     chrome = f"{prefix}.trace.json"
     write_events_jsonl(tracer.events, jsonl)
     write_chrome_trace(tracer.events, chrome)
-    span_tracer = get_span_tracer()
-    enable_spans(False, detail=False)
+    span_tracer = context.spans
+    span_tracer.enabled = span_tracer.detail = False
     spans_path = f"{prefix}.spans.json"
     with open(spans_path, "w", encoding="utf-8") as fh:
         json.dump({"spans": spans_to_dicts(span_tracer.spans),
@@ -257,8 +258,8 @@ def main(argv: list[str] | None = None) -> int:
     if ledgered:
         # coarse spans only: the ledger records the roll-up, so
         # per-attempt detail spans would be pure memory overhead here.
-        from ..obs import enable_spans
-        enable_spans(True)
+        from ..obs import telemetry
+        telemetry.current().spans.enabled = True
     command = raw[0] if raw and raw[0] in (
         "compile", "validate", "chaos", "serve", "submit") \
         else "suite"

@@ -22,7 +22,8 @@ from typing import Sequence
 
 from ..config import ArchConfig, SchedulerConfig, SimConfig
 from ..machine.resources import ResourceModel
-from ..obs.events import get_tracer
+from ..obs import telemetry
+from ..obs.telemetry import Telemetry
 from ..spmt.sim import SpMTSimulator
 from .injector import FaultInjectingSimulator
 from .plan import FaultPlan, FaultSpec
@@ -81,19 +82,19 @@ def derive_seed(base: int, kernel: str, scenario: str) -> int:
 
 
 def _traced_run(simulator: SpMTSimulator):
-    """Run ``simulator`` with the global tracer on, returning
-    ``(stats, events)`` where events are just this run's slice.  Restores
-    the tracer's previous enabled state (so a surrounding ``--trace``
-    export keeps working and plain campaigns don't leak tracing on)."""
-    tracer = get_tracer()
-    previous = tracer.enabled
-    tracer.enabled = True
-    mark = len(tracer.events)
-    try:
+    """Run ``simulator`` with events on, in a telemetry context of its
+    own, returning ``(stats, events)`` with this run's events alone.
+    The run's metrics and spans are merged into the surrounding context,
+    and its events only when that context records events (``--trace``),
+    so a plain campaign keeps no run's events once they are checked."""
+    outer = telemetry.current()
+    with Telemetry(**outer.switches() | {"events": True}) as run:
         stats = simulator.run()
-    finally:
-        tracer.enabled = previous
-    return stats, tracer.events[mark:]
+    events = run.tracer.events
+    if not outer.tracer.enabled:
+        run.tracer.events = []
+    outer.merge(run.snapshot())
+    return stats, events
 
 
 def run_chaos(arch: ArchConfig | None = None,

@@ -1,24 +1,27 @@
 """Observability: metrics, structured event tracing, trace exports and
 the cost-model-vs-simulator discrepancy report.
 
+* :mod:`repro.obs.telemetry` — the one :class:`Telemetry` context: a
+  metrics registry, an event tracer and a span tracer, installed
+  together (``with Telemetry(events=True) as t:``).  Instrumented code
+  records into the current context; parallel workers run under a fresh
+  one and the parent merges their snapshots back, so ``--stats`` and
+  ``--trace`` are complete under ``--jobs N``.
 * :mod:`repro.obs.metrics` — a zero-dependency registry of counters,
-  gauges, histograms and timing spans.  The schedulers, simulator,
-  session cache and parallel runner all publish into the process-wide
-  registry; ``tms-experiments --stats`` dumps it.
+  gauges and histograms.  The schedulers, simulator, session cache and
+  parallel runner all publish into the current registry;
+  ``tms-experiments --stats`` dumps it.
 * :mod:`repro.obs.events` — the :class:`Tracer` the schedulers and
-  simulator emit structured events into when tracing is enabled
-  (``tms-experiments --trace`` or :func:`repro.obs.events.tracing`).
-  Off by default; hot paths pay one attribute read.
+  simulator emit structured events into when events are on
+  (``tms-experiments --trace``).  Off by default; hot paths pay one
+  attribute read.
 * :mod:`repro.obs.export` — deterministic JSONL and Chrome
   trace-event (``chrome://tracing``) serialisation of those events,
   plus the :func:`format_trace` lane summary.
 * :mod:`repro.obs.spans` — the deterministic hierarchical
   :class:`SpanTracer` (``span("compile.tms", kernel=...)`` regions with
-  parent/child ids, wall + exclusive time and per-span metric deltas).
-* :mod:`repro.obs.aggregate` — cross-process telemetry capture: workers
-  snapshot their metrics/events/spans into each task result and the
-  parent merges them back under ``worker.<task>`` origin labels, so
-  ``--stats`` and ``--trace`` are complete under ``--jobs N``.
+  parent/child ids, wall + exclusive time and per-span metric deltas);
+  the one way to time a region.
 * :mod:`repro.obs.ledger` — the append-only JSONL run ledger
   (``REPRO_LEDGER_DIR``) that ``tms-experiments report`` renders and
   gates on.
@@ -32,8 +35,7 @@ the trace-export workflow.
 
 from __future__ import annotations
 
-from .aggregate import collecting, merge_into_process, telemetry_config
-from .events import Event, Tracer, enable_tracing, get_tracer, tracing
+from .events import Event, Tracer
 from .export import (
     KNOWN_CATS,
     events_to_jsonl,
@@ -54,9 +56,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
     get_registry,
-    set_registry,
 )
 from .report import (
     REPORT_SCHEMA,
@@ -64,16 +64,8 @@ from .report import (
     DiscrepancyRow,
     validate_report_dict,
 )
-from .spans import (
-    Span,
-    SpanTracer,
-    enable_spans,
-    get_span_tracer,
-    set_span_tracer,
-    span,
-    span_tree,
-    spans_to_dicts,
-)
+from .spans import Span, SpanTracer, span_tree, spans_to_dicts
+from .telemetry import Telemetry, span
 
 __all__ = [
     "Counter",
@@ -88,28 +80,18 @@ __all__ = [
     "REPORT_SCHEMA",
     "Span",
     "SpanTracer",
-    "Timer",
+    "Telemetry",
     "Tracer",
     "append_run_record",
-    "collecting",
-    "enable_spans",
-    "enable_tracing",
     "events_to_jsonl",
     "format_trace",
     "get_registry",
-    "get_span_tracer",
-    "get_tracer",
     "ledger_dir",
-    "merge_into_process",
     "read_ledger",
-    "set_registry",
-    "set_span_tracer",
     "span",
     "span_tree",
     "spans_to_dicts",
-    "telemetry_config",
     "to_chrome_trace",
-    "tracing",
     "validate_ledger_record_dict",
     "validate_report_dict",
     "write_chrome_trace",

@@ -12,22 +12,23 @@ sequence number plus *domain* timestamps (scheduler decision order,
 simulated cycles) — never wall-clock time — so two runs with the same
 seed produce byte-identical exports (:mod:`repro.obs.export`).
 
-Usage::
+Instrumented code emits into the current telemetry context's tracer
+(:mod:`repro.obs.telemetry`); record a block by running it under a
+context with events on::
 
-    from repro.obs import events
+    from repro.obs.telemetry import Telemetry
 
-    with events.tracing() as tracer:
+    with Telemetry(events=True) as t:
         compile_and_simulate(loop)
-    print(len(tracer))
+    print(len(t.tracer))
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
-__all__ = ["Event", "Tracer", "enable_tracing", "get_tracer", "tracing"]
+__all__ = ["Event", "Tracer"]
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,11 @@ class Event:
 class Tracer:
     """An append-only event sink with a cheap on/off switch."""
 
-    __slots__ = ("enabled", "events", "ingest_counts", "_seq")
+    __slots__ = ("enabled", "events", "_seq")
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self.events: list[Event] = []
-        #: events merged per origin label (see :meth:`ingest`)
-        self.ingest_counts: dict[str, int] = {}
         self._seq = 0
 
     def emit(self, cat: str, name: str, ts: float | None = None,
@@ -85,28 +84,16 @@ class Tracer:
         self.events.append(event)
         return event
 
-    def ingest(self, events: "Iterable[Event | dict]",
-               origin: str | None = None) -> int:
-        """Re-emit serialized events (a worker's ``to_dict`` stream) into
-        this tracer, re-assigning sequence numbers; returns how many were
-        added.  Content is preserved verbatim — no origin is stamped into
-        the records, so a merged ``--jobs N`` export stays byte-identical
-        to a sequential run; per-origin counts are kept in
-        ``ingest_counts`` instead."""
+    def ingest(self, events: Iterable[Mapping[str, Any]]) -> None:
+        """Re-emit serialized events (another tracer's ``to_dict``
+        stream) into this tracer, re-assigning sequence numbers (no-op
+        when disabled).  Content is preserved verbatim, so a merged
+        ``--jobs N`` export stays byte-identical to a sequential run."""
         if not self.enabled:
-            return 0
-        n = 0
+            return
         for e in events:
-            if isinstance(e, Event):
-                self.emit(e.cat, e.name, e.ts, e.dur, **e.args)
-            else:
-                self.emit(str(e.get("cat", "")), str(e.get("name", "")),
-                          e.get("ts"), e.get("dur"),
-                          **dict(e.get("args") or {}))
-            n += 1
-        if origin is not None and n:
-            self.ingest_counts[origin] = self.ingest_counts.get(origin, 0) + n
-        return n
+            self.emit(e["cat"], e["name"], e.get("ts"), e.get("dur"),
+                      **e.get("args", {}))
 
     def select(self, cat: str | None = None,
                name: str | None = None) -> list[Event]:
@@ -118,7 +105,6 @@ class Tracer:
     def clear(self) -> None:
         """Drop all events and restart the sequence counter."""
         self.events.clear()
-        self.ingest_counts.clear()
         self._seq = 0
 
     def __len__(self) -> int:
@@ -126,34 +112,3 @@ class Tracer:
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
-
-
-# -- the process-wide default tracer -----------------------------------------
-
-_TRACER = Tracer()
-
-
-def get_tracer() -> Tracer:
-    """The process-wide default tracer (instrumented code emits here)."""
-    return _TRACER
-
-
-def enable_tracing(on: bool = True) -> Tracer:
-    """Switch the default tracer on/off; returns it."""
-    _TRACER.enabled = on
-    return _TRACER
-
-
-@contextmanager
-def tracing(clear: bool = True) -> Iterator[Tracer]:
-    """Enable the default tracer for a block, restoring the previous
-    state on exit.  ``clear`` starts the block with an empty buffer."""
-    tracer = _TRACER
-    previous = tracer.enabled
-    if clear:
-        tracer.clear()
-    tracer.enabled = True
-    try:
-        yield tracer
-    finally:
-        tracer.enabled = previous

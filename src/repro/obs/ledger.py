@@ -126,18 +126,18 @@ def build_run_record(command: str, argv: Sequence[str] | None = None, *,
                      timestamp: str | None = None) -> dict[str, Any]:
     """One schema-valid ledger record for the invocation that just ran.
 
-    Metrics come from the default registry's
+    Metrics come from the current telemetry context's
     :meth:`~repro.obs.metrics.MetricsRegistry.deterministic_totals`
-    (workers already merged in), spans from the default span tracer's
+    (workers already merged in), spans from its span tracer's
     :meth:`~repro.obs.spans.SpanTracer.rollup`.  ``extra`` carries
     command-specific headline numbers (bench totals, MAPE, ...).
     """
     from .. import __version__
-    from .metrics import get_registry
-    from .spans import get_span_tracer
+    from . import telemetry
 
     argv = list(argv if argv is not None else sys.argv[1:])
-    rollup = get_span_tracer().rollup()
+    context = telemetry.current()
+    rollup = context.spans.rollup()
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "run",
@@ -149,7 +149,7 @@ def build_run_record(command: str, argv: Sequence[str] | None = None, *,
         "fingerprint": _fingerprint(command, argv, __version__),
         "exit_code": int(exit_code),
         "duration_seconds": float(duration_seconds),
-        "metrics": get_registry().deterministic_totals(),
+        "metrics": context.registry.deterministic_totals(),
         "spans": [{"name": name, **{k: agg[k] for k in
                                     ("count", "wall_seconds",
                                      "exclusive_seconds")}}

@@ -1,62 +1,47 @@
-"""A zero-dependency metrics registry: counters, gauges, histograms and
-timing spans.
+"""A zero-dependency metrics registry: counters, gauges and histograms.
 
-Every layer of the pipeline publishes into the process-wide registry
-(:func:`get_registry`): the schedulers count searches and placements, the
-simulator counts threads and violations, the session cache mirrors its
-hit/miss/eviction counters, and the parallel runner times its fan-outs.
-Instruments are cheap — one attribute check plus an integer add — and the
-whole registry can be switched off (``enabled = False``, or
-``REPRO_METRICS=0`` in the environment), after which every ``inc`` /
-``set`` / ``observe`` returns immediately.
+Every layer of the pipeline publishes into the registry of the current
+telemetry context (:func:`get_registry`, see :mod:`repro.obs.telemetry`):
+the schedulers count searches and placements, the simulator counts
+threads and violations, the session cache mirrors its hit/miss/eviction
+counters, and the parallel runner counts its tasks.  Instruments are
+cheap — an integer add — and wall-clock time is the spans' business
+(:mod:`repro.obs.spans`), not the registry's.
 
-Instruments are created idempotently by name::
+Instruments are created idempotently by name, and call sites look them
+up per call, so they always count into the current context::
 
     from repro.obs import metrics
 
-    hits = metrics.counter("cache.hits")
-    hits.inc()
-    with metrics.timer("compile.seconds").time():
-        ...
+    metrics.counter("cache.hits").inc()
     print(metrics.get_registry().render())
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import time
-from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping
+from typing import Mapping
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Timer",
     "counter",
     "gauge",
     "get_registry",
     "histogram",
-    "set_registry",
-    "timer",
 ]
 
 
 class _Instrument:
-    """Base: a named instrument bound to its registry's enable switch."""
+    """Base: a named instrument."""
 
-    __slots__ = ("name", "help", "_registry")
+    __slots__ = ("name", "help")
 
-    def __init__(self, name: str, help: str, registry: "MetricsRegistry") -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
-        self._registry = registry
-
-    @property
-    def enabled(self) -> bool:
-        return self._registry.enabled
 
 
 class Counter(_Instrument):
@@ -66,13 +51,12 @@ class Counter(_Instrument):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str, registry: "MetricsRegistry") -> None:
-        super().__init__(name, help, registry)
+    def __init__(self, name: str, help: str) -> None:
+        super().__init__(name, help)
         self.value = 0
 
     def inc(self, n: int = 1) -> None:
-        if self._registry.enabled:
-            self.value += n
+        self.value += n
 
     def snapshot(self) -> dict:
         return {"kind": self.kind, "value": self.value}
@@ -88,13 +72,12 @@ class Gauge(_Instrument):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str, registry: "MetricsRegistry") -> None:
-        super().__init__(name, help, registry)
+    def __init__(self, name: str, help: str) -> None:
+        super().__init__(name, help)
         self.value = 0.0
 
     def set(self, value: float) -> None:
-        if self._registry.enabled:
-            self.value = value
+        self.value = value
 
     def snapshot(self) -> dict:
         return {"kind": self.kind, "value": self.value}
@@ -110,16 +93,14 @@ class Histogram(_Instrument):
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str, registry: "MetricsRegistry") -> None:
-        super().__init__(name, help, registry)
+    def __init__(self, name: str, help: str) -> None:
+        super().__init__(name, help)
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
 
     def observe(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
         self.count += 1
         self.total += value
         if value < self.min:
@@ -148,50 +129,20 @@ class Histogram(_Instrument):
         self.max = float("-inf")
 
 
-class Timer(Histogram):
-    """A histogram of elapsed wall-clock seconds with a ``time()`` span."""
-
-    __slots__ = ()
-
-    kind = "timer"
-
-    @contextmanager
-    def time(self, clock: Callable[[], float] = time.perf_counter
-             ) -> Iterator[None]:
-        """Context manager observing the elapsed seconds of its body."""
-        if not self._registry.enabled:
-            yield
-            return
-        start = clock()
-        try:
-            yield
-        finally:
-            self.observe(clock() - start)
-
-
 class MetricsRegistry:
     """Named instruments, created on first use and shared thereafter.
 
-    ``enabled`` gates every mutation; reading (``snapshot`` / ``render``)
-    always works.  Asking for an existing name with a different
-    instrument kind raises — names are global, so a collision is a bug.
+    Asking for an existing name with a different instrument kind raises —
+    names are global, so a collision is a bug.
 
-    Worker telemetry merges in via :meth:`merge_snapshot`, which files
-    the contribution under an *origin* label (``worker.<task>``).  The
-    local instruments are never mutated by a merge; :meth:`snapshot`
-    combines local + merged origins on read, so ``--stats`` totals under
-    ``--jobs N`` match a sequential run.  Merge and snapshot share one
-    lock, so a snapshot taken from another thread mid-merge never sees a
-    half-applied contribution.
+    Another registry's :meth:`snapshot` (a worker's, say) folds in with
+    :meth:`merge`, straight into these instruments.  Merge and snapshot
+    share one lock, so a snapshot taken from another thread mid-merge
+    never sees a half-applied contribution.
     """
 
-    def __init__(self, enabled: bool | None = None) -> None:
-        if enabled is None:
-            enabled = os.environ.get("REPRO_METRICS", "").strip() != "0"
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
-        #: origin label -> instrument name -> accumulated snapshot dict
-        self._merged: dict[str, dict[str, dict]] = {}
         self._lock = threading.Lock()
 
     # -- instrument factories ----------------------------------------------
@@ -205,9 +156,6 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "") -> Histogram:
         return self._get_or_create(name, help, Histogram)
 
-    def timer(self, name: str, help: str = "") -> Timer:
-        return self._get_or_create(name, help, Timer)
-
     def _get_or_create(self, name: str, help: str, cls: type) -> "_Instrument":
         inst = self._instruments.get(name)
         if inst is not None:
@@ -216,7 +164,7 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as "
                     f"{type(inst).__name__}, requested {cls.__name__}")
             return inst
-        inst = cls(name, help, self)
+        inst = cls(name, help)
         self._instruments[name] = inst
         return inst
 
@@ -231,63 +179,39 @@ class MetricsRegistry:
     def get(self, name: str) -> _Instrument | None:
         return self._instruments.get(name)
 
-    def snapshot(self, origin: str | None = None) -> dict[str, dict]:
-        """Instrument values keyed by name (sorted).
-
-        ``origin=None`` combines the local instruments with every merged
-        worker contribution (the complete picture ``--stats`` renders);
-        ``origin="local"`` restricts to this process's own instruments;
-        any other value returns that merged origin's contribution alone
-        (empty if the origin never merged).
-        """
+    def snapshot(self) -> dict[str, dict]:
+        """Instrument values keyed by name (sorted)."""
         with self._lock:
-            local = {name: self._instruments[name].snapshot()
-                     for name in sorted(self._instruments)}
-            if origin == "local":
-                return local
-            if origin is not None:
-                return {name: dict(snap) for name, snap
-                        in sorted(self._merged.get(origin, {}).items())}
-            combined = dict(local)
-            for contribution in self._merged.values():
-                for name, snap in contribution.items():
-                    prev = combined.get(name)
-                    combined[name] = _combine_snapshots(prev, snap) \
-                        if prev is not None else dict(snap)
-            return {name: combined[name] for name in sorted(combined)}
+            return {name: self._instruments[name].snapshot()
+                    for name in sorted(self._instruments)}
 
-    def merge_snapshot(self, snap: Mapping[str, Mapping], origin: str) -> None:
-        """Atomically fold a worker's ``snapshot()`` into this registry
-        under ``origin`` (e.g. ``"worker.3"``).  Local instruments are
-        untouched; the contribution surfaces through :meth:`snapshot`
-        and :meth:`deterministic_totals`."""
-        if not self.enabled or not snap:
-            return
+    def merge(self, snapshot: Mapping[str, Mapping]) -> None:
+        """Fold another registry's :meth:`snapshot` into these
+        instruments, atomically: counters add, gauges take the merged
+        value, histograms add count and sum and widen min and max."""
         with self._lock:
-            bucket = self._merged.setdefault(origin, {})
-            for name, s in snap.items():
-                prev = bucket.get(name)
-                bucket[name] = _combine_snapshots(prev, dict(s)) \
-                    if prev is not None else dict(s)
+            for name, snap in snapshot.items():
+                kind = snap["kind"]
+                if kind == "counter":
+                    self.counter(name).inc(snap["value"])
+                elif kind == "gauge":
+                    self.gauge(name).set(snap["value"])
+                else:
+                    h = self.histogram(name)
+                    if snap["count"]:
+                        h.count += snap["count"]
+                        h.total += snap["sum"]
+                        h.min = min(h.min, snap["min"])
+                        h.max = max(h.max, snap["max"])
 
-    def origins(self) -> list[str]:
-        """Origin labels that have merged contributions, sorted."""
-        with self._lock:
-            return sorted(self._merged)
-
-    def deterministic_totals(self, origin: str | None = None
-                             ) -> dict[str, int | float | dict]:
-        """The combined snapshot reduced to its deterministic fields:
-        counter/gauge values, histogram count+sum, timer counts only
-        (timer sums are wall-clock noise).  Two same-seed runs —
-        sequential or fanned out — agree on this map exactly."""
+    def deterministic_totals(self) -> dict[str, int | float | dict]:
+        """The snapshot reduced to counter/gauge values and histogram
+        count+sum.  Two same-seed runs — sequential or fanned out —
+        agree on this map exactly."""
         out: dict[str, int | float | dict] = {}
-        for name, snap in self.snapshot(origin).items():
-            kind = snap.get("kind")
-            if kind in ("counter", "gauge"):
+        for name, snap in self.snapshot().items():
+            if snap["kind"] in ("counter", "gauge"):
                 out[name] = snap["value"]
-            elif kind == "timer":
-                out[name] = {"count": snap["count"]}
             else:
                 out[name] = {"count": snap["count"], "sum": snap["sum"]}
         return out
@@ -299,82 +223,41 @@ class MetricsRegistry:
             if snap["kind"] in ("counter", "gauge"):
                 lines.append(f"{name:<36} {snap['value']}")
             else:
-                unit = "s" if snap["kind"] == "timer" else ""
                 lines.append(
                     f"{name:<36} count={snap['count']} "
-                    f"sum={snap['sum']:.3f}{unit} mean={snap['mean']:.3f}{unit} "
-                    f"max={snap['max']:.3f}{unit}")
+                    f"sum={snap['sum']:.3f} mean={snap['mean']:.3f} "
+                    f"max={snap['max']:.3f}")
         return "\n".join(lines)
 
     def reset(self) -> None:
-        """Zero every instrument (the instruments stay registered) and
-        drop all merged worker contributions."""
+        """Zero every instrument (the instruments stay registered)."""
         with self._lock:
             for inst in self._instruments.values():
                 inst.reset()
-            self._merged.clear()
 
 
-def _combine_snapshots(a: dict, b: dict) -> dict:
-    """Fold instrument snapshot ``b`` into ``a`` (same instrument name).
-
-    Counters add; gauges take the later write (``b``); histograms and
-    timers merge count/sum/min/max.  A kind mismatch keeps ``b`` — the
-    merge must never raise mid-run.
-    """
-    kind = a.get("kind")
-    if kind != b.get("kind"):
-        return dict(b)
-    if kind == "counter":
-        return {"kind": kind, "value": a["value"] + b["value"]}
-    if kind == "gauge":
-        return {"kind": kind, "value": b["value"]}
-    count = a["count"] + b["count"]
-    total = a["sum"] + b["sum"]
-    lows = [s["min"] for s in (a, b) if s["count"]]
-    highs = [s["max"] for s in (a, b) if s["count"]]
-    return {
-        "kind": kind,
-        "count": count,
-        "sum": total,
-        "min": min(lows) if lows else 0.0,
-        "max": max(highs) if highs else 0.0,
-        "mean": total / count if count else 0.0,
-    }
-
-
-# -- the process-wide default registry ---------------------------------------
-
-_REGISTRY = MetricsRegistry()
-
+# -- the current context's registry -------------------------------------------
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _REGISTRY
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Replace the default registry; returns the previous one."""
-    global _REGISTRY
-    previous, _REGISTRY = _REGISTRY, registry
-    return previous
+    """The registry of the current telemetry context."""
+    return telemetry.current().registry
 
 
 def counter(name: str, help: str = "") -> Counter:
-    """Shortcut: a counter in the default registry."""
-    return _REGISTRY.counter(name, help)
+    """Shortcut: a counter in the current registry."""
+    return telemetry.current().registry.counter(name, help)
 
 
 def gauge(name: str, help: str = "") -> Gauge:
-    """Shortcut: a gauge in the default registry."""
-    return _REGISTRY.gauge(name, help)
+    """Shortcut: a gauge in the current registry."""
+    return telemetry.current().registry.gauge(name, help)
 
 
 def histogram(name: str, help: str = "") -> Histogram:
-    """Shortcut: a histogram in the default registry."""
-    return _REGISTRY.histogram(name, help)
+    """Shortcut: a histogram in the current registry."""
+    return telemetry.current().registry.histogram(name, help)
 
 
-def timer(name: str, help: str = "") -> Timer:
-    """Shortcut: a timer in the default registry."""
-    return _REGISTRY.timer(name, help)
+# telemetry builds its context from MetricsRegistry, so it is imported
+# last; the shortcuts above resolve it at call time.
+from . import telemetry  # noqa: E402

@@ -10,7 +10,7 @@ simulator.  Each span carries:
 * ``wall`` and ``exclusive`` seconds (wall minus the wall of direct
   children);
 * the **metric deltas** observed inside the span: the change in every
-  deterministic instrument of the default registry
+  deterministic instrument of the tracer's registry
   (:meth:`~repro.obs.metrics.MetricsRegistry.deterministic_totals`)
   between open and close, so a span answers "what work happened here"
   (compiles, placements, simulated violations, ...) — not just "how
@@ -19,50 +19,44 @@ simulator.  Each span carries:
 Wall-clock fields are machine noise; everything else — ids, names,
 attrs, nesting, metric deltas — is deterministic for a given seed, and
 :func:`span_tree` projects a normalized (id/time-free, sorted) tree two
-runs can be compared on.  The satellite determinism suite pins
-``--jobs 1`` vs ``--jobs 4`` equality on exactly that projection.
+runs can be compared on.  The determinism suite pins ``--jobs 1`` vs
+``--jobs 4`` equality on exactly that projection.
 
 Spans are **off by default** and cost one attribute read when off.  The
 CLI enables them with ``--trace`` (which also turns on ``detail`` spans:
 per-placement-attempt, per-thread-loop) and whenever a run ledger
 directory is configured (coarse spans only, for the ledger's roll-up).
 
-Worker processes record spans into their own tracer; the parent
-re-bases them under its currently open span via :meth:`SpanTracer.ingest`
-(see :mod:`repro.obs.aggregate`), tagging each with a ``worker.<task>``
-origin that the normalized projection ignores.
+Instrumented code records into the current telemetry context's span
+tracer (:func:`repro.obs.telemetry.span`).  Spans recorded elsewhere — a
+worker process's — are re-based under the currently open span by
+:meth:`SpanTracer.ingest`.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
-__all__ = [
-    "Span",
-    "SpanTracer",
-    "enable_spans",
-    "get_span_tracer",
-    "set_span_tracer",
-    "span",
-    "span_tree",
-    "spans_to_dicts",
-]
+if TYPE_CHECKING:
+    from .metrics import MetricsRegistry
+
+__all__ = ["Span", "SpanTracer", "span_tree", "spans_to_dicts"]
 
 
 class Span:
     """One recorded region: identity, tree position, timing, deltas."""
 
-    __slots__ = ("id", "parent_id", "name", "origin", "attrs", "wall",
-                 "exclusive", "metrics", "_t0", "_child_wall", "_before")
+    __slots__ = ("id", "parent_id", "name", "attrs", "wall", "exclusive",
+                 "metrics", "_t0", "_child_wall", "_before")
 
     def __init__(self, id: int, parent_id: int | None, name: str,
-                 attrs: dict[str, Any], origin: str = "") -> None:
+                 attrs: dict[str, Any]) -> None:
         self.id = id
         self.parent_id = parent_id
         self.name = name
-        self.origin = origin
         self.attrs = attrs
         self.wall = 0.0
         self.exclusive = 0.0
@@ -75,8 +69,6 @@ class Span:
         d: dict[str, Any] = {"id": self.id, "parent_id": self.parent_id,
                              "name": self.name, "wall": self.wall,
                              "exclusive": self.exclusive}
-        if self.origin:
-            d["origin"] = self.origin
         if self.attrs:
             d["attrs"] = self.attrs
         if self.metrics:
@@ -85,9 +77,9 @@ class Span:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any], *, id: int,
-                  parent_id: int | None, origin: str = "") -> "Span":
+                  parent_id: int | None) -> "Span":
         s = cls(id, parent_id, str(d.get("name", "")),
-                dict(d.get("attrs") or {}), origin=origin)
+                dict(d.get("attrs") or {}))
         s.wall = float(d.get("wall", 0.0))
         s.exclusive = float(d.get("exclusive", 0.0))
         s.metrics = dict(d.get("metrics") or {})
@@ -97,15 +89,18 @@ class Span:
 class SpanTracer:
     """A stack-based span recorder with a cheap on/off switch.
 
-    ``spans`` holds every span in open order (ids ascending);
-    ``detail`` additionally enables the high-volume instrumentation
-    points (per placement attempt, per simulator thread loop) that a
-    ledger-only run skips.
+    ``spans`` holds every span in open order (ids ascending), each with
+    its metric deltas in ``registry``; ``detail`` additionally enables
+    the high-volume instrumentation points (per placement attempt, per
+    simulator thread loop) that a ledger-only run skips.
     """
 
-    __slots__ = ("enabled", "detail", "spans", "_stack", "_next_id")
+    __slots__ = ("registry", "enabled", "detail", "spans", "_stack",
+                 "_next_id")
 
-    def __init__(self, enabled: bool = False, detail: bool = False) -> None:
+    def __init__(self, registry: "MetricsRegistry", enabled: bool = False,
+                 detail: bool = False) -> None:
+        self.registry = registry
         self.enabled = enabled
         self.detail = detail
         self.spans: list[Span] = []
@@ -131,23 +126,19 @@ class SpanTracer:
             self._end(s)
 
     def _begin(self, name: str, attrs: dict[str, Any]) -> Span:
-        from .metrics import get_registry
-
         parent = self._stack[-1] if self._stack else None
         s = Span(self._next_id, parent.id if parent else None, name, attrs)
         self._next_id += 1
-        s._before = get_registry().deterministic_totals()
+        s._before = self.registry.deterministic_totals()
         s._t0 = time.perf_counter()
         self.spans.append(s)
         self._stack.append(s)
         return s
 
     def _end(self, s: Span) -> None:
-        from .metrics import get_registry
-
         s.wall = time.perf_counter() - s._t0
         s.exclusive = max(0.0, s.wall - s._child_wall)
-        after = get_registry().deterministic_totals()
+        after = self.registry.deterministic_totals()
         before = s._before or {}
         s.metrics = _totals_delta(before, after)
         s._before = None
@@ -162,26 +153,23 @@ class SpanTracer:
 
     # -- cross-process merge -------------------------------------------------
 
-    def ingest(self, span_dicts: Sequence[Mapping[str, Any]],
-               origin: str = "") -> int:
+    def ingest(self, span_dicts: Sequence[Mapping[str, Any]]) -> None:
         """Re-base serialized spans (a worker's :func:`spans_to_dicts`)
-        under the currently open span; returns how many were added.
-        Relative structure and order are preserved; ids are re-assigned
+        under the currently open span (no-op when disabled).  Relative
+        structure and order are preserved; ids are re-assigned
         deterministically in ingest order."""
-        if not self.enabled or not span_dicts:
-            return 0
+        if not self.enabled:
+            return
         anchor = self._stack[-1].id if self._stack else None
         id_map: dict[Any, int] = {}
         for d in span_dicts:
             old_parent = d.get("parent_id")
             parent = id_map.get(old_parent, anchor) \
                 if old_parent is not None else anchor
-            s = Span.from_dict(d, id=self._next_id, parent_id=parent,
-                               origin=origin or str(d.get("origin", "")))
+            s = Span.from_dict(d, id=self._next_id, parent_id=parent)
             id_map[d.get("id")] = s.id
             self._next_id += 1
             self.spans.append(s)
-        return len(span_dicts)
 
     # -- reporting -----------------------------------------------------------
 
@@ -231,19 +219,15 @@ def spans_to_dicts(spans: Sequence[Span]) -> list[dict[str, Any]]:
     return [s.to_dict() for s in spans]
 
 
-def span_tree(spans: Sequence[Span] | None = None, *,
+def span_tree(spans: Sequence[Span], *,
               normalize: bool = True) -> list[dict[str, Any]]:
     """The spans as a nested forest.
 
-    ``normalize=True`` (default) drops ids, origins and every wall-clock
-    field, and sorts siblings by ``(name, attrs, metrics)`` — the
-    deterministic projection the ``--jobs 1`` vs ``--jobs 4`` equality
-    tests compare.  ``normalize=False`` keeps everything, in open order.
+    ``normalize=True`` (default) drops ids and every wall-clock field,
+    and sorts siblings by ``(name, attrs, metrics)`` — the deterministic
+    projection the ``--jobs 1`` vs ``--jobs 4`` equality tests compare.
+    ``normalize=False`` keeps everything, in open order.
     """
-    import json
-
-    if spans is None:
-        spans = get_span_tracer().spans
     children: dict[int | None, list[Span]] = {}
     for s in spans:
         children.setdefault(s.parent_id, []).append(s)
@@ -259,8 +243,6 @@ def span_tree(spans: Sequence[Span] | None = None, *,
             d["id"] = s.id
             d["wall"] = s.wall
             d["exclusive"] = s.exclusive
-            if s.origin:
-                d["origin"] = s.origin
         kids = [node(c) for c in children.get(s.id, [])]
         if normalize:
             kids.sort(key=lambda n: json.dumps(n, sort_keys=True))
@@ -274,37 +256,3 @@ def span_tree(spans: Sequence[Span] | None = None, *,
     if normalize:
         out.sort(key=lambda n: json.dumps(n, sort_keys=True))
     return out
-
-
-# -- the process-wide default span tracer ------------------------------------
-
-_SPANS = SpanTracer()
-
-
-def get_span_tracer() -> SpanTracer:
-    """The process-wide default span tracer."""
-    return _SPANS
-
-
-def set_span_tracer(tracer: SpanTracer) -> SpanTracer:
-    """Replace the default span tracer; returns the previous one."""
-    global _SPANS
-    previous, _SPANS = _SPANS, tracer
-    return previous
-
-
-def enable_spans(on: bool = True, *, detail: bool | None = None) -> SpanTracer:
-    """Switch the default span tracer on/off (optionally detail spans
-    too); returns it."""
-    _SPANS.enabled = on
-    if detail is not None:
-        _SPANS.detail = detail
-    return _SPANS
-
-
-@contextmanager
-def span(name: str, *, detail: bool = False,
-         **attrs: Any) -> Iterator[Span | None]:
-    """Shortcut: a span in the default tracer."""
-    with _SPANS.span(name, detail=detail, **attrs) as s:
-        yield s

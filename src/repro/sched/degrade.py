@@ -4,8 +4,8 @@ The experiment drivers must never die (or hang) because one pathological
 loop defeats the TMS ``(II, C_delay)`` search.  This module provides the
 degradation chain the pipeline routes through:
 
-1. **TMS** — the thread-sensitive search, optionally bounded by the
-   ``SchedulerConfig.max_schedule_seconds`` wall-clock watchdog;
+1. **TMS** — the thread-sensitive search, bounded by its attempt budget
+   (``SchedulerConfig.max_candidates``);
 2. **SMS** — plain swing modulo scheduling (no thread-sensitivity);
 3. **IMS** — the backtracking iterative modulo scheduler (survives the
    pinched windows that wedge SMS's restart-only discipline);
@@ -32,9 +32,8 @@ from ..config import KNOWN_POLICIES, ArchConfig, SchedulerConfig
 from ..errors import SchedulingError
 from ..graph.ddg import DDG
 from ..machine.resources import ResourceModel
-from ..obs import metrics
-from ..obs.events import get_tracer
-from ..obs.spans import span
+from ..obs import metrics, telemetry
+from ..obs.telemetry import span
 from .ims import IterativeModuloScheduler
 from .listsched import list_schedule
 from .schedule import Schedule, validate_schedule
@@ -135,7 +134,7 @@ def schedule_with_degradation(ddg: DDG, resources: ResourceModel,
             metrics.counter(
                 "sched.degraded",
                 "schedules produced by a degradation fallback").inc()
-            tracer = get_tracer()
+            tracer = telemetry.current().tracer
             if tracer.enabled:
                 tracer.emit("sched", "sched.degraded", loop=ddg.name,
                             degraded_from=first.upper(),

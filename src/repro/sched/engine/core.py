@@ -30,9 +30,7 @@ from typing import Mapping
 
 from ...graph.ddg import DDG
 from ...machine.resources import ResourceModel
-from ...obs import metrics
-from ...obs.events import get_tracer
-from ...obs.spans import get_span_tracer
+from ...obs import metrics, telemetry
 from .context import EngineContext
 from .partial import PartialSchedule
 from .policy import SlotPolicy
@@ -69,7 +67,7 @@ class PlacementEngine:
 
         Returns the slot map, or ``None`` on failure.
         """
-        spans = get_span_tracer()
+        spans = telemetry.current().spans
         if spans.enabled and spans.detail:
             # detail span: one per placement attempt — --trace only, so
             # ledger-scale runs don't accumulate one span per II candidate.
@@ -90,7 +88,7 @@ class PlacementEngine:
                    track_live: bool = False) -> dict[str, int] | None:
         if policy is None:
             policy = _FIRST_FIT
-        tracer = get_tracer()
+        tracer = telemetry.current().tracer
         metrics.counter(
             "sched.attempts",
             "scheduling attempts (one try_ii call per II candidate)").inc()
@@ -149,7 +147,7 @@ class PlacementEngine:
         dependence violations by direct ejection of the offending
         neighbours.
         """
-        spans = get_span_tracer()
+        spans = telemetry.current().spans
         if spans.enabled and spans.detail:
             with spans.span("sched.backtrack", alg=alg,
                             kernel=self.ctx.name, ii=ii) as sp:
@@ -164,7 +162,7 @@ class PlacementEngine:
                           alg: str = "IMS") -> dict[str, int] | None:
         if policy is None:
             policy = _FIRST_FIT
-        tracer = get_tracer()
+        tracer = telemetry.current().tracer
         metrics.counter(
             "sched.attempts",
             "scheduling attempts (one try_ii call per II candidate)").inc()

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from typing import Iterator, Mapping
 
 from ..config import ArchConfig, SchedulerConfig
@@ -45,11 +44,10 @@ from ..costmodel.exectime import (
     objective_f,
     t_lower_bound,
 )
-from ..errors import SchedulingBudgetExceeded, SchedulingError
+from ..errors import SchedulingError
 from ..graph.ddg import DDG
 from ..machine.resources import ResourceModel
-from ..obs import metrics
-from ..obs.events import get_tracer
+from ..obs import metrics, telemetry
 from .engine import TMSContext, TMSPolicy
 from .schedule import Schedule, validate_schedule
 from .sms import SwingModuloScheduler
@@ -72,15 +70,11 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         #: ancestor closures, tiebreak inputs), shared by every
         #: (II, C_delay) candidate of the search.
         self._tms_ctx = TMSContext(ddg, self.engine.ctx)
-        #: wall-clock watchdog deadline (armed per schedule() call).
-        self._deadline: float | None = None
 
     # -- public API -----------------------------------------------------------
 
     def schedule(self) -> Schedule:
         cfg = self.config
-        if cfg.max_schedule_seconds is not None:
-            self._deadline = time.monotonic() + cfg.max_schedule_seconds
         if not cfg.try_p_max_values:
             return self._schedule_with_pmax(cfg.p_max)
         # Paper: "several values for P_max can be tried so that the best
@@ -90,9 +84,6 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         for p_max in cfg.p_max_candidates:
             try:
                 sched = self._schedule_with_pmax(p_max)
-            except SchedulingBudgetExceeded:
-                # the watchdog bounds the *whole* search, not one P_max
-                raise
             except SchedulingError:
                 continue
             cost = estimate_execution_time(
@@ -135,7 +126,7 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
     # -- main search ----------------------------------------------------------
 
     def _schedule_with_pmax(self, p_max: float) -> Schedule:
-        tracer = get_tracer()
+        tracer = telemetry.current().tracer
         metrics.counter(
             "tms.searches", "TMS (II, C_delay) searches started").inc()
         if tracer.enabled:
@@ -147,7 +138,6 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         # provably fails too (see the module docstring)
         failed: dict[int, tuple[int, float]] = {}
         for index, (f_value, cd, ii) in enumerate(self._candidates()):
-            self._check_watchdog(attempts)
             if attempts >= self.config.max_candidates:
                 if tracer.enabled:
                     tracer.emit("sched", "tms.budget_exhausted",
@@ -177,7 +167,6 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         # degenerates to SMS placement; keeps suite runs robust on
         # pathological DDGs.  Recorded in meta.
         for ii in range(self.mii, self.max_ii() + 1):
-            self._check_watchdog(attempts)
             cd = self._c_delay_cap(ii)
             slots = self.try_ii(ii)
             if slots is not None:
@@ -193,25 +182,6 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         raise SchedulingError(
             f"TMS failed on {self.ddg.name!r}: no schedule up to II "
             f"{self.max_ii()} even without thread-sensitivity constraints")
-
-    def _check_watchdog(self, attempts: int) -> None:
-        """Raise :class:`SchedulingBudgetExceeded` once the wall-clock
-        budget (``SchedulerConfig.max_schedule_seconds``) is spent, so a
-        pathological search degrades instead of hanging the driver."""
-        if self._deadline is None or time.monotonic() <= self._deadline:
-            return
-        metrics.counter(
-            "tms.watchdog_fires",
-            "TMS searches aborted by the wall-clock watchdog").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.emit("sched", "tms.watchdog", loop=self.ddg.name,
-                        attempts=attempts,
-                        budget_seconds=self.config.max_schedule_seconds)
-        raise SchedulingBudgetExceeded(
-            f"TMS search on {self.ddg.name!r} exceeded its "
-            f"{self.config.max_schedule_seconds}s budget after "
-            f"{attempts} candidate attempts")
 
     def _emit_candidate(self, tracer, index: int, ii: int, cd: int,
                         f_value: float, outcome: str) -> None:

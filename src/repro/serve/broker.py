@@ -43,7 +43,7 @@ from typing import Any, Callable, Mapping
 from ..config import ArchConfig
 from ..errors import TaskTimeout
 from ..obs import metrics
-from ..obs.spans import span
+from ..obs.telemetry import span
 from ..session import Session
 from ..session.cache import MISS, ArtifactCache
 from .protocol import (

@@ -29,7 +29,7 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -73,6 +73,13 @@ class CacheStats:
                 f"{self.disk_prunes} disk prunes")
 
 
+def _counter(name: str) -> metrics.Counter:
+    """The current registry's ``cache.<name>`` counter, which every cache
+    instance counts into."""
+    return metrics.counter(f"cache.{name}",
+                           f"artifact-cache {name} (all instances)")
+
+
 class ArtifactCache:
     """Two-tier content-addressed store for compiled artifacts.
 
@@ -106,17 +113,18 @@ class ArtifactCache:
         # one lock for both tiers and the counters: get/put from many
         # broker threads must never tear the LRU order or drop updates.
         self._lock = threading.RLock()
-        # aggregate counters in the process metrics registry (shared by
-        # every cache instance; the per-instance view stays in `stats`).
-        self._m = {
-            name: metrics.counter(f"cache.{name}",
-                                  f"artifact-cache {name} (all instances)")
-            for name in ("hits", "misses", "stores", "evictions",
-                         "invalidations", "disk_hits", "disk_stores",
-                         "disk_errors", "disk_prunes")
-        }
+        # list every cache counter, zeros included; each event looks its
+        # counter up again, so it counts into the context current then.
+        for f in fields(CacheStats):
+            _counter(f.name)
         if self.disk_dir is not None:
             self._sweep_stale_tmps()
+
+    def _count(self, name: str) -> None:
+        """One more ``name`` event, in this cache's :class:`CacheStats`
+        and in the current registry's ``cache.<name>`` counter."""
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
+        _counter(name).inc()
 
     # -- lookup / store -----------------------------------------------------
 
@@ -126,26 +134,22 @@ class ArtifactCache:
         with self._lock:
             if key in self._mem:
                 self._mem.move_to_end(key)
-                self.stats.hits += 1
-                self._m["hits"].inc()
+                self._count("hits")
                 return self._mem[key]
             if self.disk_dir is not None:
                 value = self._disk_read(key)
                 if value is not MISS:
-                    self.stats.disk_hits += 1
-                    self._m["disk_hits"].inc()
+                    self._count("disk_hits")
                     self._mem_put(key, value)
                     return value
-            self.stats.misses += 1
-            self._m["misses"].inc()
+            self._count("misses")
             return MISS
 
     def put(self, key: str, value: Any) -> None:
         """Insert ``value`` under ``key`` in both tiers."""
         with self._lock:
             self._mem_put(key, value)
-            self.stats.stores += 1
-            self._m["stores"].inc()
+            self._count("stores")
             if self.disk_dir is not None:
                 self._disk_write(key, value)
 
@@ -159,11 +163,9 @@ class ArtifactCache:
                     path.unlink()
                     removed = True
                 except OSError:
-                    self.stats.disk_errors += 1
-                    self._m["disk_errors"].inc()
+                    self._count("disk_errors")
             if removed:
-                self.stats.invalidations += 1
-                self._m["invalidations"].inc()
+                self._count("invalidations")
             return removed
 
     def clear(self) -> None:
@@ -214,8 +216,7 @@ class ArtifactCache:
         if self.maxsize is not None:
             while len(self._mem) > self.maxsize:
                 self._mem.popitem(last=False)
-                self.stats.evictions += 1
-                self._m["evictions"].inc()
+                self._count("evictions")
 
     # -- disk tier ----------------------------------------------------------
 
@@ -234,8 +235,7 @@ class ArtifactCache:
         except Exception:
             # corrupt / truncated / version-incompatible entry: discard so
             # the recompiled artifact can replace it.
-            self.stats.disk_errors += 1
-            self._m["disk_errors"].inc()
+            self._count("disk_errors")
             try:
                 path.unlink()
             except OSError:
@@ -258,14 +258,12 @@ class ArtifactCache:
                 except OSError:
                     pass
                 raise
-            self.stats.disk_stores += 1
-            self._m["disk_stores"].inc()
+            self._count("disk_stores")
             if self.max_disk_mb is not None:
                 self._disk_prune(keep=path)
         except (OSError, pickle.PicklingError):
             # persistence is an optimisation; never fail a compile on it.
-            self.stats.disk_errors += 1
-            self._m["disk_errors"].inc()
+            self._count("disk_errors")
 
     def _sweep_stale_tmps(self, max_age_s: float = 3600.0) -> int:
         """Remove orphaned ``*.tmp`` files left by writers killed
@@ -319,5 +317,4 @@ class ArtifactCache:
             except OSError:
                 continue
             total -= size
-            self.stats.disk_prunes += 1
-            self._m["disk_prunes"].inc()
+            self._count("disk_prunes")

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..errors import TaskTimeout
-from ..obs import metrics
-from ..obs.aggregate import collecting, merge_into_process, telemetry_config
+from ..obs import metrics, telemetry
+from ..obs.telemetry import Telemetry
 
 __all__ = ["ParallelRunner", "TaskResult", "resolve_jobs"]
 
@@ -71,8 +71,9 @@ class TaskResult:
     error: BaseException | None = None
     error_traceback: str = ""
     timed_out: bool = False  #: the failure was a per-task timeout
-    #: worker telemetry snapshot (metrics/events/spans) awaiting merge;
-    #: the runner folds it into the parent's registries and clears it.
+    #: a worker's :meth:`~repro.obs.telemetry.Telemetry.snapshot`
+    #: awaiting merge; the runner folds it into the parent's context and
+    #: clears it.
     telemetry: Any = None
 
     @property
@@ -97,15 +98,15 @@ def _call(fn: Callable[[Any], Any], index: int, item: Any) -> TaskResult:
 
 
 def _traced_call(fn: Callable[[Any], Any], index: int, item: Any,
-                 telemetry_cfg: dict) -> TaskResult:
-    """Worker entry point: run the task inside a fresh telemetry scope
-    and ship everything it produced (metrics / events / spans) back in
-    ``TaskResult.telemetry`` — captured even when the task failed, so
-    partial work is attributed the same way the inline path attributes
-    it."""
-    with collecting(telemetry_cfg) as collector:
+                 switches: dict[str, bool]) -> TaskResult:
+    """Worker entry point: run the task under a fresh telemetry context
+    with the parent's ``switches`` and ship everything it recorded
+    (metrics / events / spans) back in ``TaskResult.telemetry`` — also
+    when the task failed, so partial work is counted as the inline path
+    counts it."""
+    with Telemetry(**switches) as recorded:
         result = _call(fn, index, item)
-        result.telemetry = collector.snapshot()
+    result.telemetry = recorded.snapshot()
     return result
 
 
@@ -196,24 +197,21 @@ class ParallelRunner:
         items = list(items)
         workers = min(self.resolved_jobs, len(items)) if items else 0
         metrics.counter("runner.tasks", "tasks dispatched").inc(len(items))
-        with metrics.timer("runner.map_seconds",
-                           "wall time of ParallelRunner.map calls").time():
-            if workers <= 1:
-                results = self._run_sequential(fn, items, timeout)
-            else:
-                results = self._run_parallel(fn, items, timeout, workers)
-            for i, res in enumerate(results):
-                if res.telemetry is not None:
-                    # merged in input order, so a --jobs N trace replays
-                    # byte-identical to --jobs 1; the origin is the
-                    # *task* index — worker process identity is
-                    # scheduling noise.
-                    merge_into_process(res.telemetry, f"worker.{i}")
-                    res.telemetry = None
-                if res.timed_out:
-                    metrics.counter(
-                        "runner.timeouts", "tasks that hit the "
-                        "per-task timeout").inc()
+        if workers <= 1:
+            results = self._run_sequential(fn, items, timeout)
+        else:
+            results = self._run_parallel(fn, items, timeout, workers)
+        context = telemetry.current()
+        for res in results:
+            if res.telemetry is not None:
+                # merged in input order, so a --jobs N trace replays
+                # byte-identical to --jobs 1
+                context.merge(res.telemetry)
+                res.telemetry = None
+            if res.timed_out:
+                metrics.counter(
+                    "runner.timeouts", "tasks that hit the "
+                    "per-task timeout").inc()
         metrics.counter("runner.failures", "tasks that raised").inc(
             sum(1 for r in results if not r.ok))
         if on_error == "raise":
@@ -258,11 +256,11 @@ class ParallelRunner:
         without being penalised); on expiry the wedged workers are
         terminated so the pool shutdown cannot hang."""
         results: dict[int, TaskResult] = {}
-        cfg = telemetry_config()
+        switches = telemetry.current().switches()
         pool = self._acquire_pool(workers)
         keep_pool = self.persistent
         try:
-            futures = {pool.submit(_traced_call, fn, i, item, cfg): i
+            futures = {pool.submit(_traced_call, fn, i, item, switches): i
                        for i, item in enumerate(items)}
         except concurrent.futures.process.BrokenProcessPool as exc:
             # a previous call's crash poisoned the warm pool between

@@ -30,7 +30,7 @@ from ..ir.loop import Loop
 from ..machine.latency import LatencyModel
 from ..machine.resources import ResourceModel
 from ..obs import metrics
-from ..obs.spans import span
+from ..obs.telemetry import span
 from .cache import MISS, ArtifactCache, CacheStats
 from .fingerprint import artifact_key
 from .runner import ParallelRunner, TaskResult

@@ -46,9 +46,7 @@ import numpy as np
 
 from ..config import ArchConfig, SimConfig
 from ..errors import SimulationError
-from ..obs import metrics
-from ..obs.events import get_tracer
-from ..obs.spans import get_span_tracer
+from ..obs import metrics, telemetry
 from ..sched.postpass import PipelinedLoop
 from .channels import KernelTimingTemplate, ThreadTiming
 from .fastpath import SteadyStateDetector
@@ -105,7 +103,7 @@ class SpMTSimulator:
         """Simulate all iterations; one ``sim.run`` span per call, with
         a ``sim.threads`` detail span around the per-thread event loop
         when ``--trace``-level spans are on."""
-        spans = get_span_tracer()
+        spans = telemetry.current().spans
         if not spans.enabled:
             return self._run()
         sched = self.pipelined.schedule
@@ -139,7 +137,7 @@ class SpMTSimulator:
         events = 0
 
         trace = self.sim.trace
-        tracer = get_tracer()
+        tracer = telemetry.current().tracer
 
         # kernel distances are immutable for the run, so the retention
         # horizon is a loop constant (previously re-scanned every

@@ -1,9 +1,10 @@
-"""Shared fixtures: architectures, machines, and reference loops.
+"""Shared fixtures: architectures, machines, reference loops, and a
+fresh telemetry context per test.
 
 Also installs a repo-wide per-test wall-clock timeout (SIGALRM-based, no
 plugin dependency): any single test exceeding ``REPRO_TEST_TIMEOUT``
 seconds (default 120) fails with a clear message instead of hanging the
-suite — the robustness counterpart of the TMS scheduling watchdog.
+suite.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.config import ArchConfig, SchedulerConfig, SimConfig
 from repro.graph import build_ddg
 from repro.ir import parse_loop
 from repro.machine import LatencyModel, ResourceModel
+from repro.obs.telemetry import Telemetry
 from repro.workloads import motivating_ddg, motivating_latency, motivating_loop, motivating_machine
 
 AXPY_SRC = """
@@ -81,6 +83,25 @@ def pytest_runtest_call(item):
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 
+
+@pytest.fixture
+def telemetry():
+    """A fresh telemetry context (events and detail spans on), installed
+    for the test and uninstalled after it."""
+    with Telemetry(events=True, spans=True, detail=True) as context:
+        yield context
+
+@pytest.fixture
+def registry(telemetry):
+    return telemetry.registry
+
+@pytest.fixture
+def tracer(telemetry):
+    return telemetry.tracer
+
+@pytest.fixture
+def span_tracer(telemetry):
+    return telemetry.spans
 
 @pytest.fixture
 def arch() -> ArchConfig:

@@ -19,17 +19,14 @@ def test_quick_table3(capsys):
 
 
 def test_stats_flag_dumps_metrics(capsys):
-    from repro.obs.metrics import MetricsRegistry, set_registry
+    from repro.obs.telemetry import Telemetry
     from repro.session import reset_session
 
-    # a fresh registry first, then a fresh session: cache counters bind
-    # to the registry current when the session is built
-    previous = set_registry(MetricsRegistry(enabled=True))
+    reset_session()  # a warm cache would skip the compiles counted below
     try:
-        reset_session()
-        assert main(["table3", "--quick", "--stats"]) == 0
+        with Telemetry():
+            assert main(["table3", "--quick", "--stats"]) == 0
     finally:
-        set_registry(previous)
         reset_session()
     captured = capsys.readouterr()
     assert "[metrics]" in captured.err

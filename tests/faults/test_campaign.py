@@ -9,6 +9,7 @@ import pytest
 from repro.faults import SCENARIOS, build_plan, derive_seed, run_chaos, \
     validate_chaos_report_dict, write_chaos_report_json
 from repro.faults.report import ChaosReport, ChaosRow
+from repro.obs.telemetry import Telemetry
 
 _QUICK = dict(suites=("table3",), max_loops=1, iterations=60, seed=11,
               scenarios=("baseline", "squash-storm", "jitter"))
@@ -53,6 +54,25 @@ def test_baseline_slowdown_is_one(quick_report):
 def test_campaign_deterministic(quick_report):
     again = run_chaos(**_QUICK)
     assert again.to_dict() == quick_report.to_dict()
+
+
+def test_campaign_without_tracing_keeps_no_events():
+    """Each run is checked on its own events; with events off around the
+    campaign, none of them is left behind."""
+    with Telemetry() as outer:
+        run_chaos(**_QUICK)
+    assert len(outer.tracer) == 0
+    assert outer.registry.counter("sim.runs").value == 3
+
+
+def test_campaign_under_tracing_keeps_every_run_event():
+    """``chaos --trace`` still exports the runs' events: one commit per
+    simulated thread, baseline and faulted runs alike."""
+    with Telemetry(events=True) as outer:
+        run_chaos(**_QUICK)
+    commits = outer.tracer.select("sim", "commit")
+    assert len(commits) == 3 * _QUICK["iterations"]
+    assert [e.seq for e in outer.tracer] == list(range(len(outer.tracer)))
 
 
 def test_campaign_seed_changes_outcomes():

@@ -11,7 +11,7 @@ from repro.config import SimConfig
 from repro.errors import InvariantViolation
 from repro.faults import FaultInjectingSimulator, FaultPlan, FaultSpec, \
     assert_trace_invariants, sanitize_events
-from repro.obs import events as obs_events
+from repro.obs.telemetry import Telemetry
 from repro.sched import run_postpass, schedule_sms
 from repro.spmt.sim import SpMTSimulator
 
@@ -22,9 +22,9 @@ def pipelined(fig1_ddg, fig1_machine, arch):
 
 
 def _traced(simulator):
-    with obs_events.tracing() as tracer:
+    with Telemetry(events=True) as traced:
         stats = simulator.run()
-        return stats, list(tracer.events)
+        return stats, list(traced.tracer.events)
 
 
 @pytest.fixture

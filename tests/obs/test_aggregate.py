@@ -1,29 +1,26 @@
-"""Cross-process telemetry capture/merge (repro.obs.aggregate) and the
-origin-aware registry merge (satellite: atomic merge + snapshot filter)."""
+"""Cross-process aggregation: a task's telemetry context, its snapshot,
+and the merge of that snapshot into the parent's context and registry."""
 
 import threading
 
-from repro.obs import events as events_mod
-from repro.obs.aggregate import (
-    collecting,
-    merge_into_process,
-    telemetry_config,
-)
-from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.spans import get_span_tracer
+import pytest
+
+from repro.obs import metrics, telemetry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry, span
 
 
 class TestCollecting:
+    """A task recorded under a fresh context (what a worker does)."""
+
     def test_worker_scope_isolates_and_snapshots(self, registry):
         registry.counter("parent.only").inc()
-        cfg = {"metrics": True, "events": True, "spans": True,
-               "spans_detail": False}
-        with collecting(cfg) as collector:
-            get_registry().counter("task.work").inc(5)
-            events_mod.get_tracer().emit("sched", "place", node="a")
-            with get_span_tracer().span("task.span"):
+        with Telemetry(events=True, spans=True) as worker:
+            metrics.counter("task.work").inc(5)
+            telemetry.current().tracer.emit("sched", "place", node="a")
+            with span("task.span"):
                 pass
-            snap = collector.snapshot()
+        snap = worker.snapshot()
         # parent state untouched by the task
         assert "task.work" not in registry
         assert registry.counter("parent.only").value == 1
@@ -32,106 +29,95 @@ class TestCollecting:
         assert [s["name"] for s in snap["spans"]] == ["task.span"]
 
     def test_previous_defaults_restored_after_scope(self, registry):
-        before_tracer = events_mod.get_tracer()
-        before_spans = get_span_tracer()
-        with collecting({"metrics": True}):
-            assert get_registry() is not registry
-            assert events_mod.get_tracer() is not before_tracer
-        assert get_registry() is registry
-        assert events_mod.get_tracer() is before_tracer
-        assert get_span_tracer() is before_spans
+        outer = telemetry.current()
+        with Telemetry() as inner:
+            assert telemetry.current() is inner
+            assert metrics.get_registry() is inner.registry
+        assert telemetry.current() is outer
+        assert metrics.get_registry() is registry
 
-    def test_empty_scope_snapshots_none(self):
-        with collecting({"metrics": True, "events": True,
-                         "spans": True}) as collector:
-            pass
-        assert collector.snapshot() is None
+    def test_switches_reflect_the_context(self):
+        t = Telemetry(spans=True, detail=True)
+        assert t.switches() == {"events": False, "spans": True,
+                                "detail": True}
+        assert Telemetry(**t.switches()).switches() == t.switches()
 
-    def test_zero_valued_instruments_skipped(self):
-        with collecting({"metrics": True}) as collector:
-            get_registry().counter("touched.but.zero")
-            get_registry().counter("real").inc()
-            snap = collector.snapshot()
-        assert "touched.but.zero" not in snap["metrics"]
-        assert "real" in snap["metrics"]
-
-    def test_telemetry_config_reflects_defaults(self, registry):
-        cfg = telemetry_config()
-        assert cfg["metrics"] is True
-        assert isinstance(cfg["events"], bool)
-        assert isinstance(cfg["spans"], bool)
+    def test_installing_an_installed_context_raises(self):
+        with Telemetry() as t:
+            with pytest.raises(RuntimeError, match="already installed"):
+                t.__enter__()
+        assert telemetry.current() is not t
 
 
 class TestMergeIntoProcess:
     def test_merge_combines_into_registry_tracer_spans(
             self, registry, tracer, span_tracer):
-        with collecting({"metrics": True, "events": True,
-                         "spans": True}) as collector:
-            get_registry().counter("w.count").inc(2)
-            events_mod.get_tracer().emit("sim", "commit", thread=0)
-            with get_span_tracer().span("w.region"):
+        with Telemetry(events=True, spans=True) as worker:
+            metrics.counter("w.count").inc(2)
+            worker.tracer.emit("sim", "commit", thread=0)
+            with span("w.region"):
                 pass
-            snap = collector.snapshot()
-        merge_into_process(snap, "worker.0")
+        with span("p.root"):
+            telemetry.current().merge(worker.snapshot())
         assert registry.snapshot()["w.count"]["value"] == 2
         assert [e.name for e in tracer.events] == ["commit"]
-        assert tracer.ingest_counts == {"worker.0": 1}
-        assert [s.name for s in span_tracer.spans] == ["w.region"]
-        assert span_tracer.spans[0].origin == "worker.0"
+        root, region = span_tracer.spans
+        assert region.name == "w.region"
+        assert region.parent_id == root.id
+        assert root.metrics == {"w.count": 2}
 
-    def test_merge_none_and_unknown_version_are_noops(self, registry):
-        merge_into_process(None, "worker.0")
-        merge_into_process({"version": 999, "metrics": {"x": {}}},
-                           "worker.0")
-        assert registry.origins() == []
+    def test_merge_skips_events_and_spans_that_are_off(self):
+        with Telemetry(events=True, spans=True) as worker:
+            metrics.counter("w.count").inc()
+            worker.tracer.emit("sim", "commit")
+            with span("w.region"):
+                pass
+        parent = Telemetry()
+        parent.merge(worker.snapshot())
+        assert parent.registry.counter("w.count").value == 1
+        assert len(parent.tracer) == 0 and len(parent.spans) == 0
 
 
 class TestRegistryOriginMerge:
-    def test_snapshot_origin_filter(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.counter("c").inc(1)
-        reg.merge_snapshot({"c": {"kind": "counter", "value": 10}},
-                           "worker.0")
-        reg.merge_snapshot({"c": {"kind": "counter", "value": 100}},
-                           "worker.1")
-        assert reg.snapshot()["c"]["value"] == 111
-        assert reg.snapshot(origin="local")["c"]["value"] == 1
-        assert reg.snapshot(origin="worker.0")["c"]["value"] == 10
-        assert reg.snapshot(origin="worker.1")["c"]["value"] == 100
-        assert reg.snapshot(origin="worker.9") == {}
-        assert reg.origins() == ["worker.0", "worker.1"]
+    """``MetricsRegistry.merge``: a snapshot folds into the instruments."""
 
     def test_histograms_merge_counts_and_bounds(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         reg.histogram("h").observe(1.0)
-        reg.merge_snapshot(
-            {"h": {"kind": "histogram", "count": 2, "sum": 10.0,
-                   "min": 4.0, "max": 6.0, "mean": 5.0}}, "worker.0")
+        reg.merge({"h": {"kind": "histogram", "count": 2, "sum": 10.0,
+                         "min": 4.0, "max": 6.0, "mean": 5.0}})
         snap = reg.snapshot()["h"]
         assert snap["count"] == 3
         assert snap["sum"] == 11.0
         assert snap["min"] == 1.0
         assert snap["max"] == 6.0
 
+    def test_counters_add_and_gauges_take_the_merged_value(self):
+        reg = MetricsRegistry()
+        reg.counter("c").inc(1)
+        reg.gauge("g").set(3.0)
+        reg.merge({"c": {"kind": "counter", "value": 10},
+                   "g": {"kind": "gauge", "value": 7.0}})
+        assert reg.counter("c").value == 11
+        assert reg.gauge("g").value == 7.0
+
     def test_repeated_merge_same_origin_accumulates(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         for _ in range(3):
-            reg.merge_snapshot({"c": {"kind": "counter", "value": 2}},
-                               "worker.0")
-        assert reg.snapshot(origin="worker.0")["c"]["value"] == 6
+            reg.merge({"c": {"kind": "counter", "value": 2}})
+        assert reg.counter("c").value == 6
 
     def test_reset_clears_merged_contributions(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.merge_snapshot({"c": {"kind": "counter", "value": 5}}, "w")
+        reg = MetricsRegistry()
+        reg.merge({"c": {"kind": "counter", "value": 5}})
         reg.reset()
-        assert reg.origins() == []
-        assert "c" not in reg.snapshot()
+        assert reg.counter("c").value == 0
 
     def test_merge_is_atomic_under_concurrent_snapshots(self):
         """Snapshots racing a merge never observe a half-applied
         contribution: every snapshot of the merged counter pair sums to
         a multiple of the per-merge delta."""
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         contribution = {"a": {"kind": "counter", "value": 1},
                         "b": {"kind": "counter", "value": 1}}
         bad: list[dict] = []
@@ -149,7 +135,7 @@ class TestRegistryOriginMerge:
         t.start()
         try:
             for _ in range(500):
-                reg.merge_snapshot(contribution, "worker.0")
+                reg.merge(contribution)
         finally:
             stop.set()
             t.join()
@@ -157,17 +143,12 @@ class TestRegistryOriginMerge:
         assert reg.snapshot()["a"]["value"] == 500
 
     def test_deterministic_totals_shapes(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = MetricsRegistry()
         reg.counter("c").inc(2)
         reg.gauge("g").set(1.5)
         reg.histogram("h").observe(3.0)
-        with reg.timer("t").time():
-            pass
         totals = reg.deterministic_totals()
-        assert totals["c"] == 2
-        assert totals["g"] == 1.5
-        assert totals["h"] == {"count": 1, "sum": 3.0}
-        assert totals["t"] == {"count": 1}  # no wall-clock sum
+        assert totals == {"c": 2, "g": 1.5, "h": {"count": 1, "sum": 3.0}}
 
 
 class TestTracerIngest:
@@ -175,16 +156,9 @@ class TestTracerIngest:
         tracer.emit("sched", "local_first")
         payload = [{"seq": 40, "cat": "sim", "name": "commit",
                     "ts": 5.0, "args": {"thread": 2}}]
-        added = tracer.ingest(payload, origin="worker.3")
-        assert added == 1
+        tracer.ingest(payload)
         merged = tracer.events[-1]
         assert merged.seq == 1                # fresh, not 40
         assert merged.cat == "sim"
         assert merged.ts == 5.0
-        assert merged.args == {"thread": 2}   # no origin stamped in
-        assert tracer.ingest_counts == {"worker.3": 1}
-
-    def test_clear_resets_ingest_counts(self, tracer):
-        tracer.ingest([{"cat": "sim", "name": "x"}], origin="w")
-        tracer.clear()
-        assert tracer.ingest_counts == {}
+        assert merged.args == {"thread": 2}

@@ -1,6 +1,8 @@
 """Structured event tracing."""
 
-from repro.obs.events import Tracer, get_tracer, tracing
+from repro.obs import telemetry
+from repro.obs.events import Tracer
+from repro.obs.telemetry import Telemetry
 
 
 def test_disabled_tracer_records_nothing():
@@ -46,21 +48,14 @@ def test_clear_restarts_sequence():
 
 
 def test_tracing_contextmanager_restores_state():
-    tracer = get_tracer()
-    assert tracer.enabled is False
-    with tracing() as t:
-        assert t is tracer and t.enabled
-        t.emit("sim", "spawn")
-        assert len(t) == 1
-    assert tracer.enabled is False
-    tracer.clear()
-
-
-def test_tracing_keeps_buffer_when_not_cleared():
-    tracer = get_tracer()
-    with tracing():
-        tracer.emit("sim", "spawn")
-    with tracing(clear=False):
-        tracer.emit("sim", "commit")
-    assert [e.name for e in tracer] == ["spawn", "commit"]
-    tracer.clear()
+    """A context with events on takes the block's events; on exit the
+    previous context is current again, its tracer untouched."""
+    outer = telemetry.current()
+    assert outer.tracer.enabled is False
+    before = len(outer.tracer)
+    with Telemetry(events=True) as t:
+        assert telemetry.current() is t and t.tracer.enabled
+        telemetry.current().tracer.emit("sim", "spawn")
+    assert telemetry.current() is outer
+    assert [e.name for e in t.tracer] == ["spawn"]
+    assert outer.tracer.enabled is False and len(outer.tracer) == before

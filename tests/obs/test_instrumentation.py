@@ -5,8 +5,8 @@ import pytest
 
 from repro.config import ArchConfig, SimConfig
 from repro.costmodel import objective_f
-from repro.obs.events import tracing
 from repro.obs.export import events_to_jsonl, to_chrome_trace
+from repro.obs.telemetry import Telemetry
 from repro.sched import (
     ThreadSensitiveScheduler,
     run_postpass,
@@ -21,9 +21,9 @@ from repro.spmt import simulate
 
 @pytest.fixture
 def tms_search(fig1_ddg, fig1_machine, arch):
-    with tracing() as tracer:
+    with Telemetry(events=True) as traced:
         sched = schedule_tms(fig1_ddg, fig1_machine, arch)
-    return sched, tracer.select("sched", "tms.candidate")
+    return sched, traced.tracer.select("sched", "tms.candidate")
 
 
 def test_tms_events_reconstruct_enumeration(fig1_ddg, fig1_machine, arch,
@@ -70,9 +70,9 @@ def test_tms_candidate_f_breakdown(arch, tms_search):
 
 
 def test_sms_place_events_match_schedule(fig1_ddg, fig1_machine):
-    with tracing() as tracer:
+    with Telemetry(events=True) as traced:
         sched = schedule_sms(fig1_ddg, fig1_machine)
-        places = tracer.select("sched", "place")
+        places = traced.tracer.select("sched", "place")
     final = [e for e in places if e.args["ii"] == sched.ii
              and e.args["alg"] == "SMS"]
     placed = {e.args["node"]: e.args["cycle"] for e in final}
@@ -88,10 +88,10 @@ def test_sms_place_events_match_schedule(fig1_ddg, fig1_machine):
 @pytest.fixture
 def sim_trace(fig1_ddg, fig1_machine, arch):
     pipelined = run_postpass(schedule_tms(fig1_ddg, fig1_machine, arch), arch)
-    with tracing() as tracer:
+    with Telemetry(events=True) as traced:
         stats = simulate(pipelined, arch,
                          SimConfig(iterations=200, seed=3, trace=True))
-    return stats, tracer.select("sim")
+    return stats, traced.tracer.select("sim")
 
 
 def test_one_lifecycle_per_thread(sim_trace):
@@ -141,7 +141,7 @@ def test_tracing_does_not_perturb_results(fig1_ddg, fig1_machine, arch):
     pipelined = run_postpass(schedule_tms(fig1_ddg, fig1_machine, arch), arch)
     cfg = SimConfig(iterations=300, seed=11)
     baseline = simulate(pipelined, arch, cfg)
-    with tracing():
+    with Telemetry(events=True):
         traced = simulate(pipelined, arch, cfg)
     assert traced.total_cycles == baseline.total_cycles
     assert traced.misspeculations == baseline.misspeculations
@@ -152,10 +152,10 @@ def test_exports_deterministic_across_runs(fig1_ddg, fig1_machine, arch):
     def one_run():
         pipelined = run_postpass(
             schedule_tms(fig1_ddg, fig1_machine, arch), arch)
-        with tracing() as tracer:
+        with Telemetry(events=True) as traced:
             simulate(pipelined, arch, SimConfig(iterations=150, seed=5))
-            return (events_to_jsonl(tracer.events),
-                    to_chrome_trace(tracer.events))
+            return (events_to_jsonl(traced.tracer.events),
+                    to_chrome_trace(traced.tracer.events))
     jsonl_a, chrome_a = one_run()
     jsonl_b, chrome_b = one_run()
     assert jsonl_a == jsonl_b
@@ -165,6 +165,6 @@ def test_exports_deterministic_across_runs(fig1_ddg, fig1_machine, arch):
 def test_no_speculation_arch_has_no_violation_events(fig1_ddg, fig1_machine):
     arch = ArchConfig(ncore=4)
     pipelined = run_postpass(schedule_sms(fig1_ddg, fig1_machine), arch)
-    with tracing() as tracer:
+    with Telemetry(events=True) as traced:
         stats = simulate(pipelined, arch, SimConfig(iterations=50, seed=0))
-    assert len(tracer.select("sim", "violation")) == stats.misspeculations
+    assert len(traced.tracer.select("sim", "violation")) == stats.misspeculations

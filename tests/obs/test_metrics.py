@@ -1,9 +1,9 @@
-"""Metrics registry: counters, gauges, histograms, timers."""
+"""Metrics registry: counters, gauges, histograms."""
 
 import pytest
 
 from repro.obs import metrics
-from repro.obs.metrics import Counter, MetricsRegistry, Timer
+from repro.obs.metrics import Counter
 
 
 def test_counter_inc(registry):
@@ -22,23 +22,6 @@ def test_kind_collision_raises(registry):
     registry.counter("x")
     with pytest.raises(TypeError, match="already registered"):
         registry.gauge("x")
-
-
-def test_timer_is_not_a_plain_histogram(registry):
-    registry.timer("t")
-    with pytest.raises(TypeError):
-        registry.histogram("t")
-
-
-def test_disabled_registry_is_inert():
-    reg = MetricsRegistry(enabled=False)
-    c = reg.counter("c")
-    g = reg.gauge("g")
-    h = reg.histogram("h")
-    c.inc()
-    g.set(7.0)
-    h.observe(1.0)
-    assert c.value == 0 and g.value == 0.0 and h.count == 0
 
 
 def test_gauge_last_write_wins(registry):
@@ -65,30 +48,6 @@ def test_empty_histogram_snapshot(registry):
     assert snap["min"] == 0.0 and snap["max"] == 0.0 and snap["mean"] == 0.0
 
 
-def test_timer_observes_elapsed(registry):
-    t = registry.timer("t")
-    fake = iter([10.0, 10.25])
-    with t.time(clock=lambda: next(fake)):
-        pass
-    assert t.count == 1
-    assert t.total == pytest.approx(0.25)
-
-
-def test_timer_observes_on_exception(registry):
-    t = registry.timer("t")
-    fake = iter([0.0, 1.0])
-    with pytest.raises(RuntimeError):
-        with t.time(clock=lambda: next(fake)):
-            raise RuntimeError("boom")
-    assert t.count == 1
-
-
-def test_disabled_timer_skips_clock():
-    reg = MetricsRegistry(enabled=False)
-    with reg.timer("t").time(clock=lambda: 1 / 0):  # clock never called
-        pass
-
-
 def test_snapshot_sorted_and_render(registry):
     registry.counter("b").inc(2)
     registry.gauge("a").set(1.0)
@@ -107,16 +66,8 @@ def test_reset_keeps_instruments(registry):
 
 
 def test_module_shortcuts_use_default_registry(registry):
+    """The shortcuts count into the current context's registry."""
     metrics.counter("short").inc()
     assert registry.get("short").value == 1
     assert isinstance(registry.get("short"), Counter)
-    assert isinstance(metrics.timer("short.t"), Timer)
-
-
-def test_env_kill_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_METRICS", "0")
-    assert MetricsRegistry().enabled is False
-    monkeypatch.setenv("REPRO_METRICS", "1")
-    assert MetricsRegistry().enabled is True
-    monkeypatch.delenv("REPRO_METRICS")
-    assert MetricsRegistry().enabled is True
+    assert metrics.get_registry() is registry

@@ -4,39 +4,38 @@ import json
 
 import pytest
 
-from repro.obs.spans import (
-    Span,
-    SpanTracer,
-    get_span_tracer,
-    set_span_tracer,
-    span,
-    span_tree,
-    spans_to_dicts,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import Span, SpanTracer, span_tree, spans_to_dicts
+from repro.obs.telemetry import Telemetry, span
+
+
+def _tracer(**switches) -> SpanTracer:
+    """A span tracer over a registry of its own."""
+    return SpanTracer(MetricsRegistry(), **switches)
 
 
 class TestSpanRecording:
     def test_disabled_tracer_yields_none_and_records_nothing(self):
-        st = SpanTracer(enabled=False)
+        st = _tracer(enabled=False)
         with st.span("x") as s:
             assert s is None
         assert len(st) == 0
 
     def test_detail_span_skipped_without_detail_mode(self):
-        st = SpanTracer(enabled=True, detail=False)
+        st = _tracer(enabled=True, detail=False)
         with st.span("coarse"):
             with st.span("fine", detail=True) as s:
                 assert s is None
         assert [s.name for s in st.spans] == ["coarse"]
 
     def test_detail_span_recorded_in_detail_mode(self):
-        st = SpanTracer(enabled=True, detail=True)
+        st = _tracer(enabled=True, detail=True)
         with st.span("fine", detail=True):
             pass
         assert [s.name for s in st.spans] == ["fine"]
 
     def test_ids_assigned_in_open_order_with_parent_links(self):
-        st = SpanTracer(enabled=True)
+        st = _tracer(enabled=True)
         with st.span("a"):
             with st.span("b"):
                 pass
@@ -49,13 +48,13 @@ class TestSpanRecording:
         assert c.parent_id == a.id
 
     def test_attrs_captured_and_mutable_until_close(self):
-        st = SpanTracer(enabled=True)
+        st = _tracer(enabled=True)
         with st.span("a", kernel="k1") as s:
             s.attrs["outcome"] = "ok"
         assert st.spans[0].attrs == {"kernel": "k1", "outcome": "ok"}
 
     def test_wall_and_exclusive_time(self):
-        st = SpanTracer(enabled=True)
+        st = _tracer(enabled=True)
         with st.span("outer"):
             with st.span("inner"):
                 pass
@@ -66,7 +65,7 @@ class TestSpanRecording:
 
     def test_metric_deltas_only_include_changed_instruments(self, registry):
         registry.counter("pre.existing").inc(10)
-        st = SpanTracer(enabled=True)
+        st = SpanTracer(registry, enabled=True)
         with st.span("work"):
             registry.counter("work.done").inc(3)
             registry.histogram("work.sizes").observe(2.0)
@@ -75,7 +74,7 @@ class TestSpanRecording:
                              "work.sizes": {"count": 1, "sum": 2.0}}
 
     def test_nested_deltas_accumulate_to_parent(self, registry):
-        st = SpanTracer(enabled=True)
+        st = SpanTracer(registry, enabled=True)
         with st.span("outer"):
             registry.counter("n").inc()
             with st.span("inner"):
@@ -85,7 +84,7 @@ class TestSpanRecording:
         assert inner.metrics == {"n": 2}
 
     def test_exception_still_closes_span(self):
-        st = SpanTracer(enabled=True)
+        st = _tracer(enabled=True)
         with pytest.raises(RuntimeError):
             with st.span("boom"):
                 raise RuntimeError("x")
@@ -93,7 +92,7 @@ class TestSpanRecording:
         assert st._stack == []
 
     def test_clear_resets_ids(self):
-        st = SpanTracer(enabled=True)
+        st = _tracer(enabled=True)
         with st.span("a"):
             pass
         st.clear()
@@ -104,38 +103,36 @@ class TestSpanRecording:
 
 class TestIngest:
     def test_ingest_rebases_under_open_span(self):
-        worker = SpanTracer(enabled=True)
+        worker = _tracer(enabled=True)
         with worker.span("w.outer"):
             with worker.span("w.inner"):
                 pass
         payload = spans_to_dicts(worker.spans)
 
-        parent = SpanTracer(enabled=True)
+        parent = _tracer(enabled=True)
         with parent.span("p.root"):
-            added = parent.ingest(payload, origin="worker.0")
-        assert added == 2
+            parent.ingest(payload)
         root, outer, inner = parent.spans
         assert outer.parent_id == root.id
         assert inner.parent_id == outer.id
-        assert outer.origin == "worker.0"
 
     def test_ingest_without_open_span_makes_roots(self):
-        worker = SpanTracer(enabled=True)
+        worker = _tracer(enabled=True)
         with worker.span("w"):
             pass
-        parent = SpanTracer(enabled=True)
-        parent.ingest(spans_to_dicts(worker.spans), origin="worker.1")
+        parent = _tracer(enabled=True)
+        parent.ingest(spans_to_dicts(worker.spans))
         assert parent.spans[0].parent_id is None
 
     def test_ingest_disabled_is_noop(self):
-        parent = SpanTracer(enabled=False)
-        assert parent.ingest([{"name": "x", "id": 0,
-                               "parent_id": None}]) == 0
+        parent = _tracer(enabled=False)
+        parent.ingest([{"name": "x", "id": 0, "parent_id": None}])
+        assert len(parent) == 0
 
 
 class TestTreeAndRollup:
     def test_normalized_tree_drops_ids_and_wall(self):
-        st = SpanTracer(enabled=True)
+        st = _tracer(enabled=True)
         with st.span("a", k=1):
             with st.span("b"):
                 pass
@@ -144,13 +141,13 @@ class TestTreeAndRollup:
                          "children": [{"name": "b"}]}]
 
     def test_normalized_tree_sorts_siblings(self):
-        left = SpanTracer(enabled=True)
+        left = _tracer(enabled=True)
         with left.span("root"):
             with left.span("z"):
                 pass
             with left.span("a"):
                 pass
-        right = SpanTracer(enabled=True)
+        right = _tracer(enabled=True)
         with right.span("root"):
             with right.span("a"):
                 pass
@@ -159,7 +156,7 @@ class TestTreeAndRollup:
         assert span_tree(left.spans) == span_tree(right.spans)
 
     def test_raw_tree_keeps_ids_and_order(self):
-        st = SpanTracer(enabled=True)
+        st = _tracer(enabled=True)
         with st.span("root"):
             with st.span("z"):
                 pass
@@ -170,7 +167,7 @@ class TestTreeAndRollup:
         assert tree[0]["id"] == 0
 
     def test_rollup_aggregates_by_name(self):
-        st = SpanTracer(enabled=True)
+        st = _tracer(enabled=True)
         for _ in range(3):
             with st.span("work"):
                 pass
@@ -179,11 +176,11 @@ class TestTreeAndRollup:
         assert roll["work"]["wall_seconds"] >= 0.0
 
     def test_round_trip_to_dict_from_dict(self):
-        st = SpanTracer(enabled=True)
+        st = _tracer(enabled=True)
         with st.span("a", k="v") as s:
             pass
         d = s.to_dict()
-        clone = Span.from_dict(d, id=7, parent_id=None, origin="w")
+        clone = Span.from_dict(d, id=7, parent_id=None)
         assert clone.name == "a"
         assert clone.attrs == {"k": "v"}
         assert clone.wall == s.wall
@@ -191,13 +188,9 @@ class TestTreeAndRollup:
 
 
 class TestModuleDefaults:
-    def test_module_span_follows_set_span_tracer(self):
-        fresh = SpanTracer(enabled=True)
-        previous = set_span_tracer(fresh)
-        try:
+    def test_module_span_follows_the_current_context(self):
+        with Telemetry(spans=True) as fresh:
             with span("via.module"):
-                pass
-            assert [s.name for s in fresh.spans] == ["via.module"]
-            assert get_span_tracer() is fresh
-        finally:
-            set_span_tracer(previous)
+                fresh.registry.counter("work").inc()
+        assert [s.name for s in fresh.spans.spans] == ["via.module"]
+        assert fresh.spans.spans[0].metrics == {"work": 1}

@@ -207,16 +207,9 @@ def test_base_select_is_first_fit(fig1_ddg, fig1_machine):
     assert policy.select(v, 3, 3, False, ps) == (None, 1)
 
 
-def test_engine_metrics_published(axpy_ddg, resources, arch):
-    from repro.obs import metrics as obs_metrics
-
-    reg = obs_metrics.MetricsRegistry(enabled=True)
-    old = obs_metrics.set_registry(reg)
-    try:
-        schedule_tms(axpy_ddg, resources, arch)
-    finally:
-        obs_metrics.set_registry(old)
-    snap = {name: s.get("value", 0) for name, s in reg.snapshot().items()}
+def test_engine_metrics_published(axpy_ddg, resources, arch, registry):
+    schedule_tms(axpy_ddg, resources, arch)
+    snap = {name: s.get("value", 0) for name, s in registry.snapshot().items()}
     assert snap.get("sched.engine.attempts", 0) > 0
     assert snap.get("sched.engine.slot_probes", 0) > 0
     assert snap.get("sched.engine.window_tables", 0) > 0

@@ -6,7 +6,7 @@ from repro.config import ArchConfig, SchedulerConfig
 from repro.costmodel import achieved_c_delay, kernel_misspec_probability, sync_delay
 from repro.graph import build_ddg
 from repro.machine import LatencyModel, ResourceModel
-from repro.obs.events import tracing
+from repro.obs.telemetry import Telemetry
 from repro.sched import (
     ThreadSensitiveScheduler,
     schedule_sms,
@@ -111,11 +111,11 @@ def test_max_candidates_is_the_whole_budget(budget):
     (loop,) = [sl.loop for sl in DOACROSS_LOOPS if sl.loop.name == "lucas_fft"]
     ddg = build_ddg(loop, LatencyModel.for_arch(arch))
     config = SchedulerConfig(max_candidates=budget)
-    with tracing() as tracer:
+    with Telemetry(events=True) as traced:
         sched = ThreadSensitiveScheduler(
             ddg, ResourceModel.default(arch.issue_width), arch, config
         ).schedule()
-    walked = [e for e in tracer.events if e.name == "tms.candidate"]
-    (done,) = [e for e in tracer.events if e.name == "tms.budget_exhausted"]
+    walked = [e for e in traced.tracer.events if e.name == "tms.candidate"]
+    (done,) = [e for e in traced.tracer.events if e.name == "tms.budget_exhausted"]
     assert len(walked) == done.args["attempts"] == budget
     assert sched.meta["fallback"]

@@ -20,7 +20,7 @@ import pytest
 from repro.config import ArchConfig, SchedulerConfig
 from repro.graph import build_ddg
 from repro.machine import LatencyModel, ResourceModel
-from repro.obs.events import tracing
+from repro.obs.telemetry import Telemetry
 from repro.sched import ThreadSensitiveScheduler
 from repro.workloads import DOACROSS_LOOPS, motivating_ddg, motivating_machine
 
@@ -33,9 +33,9 @@ def _check_pruned(ddg, resources, arch, config):
     """Run one traced search, place every candidate it pruned, and
     return ``(schedule, number pruned)``."""
     tms = ThreadSensitiveScheduler(ddg, resources, arch, config)
-    with tracing() as tracer:
+    with Telemetry(events=True) as traced:
         sched = tms.schedule()
-    pruned = [(e.args["ii"], e.args["c_delay"]) for e in tracer.events
+    pruned = [(e.args["ii"], e.args["c_delay"]) for e in traced.tracer.events
               if e.name == "tms.candidate" and e.args["outcome"] == "pruned"]
     for ii, c_delay in pruned:
         slots, _floor = tms._try_tms(ii, c_delay, config.p_max)

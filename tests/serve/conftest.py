@@ -1,16 +1,7 @@
-"""Serve tests: isolated registry/tracer and a tiny reference loop.
-
-The registry fixture must be installed *before* any ``Session`` /
-``ArtifactCache`` is constructed — cache counter handles bind to the
-process-default registry at construction time.
-"""
+"""Serve tests: a tiny reference loop (the isolated ``registry`` and
+``span_tracer`` fixtures come from the repo-wide conftest)."""
 
 from __future__ import annotations
-
-import pytest
-
-from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.obs.spans import SpanTracer, set_span_tracer
 
 #: same loop as the repo-wide AXPY fixture (kept inline: serve requests
 #: carry raw DSL text over the wire, so the test mirrors a real payload)
@@ -28,24 +19,3 @@ n4: store Y[i], r
 n5: s = fadd s, r
 """
 
-
-@pytest.fixture
-def registry():
-    """A fresh enabled registry installed as the process default."""
-    fresh = MetricsRegistry(enabled=True)
-    previous = set_registry(fresh)
-    try:
-        yield fresh
-    finally:
-        set_registry(previous)
-
-
-@pytest.fixture
-def span_tracer():
-    """A fresh enabled span tracer installed as the process default."""
-    fresh = SpanTracer(enabled=True, detail=True)
-    previous = set_span_tracer(fresh)
-    try:
-        yield fresh
-    finally:
-        set_span_tracer(previous)

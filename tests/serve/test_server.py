@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import http.client
 import json
 import socket
@@ -13,8 +12,8 @@ import time
 import pytest
 
 from repro.errors import AdmissionRejected, ProtocolError, ServerUnavailable
-from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.obs.spans import SpanTracer, set_span_tracer, span_tree
+from repro.obs.spans import span_tree
+from repro.obs.telemetry import Telemetry
 from repro.serve import (
     ServeClient,
     ServeDaemon,
@@ -404,19 +403,6 @@ def test_timeouts_are_not_retried(daemon, monkeypatch):
 
 # -- serve-vs-direct equivalence ---------------------------------------------
 
-@contextlib.contextmanager
-def _fresh_obs():
-    registry = MetricsRegistry(enabled=True)
-    tracer = SpanTracer(enabled=True, detail=True)
-    prev_r = set_registry(registry)
-    prev_t = set_span_tracer(tracer)
-    try:
-        yield registry, tracer
-    finally:
-        set_registry(prev_r)
-        set_span_tracer(prev_t)
-
-
 def _observable(totals):
     """Registry totals minus serve plumbing: ``serve.*`` only exists on
     the daemon side, ``cache.*`` aggregates the broker's response cache
@@ -432,15 +418,15 @@ def test_serve_and_direct_execution_are_equivalent():
     under the ``serve.request`` root."""
     req = _req()
 
-    with _fresh_obs() as (reg_direct, tr_direct):
+    with Telemetry(spans=True, detail=True) as direct:
         direct_session = Session(jobs=1)
         result = execute_request(direct_session, req)
         direct_bytes = response_bytes(ok_response(req, result))
-        direct_tree = span_tree(tr_direct.spans, normalize=True)
-        direct_totals = _observable(reg_direct.deterministic_totals())
+        direct_tree = span_tree(direct.spans.spans, normalize=True)
+        direct_totals = _observable(direct.registry.deterministic_totals())
         direct_cache = direct_session.cache.stats_dict()
 
-    with _fresh_obs() as (reg_serve, tr_serve):
+    with Telemetry(spans=True, detail=True) as served:
         serve_session = Session(jobs=1)
         from repro.serve import RequestBroker
         daemon = ServeDaemon(
@@ -452,8 +438,8 @@ def test_serve_and_direct_execution_are_equivalent():
                 outcome = client.submit(req)
         finally:
             daemon.stop(drain_timeout=10.0)
-        serve_tree = span_tree(tr_serve.spans, normalize=True)
-        serve_totals = _observable(reg_serve.deterministic_totals())
+        serve_tree = span_tree(served.spans.spans, normalize=True)
+        serve_totals = _observable(served.registry.deterministic_totals())
         serve_cache = serve_session.cache.stats_dict()
 
     assert outcome.body == direct_bytes                    # byte-identical

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import ArchConfig, SchedulerConfig, SimConfig
 from repro.ir import parse_loop
+from repro.obs.telemetry import Telemetry
 from repro.session import Session, get_session, reset_session, set_session
 from repro.spmt import simulate
 
@@ -30,6 +31,16 @@ def _fresh_default_session():
     previous = set_session(None)
     yield
     set_session(previous)
+
+
+def test_cache_counts_into_the_context_current_at_each_call(loop):
+    """A session built before a context is installed counts its cache
+    misses into that context, like every other counter."""
+    session = Session()
+    with Telemetry() as fresh:
+        session.compile(loop)
+    assert fresh.registry.counter("cache.misses").value == 1
+    assert fresh.registry.counter("session.compiles").value == 1
 
 
 def test_second_compile_is_a_cache_hit(loop):

@@ -14,7 +14,7 @@ import pytest
 from repro.config import SimConfig
 from repro.faults import FaultInjectingSimulator, FaultPlan, FaultSpec, \
     sanitize_events
-from repro.obs import events as obs_events
+from repro.obs.telemetry import Telemetry
 from repro.sched import run_postpass, schedule_sms
 from repro.spmt import simulate
 
@@ -27,9 +27,9 @@ def axpy_pipelined(axpy_ddg, resources, arch):
 def _run_sanitized(pipelined, arch, plan, iterations=40):
     sim = FaultInjectingSimulator(
         pipelined, arch, SimConfig(iterations=iterations, seed=2), plan=plan)
-    with obs_events.tracing() as tracer:
+    with Telemetry(events=True) as traced:
         stats = sim.run()
-        findings = sanitize_events(tracer.events, arch, stats=stats)
+        findings = sanitize_events(traced.tracer.events, arch, stats=stats)
     assert findings == [], [str(f) for f in findings]
     return stats, dict(sim.injected)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ArchConfig, SchedulerConfig, SimConfig, summarize_config
+from repro.config import ArchConfig, SchedulerConfig, SimConfig
 from repro.errors import MachineError
 
 
@@ -59,8 +59,3 @@ class TestSimConfig:
     def test_validation(self):
         with pytest.raises(MachineError):
             SimConfig(iterations=0)
-
-
-def test_summarize_config():
-    text = summarize_config(SimConfig(iterations=7))
-    assert "SimConfig" in text and "iterations=7" in text

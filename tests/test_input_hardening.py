@@ -66,8 +66,6 @@ CASES = [
      lambda: ArchConfig(l1_miss_rate=1.5), MachineError),
     ("bad-p-max",
      lambda: SchedulerConfig(p_max=2.0), MachineError),
-    ("negative-schedule-budget",
-     lambda: SchedulerConfig(max_schedule_seconds=-0.5), MachineError),
     ("zero-iterations",
      lambda: SimConfig(iterations=0), MachineError),
 ]
