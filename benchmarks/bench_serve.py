@@ -8,7 +8,7 @@ HTTP over loopback, so the numbers include protocol cost):
   time (interpreter startup excluded, so this *understates* the cold
   side and the warm/cold ratio is conservative);
 - **warm server**: the same request against a running daemon whose
-  session, artifact cache and worker pool stay hot — the first request
+  session and caches stay hot — the first request
   computes, the rest measure the served path;
 - **burst**: N concurrent client threads firing a small request mix at
   once; reports p50/p95 response latency under coalescing and
@@ -67,7 +67,7 @@ def _percentile(sorted_values: list[float], q: float) -> float:
 
 def measure_cold_process(repeats: int) -> list[float]:
     """Per-request seconds when every request pays a fresh session
-    (no cache, no warm pool) — the no-daemon baseline."""
+    (no warm cache) — the no-daemon baseline."""
     from repro.serve.broker import execute_request
     from repro.session import Session
 

@@ -59,17 +59,8 @@ class FaultPlanError(ReproError):
     """A declarative fault plan (:mod:`repro.faults.plan`) is malformed."""
 
 
-class TaskTimeout(ReproError):
-    """A :class:`~repro.session.runner.ParallelRunner` task exceeded its
-    per-task timeout budget."""
-
-
 class WorkloadError(ReproError):
     """A workload generator was given unsatisfiable parameters."""
-
-
-class ExperimentError(ReproError):
-    """An experiment harness failed to assemble its inputs."""
 
 
 class ServeError(ReproError):
@@ -88,7 +79,8 @@ class AdmissionRejected(ServeError):
     executing it.  ``reason`` is one of the
     :data:`repro.serve.protocol.REJECT_REASONS`: ``queue_full`` (bounded
     queue depth exceeded), ``deadline`` (the per-request deadline
-    expired), or ``draining`` (the daemon is shutting down)."""
+    expired while the request waited), or ``draining`` (the daemon is
+    shutting down)."""
 
     def __init__(self, reason: str, message: str | None = None):
         self.reason = reason

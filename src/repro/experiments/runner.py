@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     from ..serve.cli import add_serve_arguments, add_submit_arguments
     serve = sub.add_parser(
         "serve", help="run the long-lived compile/simulate daemon: warm "
-                      "worker pool, request coalescing, bounded admission "
+                      "caches, request coalescing, bounded admission "
                       "control (docs/serving.md)")
     add_serve_arguments(serve)
     _add_obs_flags(serve)
@@ -227,7 +227,7 @@ def _run_serve_command(ns: argparse.Namespace) -> int:
     _finish_trace(ns.trace)
     if ns.stats:
         _print_stats()
-    # the daemon runs its own session (warm pool), so the broker summary
+    # the daemon runs its own session, so the broker summary
     # printed by run_serve_command stands in for the session report here.
     _ledger_extra = getattr(ns, "serve_summary", None)
     return code

@@ -157,10 +157,13 @@ class SpanTracer:
         """Re-base serialized spans (a worker's :func:`spans_to_dicts`)
         under the currently open span (no-op when disabled).  Relative
         structure and order are preserved; ids are re-assigned
-        deterministically in ingest order."""
+        deterministically in ingest order.  Each re-based root counts as
+        a child of the open span, so its wall time leaves that span's
+        exclusive time (clamped at 0 when parallel workers overlap)."""
         if not self.enabled:
             return
-        anchor = self._stack[-1].id if self._stack else None
+        top = self._stack[-1] if self._stack else None
+        anchor = top.id if top is not None else None
         id_map: dict[Any, int] = {}
         for d in span_dicts:
             old_parent = d.get("parent_id")
@@ -170,6 +173,8 @@ class SpanTracer:
             id_map[d.get("id")] = s.id
             self._next_id += 1
             self.spans.append(s)
+            if top is not None and parent == anchor:
+                top._child_wall += s.wall
 
     # -- reporting -----------------------------------------------------------
 

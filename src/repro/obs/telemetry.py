@@ -6,8 +6,8 @@ context for one at call time (``metrics.counter(...)``,
 ``telemetry.current().tracer``, :func:`span`), so a block run under
 ``with Telemetry(...) as t:`` records into ``t`` alone.  The current
 context is a plain module global, not a thread- or context-local one:
-the serve broker's executor threads and the parallel runner's timeout
-threads count into the context their caller installed.
+the serve broker's executor threads count into the context their caller
+installed.
 
 A :class:`~repro.session.runner.ParallelRunner` worker runs each task
 under a fresh context with the parent's :meth:`~Telemetry.switches` and

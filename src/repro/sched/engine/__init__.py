@@ -8,13 +8,12 @@ placement disciplines and ``docs/scheduling.md`` for the architecture.
 
 from .context import EngineContext
 from .core import PlacementEngine
-from .partial import LiveTracker, PartialSchedule
+from .partial import PartialSchedule
 from .policy import SlotPolicy, TMSContext, TMSPolicy
 from .windows import WindowService, WindowTable
 
 __all__ = [
     "EngineContext",
-    "LiveTracker",
     "PartialSchedule",
     "PlacementEngine",
     "SlotPolicy",

@@ -36,9 +36,6 @@ class EngineContext:
         ``name -> (fu_index, count, occupancy)`` — the node's resolved
         functional-unit spec, so the MRT probe never touches the opcode
         enum or the resource-model dict.
-    reg_uses / reg_prods:
-        Register-flow fan-out/fan-in as ``(neighbour, distance)`` tuples,
-        for the incremental MaxLive tracker.
     depth / height:
         ASAP depth and height from :func:`compute_metrics` (window seeds
         and IMS priorities).
@@ -69,14 +66,3 @@ class EngineContext:
         #: IMS priority key: greatest height first, then program order.
         self.priority = {n.name: (-self.metrics[n.name].height, n.position)
                          for n in ddg.nodes}
-
-        self.reg_uses: dict[str, tuple[tuple[str, int], ...]] = {}
-        self.reg_prods: dict[str, tuple[tuple[str, int], ...]] = {}
-        for node in ddg.nodes:
-            v = node.name
-            self.reg_uses[v] = tuple(
-                (e.dst, e.distance) for e in ddg.succs(v)
-                if e.is_register_flow)
-            self.reg_prods[v] = tuple(
-                (e.src, e.distance) for e in ddg.preds(v)
-                if e.is_register_flow)

@@ -53,8 +53,7 @@ class PlacementEngine:
 
     def try_place(self, ii: int, order, directions: Mapping[str, str],
                   policy: SlotPolicy | None = None, *, alg: str,
-                  seed_high: bool = False,
-                  track_live: bool = False) -> dict[str, int] | None:
+                  seed_high: bool = False) -> dict[str, int] | None:
         """One placement attempt at ``ii`` over ``order``.
 
         Each node takes the slot ``policy.select`` picks in its
@@ -74,18 +73,16 @@ class PlacementEngine:
             with spans.span("sched.place", alg=alg, kernel=self.ctx.name,
                             ii=ii) as sp:
                 out = self._try_place(ii, order, directions, policy, alg=alg,
-                                      seed_high=seed_high,
-                                      track_live=track_live)
+                                      seed_high=seed_high)
                 if sp is not None:
                     sp.attrs["ok"] = out is not None
                 return out
         return self._try_place(ii, order, directions, policy, alg=alg,
-                               seed_high=seed_high, track_live=track_live)
+                               seed_high=seed_high)
 
     def _try_place(self, ii: int, order, directions: Mapping[str, str],
                    policy: SlotPolicy | None = None, *, alg: str,
-                   seed_high: bool = False,
-                   track_live: bool = False) -> dict[str, int] | None:
+                   seed_high: bool = False) -> dict[str, int] | None:
         if policy is None:
             policy = _FIRST_FIT
         tracer = telemetry.current().tracer
@@ -96,7 +93,7 @@ class PlacementEngine:
             "sched.engine.attempts",
             "placement attempts run by the unified engine").inc()
         table = self.windows.table(ii)
-        ps = PartialSchedule(self.ctx, ii, track_live=track_live)
+        ps = PartialSchedule(self.ctx, ii)
         partial = ps.slots
         policy.begin_attempt(ps)
         select = policy.select

@@ -1,9 +1,9 @@
 """Long-running compile/simulate service (``tms-experiments serve``).
 
-A zero-dependency daemon over the process :class:`~repro.session.
+A zero-dependency daemon over one long-lived :class:`~repro.session.
 session.Session`: identical concurrent requests coalesce onto one
-in-flight computation, a persistent warm worker pool answers repeat
-work without process-spawn or recompile cost, and bounded admission
+in-flight computation, the session's artifact cache and a response
+cache answer repeat work without recompiling, and bounded admission
 control turns overload into typed rejections instead of queue
 collapse.  See ``docs/serving.md``.
 

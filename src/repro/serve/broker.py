@@ -1,4 +1,4 @@
-"""The request broker: admission control, coalescing, warm execution.
+"""The request broker: admission control, coalescing, execution.
 
 The broker is the heart of the serve daemon.  Request threads (one per
 HTTP connection under the threading server) call :meth:`RequestBroker.
@@ -18,13 +18,15 @@ submit`, which walks the admission pipeline:
    ``max_queue_depth``; beyond it the submission is rejected
    ``queue_full`` (backpressure, never an unbounded queue);
 5. **execution** — admitted jobs are executed FIFO by the broker's
-   executor threads against one shared warm
-   :class:`~repro.session.session.Session` (persistent worker pool,
-   thread-safe artifact cache), each wrapped in a ``serve.request``
-   span.  A request's ``deadline_seconds`` budget spans queue wait and
-   execution: expiry before execution, or a per-task
-   :class:`~repro.errors.TaskTimeout` from the runner's ``timeout=``
-   during it, becomes a typed ``deadline`` rejection.
+   executor threads against one shared
+   :class:`~repro.session.session.Session` (its artifact cache and
+   template memo stay warm across requests), each wrapped in a
+   ``serve.request`` span.
+
+A request's ``deadline_seconds`` bounds the wait, not the work: a job
+whose deadline expired while it queued is rejected ``deadline`` without
+running, and so is a coalesced waiter whose own deadline expires, but a
+job that has started runs to completion and its response is cached.
 
 :func:`execute_request` is the single execution path — the daemon and
 the serve-vs-direct equivalence tests call the same function, so "the
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from ..config import ArchConfig
-from ..errors import TaskTimeout
 from ..obs import metrics
 from ..obs.telemetry import span
 from ..session import Session
@@ -86,16 +87,16 @@ class BrokerConfig:
                              f"got {self.result_cache_size}")
 
 
-def execute_request(session: Session, request: ServeRequest, *,
-                    timeout: float | None = None) -> dict[str, Any]:
+def execute_request(session: Session,
+                    request: ServeRequest) -> dict[str, Any]:
     """Execute one request against ``session`` and return its result
     payload — the daemon's execution path, importable so direct callers
     (and the equivalence tests) compute byte-identical results.
 
-    Routes through ``compile_many`` / ``simulate_many`` (lists of one)
-    so serve-side and direct-side telemetry have the same shape, the
-    artifact cache is shared, and ``timeout`` rides the runner's
-    per-task machinery.
+    Routes through ``compile_many`` / ``simulate_many`` with lists of
+    one, so serve-side and direct-side telemetry have the same shape and
+    the artifact cache is shared.  One request is one task, so it runs
+    in-process whatever the session's ``jobs``.
     """
     from ..ir import parse_loop, unroll_loop
 
@@ -103,26 +104,14 @@ def execute_request(session: Session, request: ServeRequest, *,
     if request.unroll > 1:
         loop = unroll_loop(loop, request.unroll)
     arch = ArchConfig.paper_default().with_cores(request.cores)
-    compiled = session.compile_many([loop], arch, timeout=timeout)[0]
+    compiled = session.compile_many([loop], arch)[0]
     if request.kind == "compile":
         return compile_result_dict(compiled)
     alg = compiled.tms if request.policy == "tms" else compiled.sms
     stats = session.simulate_many([alg], arch,
                                   iterations=request.iterations,
-                                  seed=request.seed, timeout=timeout)[0]
+                                  seed=request.seed)[0]
     return simulate_result_dict(compiled, request.policy, alg, stats)
-
-
-def _deadline_expired(exc: BaseException | None) -> bool:
-    """Whether a :class:`~repro.errors.TaskTimeout` hides anywhere in
-    the exception chain (``unwrap`` re-wraps captured task errors)."""
-    seen: set[int] = set()
-    while exc is not None and id(exc) not in seen:
-        if isinstance(exc, TaskTimeout):
-            return True
-        seen.add(id(exc))
-        exc = exc.__cause__ or exc.__context__
-    return False
 
 
 class _Job:
@@ -141,14 +130,13 @@ class _Job:
 
 
 class RequestBroker:
-    """Thread-safe request front end over one warm :class:`Session`.
+    """Thread-safe request front end over one :class:`Session`.
 
     Parameters
     ----------
     session:
         The compile/simulate context every job runs against.  Defaults
-        to a fresh persistent session (warm worker pool; call
-        :meth:`stop` to release it).
+        to a fresh :class:`Session`.
     config:
         Admission/execution knobs (:class:`BrokerConfig`).
     execute:
@@ -160,8 +148,7 @@ class RequestBroker:
                  config: BrokerConfig | None = None, *,
                  execute: Callable[..., dict[str, Any]] | None = None
                  ) -> None:
-        self.session = session if session is not None \
-            else Session(persistent=True)
+        self.session = session if session is not None else Session()
         self.config = config or BrokerConfig()
         self._execute = execute or execute_request
         self._results = ArtifactCache(maxsize=self.config.result_cache_size)
@@ -223,8 +210,8 @@ class RequestBroker:
     def stop(self, drain: bool = True,
              timeout: float | None = None) -> bool:
         """Graceful shutdown: reject new work, optionally wait for the
-        queue to drain, stop the executors, release the session's warm
-        pool.  Returns whether the drain completed."""
+        queue to drain, stop the executors.  Returns whether the drain
+        completed."""
         self.begin_drain()
         drained = self.drain(timeout) if drain else False
         with self._lock:
@@ -236,7 +223,6 @@ class RequestBroker:
                 self._queue.put(_STOP)
             for t in threads:
                 t.join(timeout=5.0)
-            self.session.close()
         return drained
 
     # -- submission ----------------------------------------------------------
@@ -285,9 +271,7 @@ class RequestBroker:
         else:
             self._queue.put(job)
         self.start()
-        deadline = request.deadline_seconds \
-            if request.deadline_seconds is not None \
-            else self.config.default_deadline_seconds
+        deadline = self._deadline(request)
         if coalesced and deadline is not None \
                 and not job.done.wait(timeout=deadline):
             # this waiter's budget expired mid-coalesce-wait; the
@@ -298,6 +282,11 @@ class RequestBroker:
         if job.response["status"] == "rejected":
             return job.response, "rejected"
         return job.response, ("coalesced" if coalesced else "computed")
+
+    def _deadline(self, request: ServeRequest) -> float | None:
+        return request.deadline_seconds \
+            if request.deadline_seconds is not None \
+            else self.config.default_deadline_seconds
 
     def _reject(self, request: ServeRequest, reason: str, *,
                 locked: bool = False) -> dict[str, Any]:
@@ -340,36 +329,26 @@ class RequestBroker:
 
     def _run_job(self, job: _Job) -> None:
         request = job.request
-        deadline = request.deadline_seconds \
-            if request.deadline_seconds is not None \
-            else self.config.default_deadline_seconds
+        deadline = self._deadline(request)
         outcome = "ok"
         with span("serve.request", kind=request.kind,
                   request_id=request.request_id()) as s:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - (time.monotonic() - job.admitted_at)
-            if remaining is not None and remaining <= 0:
+            if deadline is not None \
+                    and time.monotonic() - job.admitted_at >= deadline:
                 # the deadline burned down while the job sat in the queue
                 response = self._reject(request, "deadline")
                 outcome = "deadline"
             else:
                 try:
-                    result = self._execute(self.session, request,
-                                           timeout=remaining)
+                    result = self._execute(self.session, request)
                     response = ok_response(request, result)
                 except Exception as exc:  # noqa: BLE001 — typed into the response
-                    if _deadline_expired(exc):
-                        response = self._reject(request, "deadline")
-                        outcome = "deadline"
-                    else:
-                        self._count("errors")
-                        metrics.counter(
-                            "serve.errors",
-                            "requests whose execution raised").inc()
-                        response = error_response(
-                            request, f"{type(exc).__name__}: {exc}")
-                        outcome = "error"
+                    self._count("errors")
+                    metrics.counter("serve.errors",
+                                    "requests whose execution raised").inc()
+                    response = error_response(
+                        request, f"{type(exc).__name__}: {exc}")
+                    outcome = "error"
             if s is not None:
                 s.attrs["outcome"] = outcome
         if outcome == "ok":

@@ -52,12 +52,9 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         help="default per-request deadline in seconds "
                              "(requests may carry their own)")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes in the warm pool "
-                             "(default: $REPRO_JOBS or sequential)")
-    parser.add_argument("--max-tasks-per-worker", type=int, default=None,
-                        help="recycle the worker pool after this many "
-                             "tasks per worker (hygiene for long-lived "
-                             "daemons)")
+                        help="the session's worker processes (default: "
+                             "$REPRO_JOBS or sequential); a request is "
+                             "one task, so it never fans out")
     parser.add_argument("--max-body-bytes", type=int, default=None,
                         help="request body cap; larger bodies get a "
                              "typed HTTP 413 (default: 1 MiB)")
@@ -105,9 +102,7 @@ def run_serve_command(ns: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    session = Session(jobs=ns.jobs, persistent=True,
-                      max_tasks_per_worker=ns.max_tasks_per_worker)
-    broker = RequestBroker(session=session, config=config)
+    broker = RequestBroker(session=Session(jobs=ns.jobs), config=config)
     try:
         daemon = ServeDaemon(
             ns.host, ns.port, broker=broker,

@@ -82,8 +82,10 @@ class ServeRequest:
     iterations: int = 500                #: simulated trip count (simulate)
     seed: int = 0xACE5                   #: simulator seed (simulate)
     policy: str = "tms"                  #: kernel to simulate (sms / tms)
-    #: wall-clock budget from admission to response; expiry is a typed
-    #: ``deadline`` rejection.  Not part of the fingerprint.
+    #: wall-clock budget for waiting: expiry before the job starts (or
+    #: while coalesced onto another's job) is a typed ``deadline``
+    #: rejection; a started job runs to completion.  Not part of the
+    #: fingerprint.
     deadline_seconds: float | None = None
 
     def __post_init__(self) -> None:

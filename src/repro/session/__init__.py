@@ -10,7 +10,7 @@ each driver re-ran it from scratch.  :class:`Session` makes the flow
   :mod:`repro.session.fingerprint`) — a content-addressed cache keyed by
   ``(loop fingerprint, ArchConfig, ResourceModel, SchedulerConfig,
   LatencyModel)``, with an in-memory LRU tier and an optional on-disk
-  tier (``REPRO_CACHE_DIR`` or ``~/.cache/repro``), storing
+  tier (``REPRO_CACHE_DIR`` or ``Session(cache_dir=...)``), storing
   :class:`~repro.experiments.pipeline.CompiledLoop` artifacts.  Hit /
   miss / eviction counters are surfaced through
   :meth:`Session.report`.
@@ -18,7 +18,8 @@ each driver re-ran it from scratch.  :class:`Session` makes the flow
   :class:`ParallelRunner` (``concurrent.futures``-based,
   ``REPRO_JOBS`` / ``--jobs`` controlled) with deterministic result
   ordering and per-task error capture, so one pathological loop fails
-  soft instead of killing a sweep.
+  soft instead of killing a sweep; a batch of one task runs
+  in-process.
 * **Driver layer** — :func:`repro.compile_and_simulate`,
   :mod:`repro.experiments.pipeline` and every table/figure harness
   route through the process-wide default session

@@ -12,8 +12,7 @@ simulations of the same pipelined loop skip the template rebuild.
 Most callers use the process-wide default session (:func:`get_session`):
 its cache size honours ``REPRO_CACHE_SIZE``, and its disk tier turns on
 when ``REPRO_CACHE_DIR`` is set (making warm reruns of whole experiment
-suites recompile nothing).  Pass ``cache_dir=DEFAULT_CACHE_DIR`` to opt
-into the conventional ``~/.cache/repro`` location explicitly.
+suites recompile nothing).
 """
 
 from __future__ import annotations
@@ -41,11 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..spmt.channels import KernelTimingTemplate
     from ..spmt.stats import SimStats
 
-__all__ = ["DEFAULT_CACHE_DIR", "Session", "SessionStats", "get_session",
-           "reset_session", "set_session"]
-
-#: Conventional on-disk cache location when none is configured.
-DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro"
+__all__ = ["Session", "SessionStats", "get_session", "reset_session",
+           "set_session"]
 
 #: Bound on the per-session KernelTimingTemplate memo.
 _TEMPLATE_CACHE_SIZE = 512
@@ -108,11 +104,11 @@ def _resolve_max_disk_mb() -> float | None:
 class Session:
     """A reusable compile→simulate context.
 
+    A call site that passes no ``arch`` / ``config`` gets
+    ``ArchConfig.paper_default()`` / ``SchedulerConfig()``.
+
     Parameters
     ----------
-    arch / config:
-        Defaults applied when a call site passes ``None`` (falling back
-        to ``ArchConfig.paper_default()`` / ``SchedulerConfig()``).
     cache_size:
         In-memory LRU capacity (default: ``REPRO_CACHE_SIZE`` or 2048).
     cache_dir:
@@ -121,29 +117,12 @@ class Session:
     jobs:
         Default parallelism for the ``*_many`` fan-out calls
         (default: ``REPRO_JOBS`` or sequential).
-    persistent:
-        Keep one warm :class:`~repro.session.runner.ParallelRunner`
-        process pool alive across ``*_many`` calls instead of rebuilding
-        it per call (the serve daemon's mode).  Release it with
-        :meth:`close` or a ``with`` block.
-    max_tasks_per_worker:
-        Recycle the persistent pool's workers after this many tasks
-        each (``None`` = never).
     """
 
-    def __init__(self, arch: ArchConfig | None = None,
-                 config: SchedulerConfig | None = None, *,
-                 cache_size: int | None = None,
+    def __init__(self, *, cache_size: int | None = None,
                  cache_dir: str | os.PathLike | None = None,
-                 jobs: int | None = None,
-                 persistent: bool = False,
-                 max_tasks_per_worker: int | None = None) -> None:
-        self.arch = arch
-        self.config = config
+                 jobs: int | None = None) -> None:
         self.jobs = jobs
-        self.persistent = persistent
-        self.max_tasks_per_worker = max_tasks_per_worker
-        self._runner: ParallelRunner | None = None
         self.cache = ArtifactCache(
             maxsize=cache_size if cache_size is not None
             else _resolve_cache_size(),
@@ -156,41 +135,15 @@ class Session:
         self._templates: OrderedDict[tuple[int, int], tuple[Any, Any]] = \
             OrderedDict()
 
-    # -- execution ----------------------------------------------------------
-
-    def _runner_for(self, jobs: int | None) -> ParallelRunner:
-        """The runner one ``*_many`` call fans out on: the shared warm
-        runner in persistent mode (when the call doesn't override
-        ``jobs``), a throwaway one otherwise."""
-        if self.persistent and jobs is None:
-            if self._runner is None:
-                self._runner = ParallelRunner(
-                    self.jobs, persistent=True,
-                    max_tasks_per_worker=self.max_tasks_per_worker)
-            return self._runner
-        return ParallelRunner(jobs if jobs is not None else self.jobs)
-
-    def close(self) -> None:
-        """Release the persistent worker pool (no-op otherwise).  The
-        session stays usable; the next fan-out respawns the pool."""
-        if self._runner is not None:
-            self._runner.close()
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
     # -- default resolution -------------------------------------------------
 
     def _resolve(self, source: Loop | DDG, arch: ArchConfig | None,
                  resources: ResourceModel | None,
                  config: SchedulerConfig | None,
                  latency: LatencyModel | None):
-        arch = arch or self.arch or ArchConfig.paper_default()
+        arch = arch or ArchConfig.paper_default()
         resources = resources or ResourceModel.default(arch.issue_width)
-        config = config or self.config or SchedulerConfig()
+        config = config or SchedulerConfig()
         # latency only shapes the DDG build, so it is irrelevant (and
         # normalised away) when the caller hands us a prebuilt DDG.
         if isinstance(source, DDG):
@@ -227,17 +180,14 @@ class Session:
                      config: SchedulerConfig | None = None,
                      latency: LatencyModel | None = None, *,
                      jobs: int | None = None,
-                     on_error: str = "raise",
-                     timeout: float | None = None
+                     on_error: str = "raise"
                      ) -> list["CompiledLoop | None"]:
         """Compile a batch, fanning cache misses out across processes.
 
         Results come back in input order.  ``on_error="raise"``
         (default) re-raises the first failure; ``"skip"`` replaces
         failed entries with ``None`` so a sweep survives one
-        pathological loop.  ``timeout`` bounds each uncached compile via
-        the runner's per-task machinery (a timed-out compile surfaces as
-        a :class:`~repro.errors.TaskTimeout` failure).
+        pathological loop.
         """
         if on_error not in ("raise", "skip"):
             raise ValueError(
@@ -259,11 +209,10 @@ class Session:
                     key, (source, r_arch, r_res, r_cfg, r_lat))
         if pending:
             keys = list(pending)
-            runner = self._runner_for(jobs)
+            runner = ParallelRunner(self.jobs if jobs is None else jobs)
             with span("session.compile_many", tasks=len(keys)):
                 results = runner.map(_compile_uncached,
-                                     [payloads[k] for k in keys],
-                                     timeout=timeout)
+                                     [payloads[k] for k in keys])
             for key, result in zip(keys, results):
                 if result.ok:
                     self.stats.compiles += 1
@@ -289,7 +238,7 @@ class Session:
         from ..spmt.sim import SpMTSimulator
 
         pipelined = _as_pipelined(target)
-        arch = arch or self.arch or ArchConfig.paper_default()
+        arch = arch or ArchConfig.paper_default()
         sim = sim or SimConfig(iterations=iterations, seed=seed)
         template = self._template_for(pipelined, arch)
         self.stats.simulations += 1
@@ -303,39 +252,38 @@ class Session:
                       seed: int = 0xACE5, *,
                       sim: SimConfig | None = None,
                       jobs: int | None = None,
-                      on_error: str = "raise",
-                      timeout: float | None = None
+                      on_error: str = "raise"
                       ) -> list["SimStats | None"]:
-        """Simulate a batch of kernels; parallel when ``jobs > 1``,
-        deterministic result order always.  ``timeout`` bounds each
-        simulation via the runner's per-task machinery.  ``sim`` overrides ``iterations``/``seed`` wholesale
+        """Simulate a batch of kernels; parallel when ``jobs > 1`` and
+        the batch has more than one kernel, deterministic result order
+        always.  ``sim`` overrides ``iterations``/``seed`` wholesale
         (same contract as :meth:`simulate`) — e.g. ``SimConfig(...,
         exact=True)`` runs the whole batch through the reference event
         loop, worker processes included."""
         if on_error not in ("raise", "skip"):
             raise ValueError(
                 f"on_error must be 'raise' or 'skip', got {on_error!r}")
-        arch = arch or self.arch or ArchConfig.paper_default()
+        arch = arch or ArchConfig.paper_default()
         pipelined = [_as_pipelined(t) for t in targets]
-        runner = self._runner_for(jobs)
+        runner = ParallelRunner(self.jobs if jobs is None else jobs)
         sim = sim or SimConfig(iterations=iterations, seed=seed)
         payloads = [(p, arch, sim) for p in pipelined]
         with span("session.simulate_many", tasks=len(payloads)):
-            if runner.resolved_jobs <= 1:
-                # Inline path: same runner bookkeeping and instruments as
-                # the fan-out (so --jobs 1 and --jobs N telemetry agree),
-                # but through a closure that keeps the template memo warm
-                # and honours on_error="skip" instead of raising mid-batch.
+            if runner.workers_for(len(payloads)) <= 1:
+                # In-process batch: same runner bookkeeping and
+                # instruments as the fan-out (so --jobs 1 and --jobs N
+                # telemetry agree), but through a closure that keeps the
+                # template memo warm and honours on_error="skip" instead
+                # of raising mid-batch.
                 def _inline(payload: tuple) -> "SimStats":
                     from ..spmt.sim import SpMTSimulator
                     p, a, s = payload
                     template = self._template_for(p, a)
                     return SpMTSimulator(p, a, s, template=template).run()
 
-                results = runner.map(_inline, payloads, timeout=timeout)
+                results = runner.map(_inline, payloads)
             else:
-                results = runner.map(_simulate_task, payloads,
-                                     timeout=timeout)
+                results = runner.map(_simulate_task, payloads)
         ok = sum(1 for r in results if r.ok)
         self.stats.simulations += ok
         metrics.counter("session.simulations",

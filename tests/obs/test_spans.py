@@ -1,6 +1,7 @@
 """Unit tests for the hierarchical span tracer (repro.obs.spans)."""
 
 import json
+import time
 
 import pytest
 
@@ -115,6 +116,19 @@ class TestIngest:
         root, outer, inner = parent.spans
         assert outer.parent_id == root.id
         assert inner.parent_id == outer.id
+
+    def test_ingested_roots_are_children_of_the_anchor(self):
+        # two workers' 1.0 s root spans, overlapping in time: their wall
+        # leaves the anchor's exclusive time, clamped at 0
+        worker_root = {"id": 0, "parent_id": None, "name": "w", "wall": 1.0}
+        parent = _tracer(enabled=True)
+        with parent.span("p.root"):
+            parent.ingest([worker_root])
+            parent.ingest([worker_root])
+            time.sleep(0.01)
+        root = parent.spans[0]
+        assert 0.01 <= root.wall < 2.0
+        assert root.exclusive == 0.0
 
     def test_ingest_without_open_span_makes_roots(self):
         worker = _tracer(enabled=True)

@@ -13,11 +13,9 @@ from repro.sched import (
     PlacementEngine,
     Schedule,
     SlotPolicy,
-    max_live,
-    schedule_sms,
     schedule_tms,
 )
-from repro.sched.engine import EngineContext, LiveTracker, WindowService
+from repro.sched.engine import EngineContext, WindowService
 
 from .oracle import compute_window
 
@@ -64,41 +62,6 @@ def test_window_service_memoizes(fig1_ddg, resources):
     svc = WindowService(EngineContext(fig1_ddg, resources))
     assert svc.table(4) is svc.table(4)
     assert svc.table(4) is not svc.table(5)
-
-
-@pytest.mark.parametrize("schedule_fn", [schedule_sms])
-def test_live_tracker_matches_maxlive(schedule_fn, axpy_ddg, recurrent_ddg,
-                                      fig1_ddg, fig1_machine, resources):
-    """Replaying a completed schedule through the incremental tracker
-    yields exactly repro.sched.maxlive.max_live."""
-    for ddg, res in ((axpy_ddg, resources), (recurrent_ddg, resources),
-                     (fig1_ddg, fig1_machine)):
-        sched = schedule_fn(ddg, res)
-        ps = PartialSchedule(EngineContext(ddg, res), sched.ii,
-                             track_live=True)
-        for v, cycle in sched.slots.items():
-            ps.place(v, cycle)
-        assert ps.live.max_live == max_live(sched)
-
-
-def test_live_tracker_survives_removal(recurrent_ddg, resources):
-    """remove() is the exact inverse of place() for the live counts."""
-    sched = schedule_sms(recurrent_ddg, resources)
-    ctx = EngineContext(recurrent_ddg, resources)
-    ps = PartialSchedule(ctx, sched.ii, track_live=True)
-    items = list(sched.slots.items())
-    for v, cycle in items:
-        ps.place(v, cycle)
-    expected = ps.live.max_live
-    # remove half, then re-place in a different order
-    for v, _cycle in items[::2]:
-        ps.remove(v)
-    for v, cycle in reversed(items[::2]):
-        ps.place(v, cycle)
-    assert ps.live.max_live == expected
-    for v, _ in items:
-        ps.remove(v)
-    assert ps.live.max_live == 0
 
 
 def test_partial_schedule_matches_mrt(recurrent_ddg, resources):

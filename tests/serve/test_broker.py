@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.errors import ProtocolError, TaskTimeout
+from repro.errors import ProtocolError
 from repro.serve.broker import BrokerConfig, RequestBroker, execute_request
 from repro.serve.protocol import ServeRequest, response_bytes
 from repro.session import Session
@@ -22,8 +22,8 @@ def _req(**kw):
 
 @pytest.fixture
 def broker(registry, span_tracer):
-    """A real broker over a sequential session (no warm pool: broker
-    tests exercise admission, not parallelism)."""
+    """A real broker over a sequential session (broker tests exercise
+    admission, not parallelism)."""
     b = RequestBroker(session=Session(jobs=1), config=BrokerConfig())
     yield b
     b.stop(drain=False, timeout=1.0)
@@ -226,33 +226,30 @@ def test_deadline_expired_in_queue_is_rejected(registry, span_tracer):
         broker.stop(drain=False, timeout=1.0)
 
 
-def test_task_timeout_during_execution_is_a_deadline_rejection(
-        registry, span_tracer):
-    def timing_out(session, request, **kw):
-        raise TaskTimeout("task exceeded 0.5s")
+def test_deadline_bounds_the_wait_not_the_work(registry, span_tracer,
+                                              monkeypatch):
+    """A job that has started runs to completion under a deadline it
+    overruns: its response is ok and cached, and no thread outlives it."""
+    import time
 
-    broker = RequestBroker(session=Session(jobs=1), execute=timing_out)
+    import repro.session.session as session_mod
+
+    compile_uncached = session_mod._compile_uncached
+
+    def slow(payload):
+        time.sleep(0.5)
+        return compile_uncached(payload)
+
+    monkeypatch.setattr(session_mod, "_compile_uncached", slow)
+    broker = RequestBroker(session=Session(jobs=1)).start()
     try:
-        resp, served = broker.submit(_req())
-        assert served == "rejected"
-        assert resp["reason"] == "deadline"
-    finally:
-        broker.stop(drain=False, timeout=1.0)
-
-
-def test_wrapped_task_timeout_still_counts_as_deadline(registry,
-                                                       span_tracer):
-    def wrapped(session, request, **kw):
-        try:
-            raise TaskTimeout("inner")
-        except TaskTimeout as exc:
-            raise RuntimeError("outer") from exc
-
-    broker = RequestBroker(session=Session(jobs=1), execute=wrapped)
-    try:
-        resp, _ = broker.submit(_req())
-        assert resp["reason"] == "deadline"
-        assert broker.counts["errors"] == 0
+        threads = threading.active_count()
+        resp, served = broker.submit(_req(deadline_seconds=0.2))
+        assert (resp["status"], served) == ("ok", "computed")
+        assert threading.active_count() == threads
+        resp2, served2 = broker.submit(_req(deadline_seconds=0.2))
+        assert served2 == "cached"
+        assert response_bytes(resp2) == response_bytes(resp)
     finally:
         broker.stop(drain=False, timeout=1.0)
 

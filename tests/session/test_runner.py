@@ -129,118 +129,25 @@ def test_parallel_results_ordered_despite_completion_order():
     assert all(r.ok for r in results)
 
 
-# -- per-task timeout -------------------------------------------------------
+def test_pool_broken_at_submit_is_soft_failure(monkeypatch):
+    # a worker that dies while the batch is still being submitted makes
+    # submit() raise BrokenProcessPool: the unsubmitted tasks fail soft
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
 
-def _hang_on_two(x):
-    if x == 2:
-        import time
-        time.sleep(60)
-    return x * 10
+    class BreaksOnSecondSubmit(concurrent.futures.ProcessPoolExecutor):
+        submitted = 0
 
+        def submit(self, *args, **kwargs):
+            type(self).submitted += 1
+            if type(self).submitted > 1:
+                raise BrokenProcessPool("a worker died")
+            return super().submit(*args, **kwargs)
 
-def _timeouts_metric():
-    from repro.obs import metrics
-    return metrics.counter("runner.timeouts",
-                           "tasks that hit the per-task timeout").value
-
-
-def test_sequential_timeout_fails_soft():
-    from repro.errors import TaskTimeout
-    before = _timeouts_metric()
-    results = ParallelRunner(1).map(_hang_on_two, [1, 2, 3], timeout=0.5)
-    assert [r.ok for r in results] == [True, False, True]
-    assert results[1].timed_out
-    assert isinstance(results[1].error, TaskTimeout)
-    assert [r.value for r in results if r.ok] == [10, 30]
-    assert _timeouts_metric() == before + 1
-
-
-def test_parallel_timeout_fails_soft_and_terminates_worker():
-    from repro.errors import TaskTimeout
-    before = _timeouts_metric()
-    results = ParallelRunner(3).map(_hang_on_two, [1, 2, 3], timeout=2.0)
-    assert len(results) == 3
-    assert results[0].ok and results[0].value == 10
-    assert results[2].ok and results[2].value == 30
-    assert not results[1].ok and results[1].timed_out
-    assert isinstance(results[1].error, TaskTimeout)
-    assert _timeouts_metric() > before
-
-
-def test_no_timeout_marks_nothing_timed_out():
-    results = ParallelRunner(1).map(_square, [1, 2])
-    assert all(not r.timed_out for r in results)
-
-
-# -- persistent warm pool ----------------------------------------------------
-
-def _worker_pid(_x):
-    return os.getpid()
-
-
-def _exit_hard(x):
-    if x == 2:
-        os._exit(13)                    # simulate a worker crash
-    return x
-
-
-def _recycles_metric():
-    from repro.obs import metrics
-    return metrics.counter(
-        "runner.worker_recycles",
-        "persistent pools recycled after max_tasks_per_worker").value
-
-
-def _rebuilds_metric():
-    from repro.obs import metrics
-    return metrics.counter(
-        "runner.pool_rebuilds",
-        "persistent pools replaced after a worker crash").value
-
-
-def test_persistent_pool_reuses_workers_across_maps():
-    with ParallelRunner(2, persistent=True) as runner:
-        first = {r.value for r in runner.map(_worker_pid, range(8))}
-        second = {r.value for r in runner.map(_worker_pid, range(8))}
-    assert first & second               # same warm processes answered both
-
-
-def test_non_persistent_runner_rebuilds_the_pool_each_map():
-    runner = ParallelRunner(2)
-    runner.map(_square, [1])
-    assert runner._pool is None         # nothing kept warm
-
-
-def test_persistent_pool_recycles_after_max_tasks():
-    before = _recycles_metric()
-    with ParallelRunner(2, persistent=True,
-                        max_tasks_per_worker=1) as runner:
-        runner.map(_square, [1, 2])     # fills the per-worker budget
-        results = runner.map(_square, [3, 4])
-    assert [r.value for r in results] == [9, 16]
-    assert _recycles_metric() == before + 1
-
-
-def test_persistent_pool_survives_worker_crash():
-    before = _rebuilds_metric()
-    with ParallelRunner(2, persistent=True) as runner:
-        crashed = runner.map(_exit_hard, [1, 2, 3])
-        assert not all(r.ok for r in crashed)          # soft failure...
-        after = runner.map(_square, [5, 6])            # ...fresh pool works
-    assert [r.value for r in after] == [25, 36]
-    assert _rebuilds_metric() > before
-
-
-def test_close_is_idempotent():
-    runner = ParallelRunner(2, persistent=True)
-    runner.map(_square, [1])
-    runner.close()
-    runner.close()
-    results = runner.map(_square, [2])  # usable again: pool respawns
-    assert results[0].value == 4
-    runner.close()
-
-
-def test_max_tasks_per_worker_validated():
-    with pytest.raises(ValueError, match="max_tasks_per_worker"):
-        ParallelRunner(2, persistent=True, max_tasks_per_worker=0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        BreaksOnSecondSubmit)
+    results = ParallelRunner(2).map(_square, [3, 4, 5])
+    assert [r.index for r in results] == [0, 1, 2]
+    assert results[0].ok and results[0].value == 9
+    assert [isinstance(r.error, BrokenProcessPool)
+            for r in results[1:]] == [True, True]

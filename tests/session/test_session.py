@@ -200,47 +200,15 @@ def test_report_mentions_counters(loop):
     assert "1 compilations" in text
 
 
-# -- persistent mode and runner passthrough ----------------------------------
+# -- fan-out ---------------------------------------------------------------
 
-def test_persistent_session_reuses_one_runner(loop):
-    with Session(jobs=2, persistent=True) as session:
-        session.compile_many([loop])
-        runner = session._runner
-        assert runner is not None and runner.persistent
-        session.compile_many([loop])
-        assert session._runner is runner        # same warm runner
-    # close() released the pool but the session stays usable
-    assert session.compile_many([loop])[0] is not None
-
-
-def test_persistent_session_explicit_jobs_overrides(loop):
-    with Session(jobs=2, persistent=True) as session:
-        session.compile_many([loop], jobs=1)    # override: throwaway runner
-        assert session._runner is None
-
-
-def test_non_persistent_session_never_keeps_a_runner(loop):
+def test_one_kernel_batch_keeps_the_template_memo_under_jobs(loop):
+    # a one-kernel batch runs in-process whatever jobs says, so it
+    # reuses the session's timing template like jobs=1 does
     session = Session(jobs=2)
-    session.compile_many([loop])
-    assert session._runner is None
-    session.close()                             # no-op
-
-
-def test_compile_many_timeout_passthrough(loop, monkeypatch):
-    import repro.session.session as session_mod
-
-    def slow(payload):
-        import time
-        time.sleep(2.0)
-
-    monkeypatch.setattr(session_mod, "_compile_uncached", slow)
-    session = Session(jobs=1)
-    results = session.compile_many([loop], timeout=0.2, on_error="skip")
-    assert results == [None]
-
-
-def test_simulate_many_timeout_passthrough(loop):
-    session = Session(jobs=1)
-    stats = session.simulate_many(
-        [session.compile(loop).tms], iterations=50, timeout=30.0)
-    assert stats[0].iterations == 50
+    alg = session.compile(loop).tms
+    first = session.simulate_many([alg], iterations=50)
+    second = session.simulate_many([alg], iterations=50)
+    assert first[0].total_cycles == second[0].total_cycles
+    assert session.stats.template_builds == 1
+    assert session.stats.template_hits == 1

@@ -8,7 +8,7 @@ from repro import errors
 def test_hierarchy():
     for cls in (errors.IRError, errors.DDGError, errors.MachineError,
                 errors.SchedulingError, errors.SimulationError,
-                errors.WorkloadError, errors.ExperimentError):
+                errors.WorkloadError):
         assert issubclass(cls, errors.ReproError)
     assert issubclass(errors.DSLParseError, errors.IRError)
     assert issubclass(errors.ScheduleValidationError, errors.SchedulingError)
