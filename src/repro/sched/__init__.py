@@ -32,7 +32,7 @@ from .engine import (
     PlacementEngine,
     SlotPolicy,
     TMSPolicy,
-    WindowService,
+    WindowTable,
 )
 from .sms import SwingModuloScheduler, schedule_sms
 from .tms import ThreadSensitiveScheduler, schedule_tms
@@ -66,7 +66,7 @@ __all__ = [
     "TMSPolicy",
     "ThreadProgram",
     "ThreadSensitiveScheduler",
-    "WindowService",
+    "WindowTable",
     "allocate_registers",
     "flat_schedule_chart",
     "generate_thread_program",

@@ -1,7 +1,7 @@
 """Unified modulo-scheduling engine.
 
-One placement core — incremental partial schedules, memoized dependence
-windows, pluggable slot policies — that IMS, SMS and TMS are thin policy
+One placement core — incremental partial schedules, a per-DDG dependence
+window table, pluggable slot policies — that IMS, SMS and TMS are thin policy
 instances over.  See :mod:`repro.sched.engine.core` for the two
 placement disciplines and ``docs/scheduling.md`` for the architecture.
 """
@@ -10,7 +10,7 @@ from .context import EngineContext
 from .core import PlacementEngine
 from .partial import PartialSchedule
 from .policy import SlotPolicy, TMSContext, TMSPolicy
-from .windows import WindowService, WindowTable
+from .windows import WindowTable
 
 __all__ = [
     "EngineContext",
@@ -19,6 +19,5 @@ __all__ = [
     "SlotPolicy",
     "TMSContext",
     "TMSPolicy",
-    "WindowService",
     "WindowTable",
 ]

@@ -5,8 +5,9 @@ latencies, ancestor closures, resource specs — which profiling showed was
 a dominant cost of the TMS ``(II, C_delay)`` search (thousands of
 attempts per loop, each re-deriving identical dictionaries).  The
 :class:`EngineContext` computes everything that depends only on the DDG
-and the resource model exactly once; per-II state lives in
-:class:`~repro.sched.engine.windows.WindowTable` and per-attempt state in
+and the resource model exactly once (the folded dependence edges live
+beside it in :class:`~repro.sched.engine.windows.WindowTable`);
+per-attempt state lives in
 :class:`~repro.sched.engine.partial.PartialSchedule`.
 """
 

@@ -1,8 +1,8 @@
 """The placement engine: one scheduling core for IMS, SMS and TMS.
 
 :class:`PlacementEngine` owns the machinery every modulo scheduler in
-this repo shares — the per-DDG :class:`EngineContext`, the memoized
-:class:`WindowService`, the incremental :class:`PartialSchedule` — and
+this repo shares — the per-DDG :class:`EngineContext` and
+:class:`WindowTable`, the incremental :class:`PartialSchedule` — and
 exposes the two placement disciplines on top of it:
 
 ``try_place``
@@ -19,9 +19,9 @@ exposes the two placement disciplines on top of it:
 
 Both produce slot maps byte-identical to the seed implementations they
 replace — the golden-equivalence suite pins this on every paper kernel.
-The engine publishes ``sched.engine.*`` counters (attempts, placements,
-slot probes, window-table reuse) alongside the pre-existing ``sched.*``
-series, so ``--stats`` shows how much probing a search actually did.
+The engine publishes ``sched.engine.*`` counters (attempts, slot
+probes) alongside the pre-existing ``sched.*`` series, so ``--stats``
+shows how much probing a search actually did.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from ...obs import metrics, telemetry
 from .context import EngineContext
 from .partial import PartialSchedule
 from .policy import SlotPolicy
-from .windows import WindowService
+from .windows import WindowTable
 
 __all__ = ["PlacementEngine"]
 
@@ -47,7 +47,7 @@ class PlacementEngine:
     def __init__(self, ddg: DDG, resources: ResourceModel,
                  metrics_map=None) -> None:
         self.ctx = EngineContext(ddg, resources, metrics_map)
-        self.windows = WindowService(self.ctx)
+        self.windows = WindowTable(self.ctx)
 
     # -- restart discipline (SMS / TMS) -------------------------------------
 
@@ -92,7 +92,7 @@ class PlacementEngine:
         metrics.counter(
             "sched.engine.attempts",
             "placement attempts run by the unified engine").inc()
-        table = self.windows.table(ii)
+        window = self.windows.window
         ps = PartialSchedule(self.ctx, ii)
         partial = ps.slots
         policy.begin_attempt(ps)
@@ -101,9 +101,9 @@ class PlacementEngine:
         loop_name = self.ctx.name
         probes = 0
         for v in order:
-            start, end, scan_down = table.window(
-                v, partial, directions.get(v, "top-down") == "bottom-up",
-                seed_high)
+            start, end, scan_down = window(
+                v, partial, ii,
+                directions.get(v, "top-down") == "bottom-up", seed_high)
             best_cycle, rows = select(v, start, end, scan_down, ps)
             probes += rows
             if best_cycle is None:
@@ -167,10 +167,9 @@ class PlacementEngine:
             "sched.engine.attempts",
             "placement attempts run by the unified engine").inc()
         ctx = self.ctx
-        table = self.windows.table(ii)
-        pred = table.pred
-        succ = table.succ
-        self_blocked = table.self_blocked
+        windows = self.windows
+        pred = windows.pred
+        succ = windows.succ
         priority = ctx.priority
         loop_name = ctx.name
         ps = PartialSchedule(ctx, ii)
@@ -191,15 +190,15 @@ class PlacementEngine:
                 return None
             budget -= 1
             v = min(unsched, key=priority.__getitem__)
-            lo = table.estart(v, placed, mintime[v])
+            lo = windows.estart(v, placed, ii, mintime[v])
             slot = None
-            if not self_blocked[v]:
+            if not windows.self_blocked(v, ii):
                 preds_v = pred[v]
                 for cycle in range(lo, lo + ii):
                     deps_ok = True
-                    for src, delta in preds_v:
+                    for src, delay, dist in preds_v:
                         s = placed.get(src)
-                        if s is not None and cycle < s + delta:
+                        if s is not None and cycle < s + delay - ii * dist:
                             deps_ok = False
                             break
                     if deps_ok and ps.fits(v, cycle):
@@ -222,18 +221,18 @@ class PlacementEngine:
                             ii=ii, node=v, cycle=slot, row=slot % ii,
                             stage=slot // ii)
             # eject dependence-violating already-placed neighbours
-            for dst, delta in succ[v]:
+            for dst, delay, dist in succ[v]:
                 s = placed.get(dst)
-                if s is not None and s < slot - delta:
+                if s is not None and s < slot + delay - ii * dist:
                     ps.remove(dst)
                     if on_eject is not None:
                         on_eject(dst, placed)
                     if tracer.enabled:
                         tracer.emit("sched", "eject", alg=alg,
                                     loop=loop_name, ii=ii, node=dst, by=v)
-            for src, delta in pred[v]:
+            for src, delay, dist in pred[v]:
                 s = placed.get(src)
-                if s is not None and slot < s + delta:
+                if s is not None and slot < s + delay - ii * dist:
                     ps.remove(src)
                     if on_eject is not None:
                         on_eject(src, placed)

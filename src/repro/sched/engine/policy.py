@@ -35,9 +35,19 @@ the committed register set.  The survivors' ``(1 - p_e)`` factors
 multiply in commit order, then the tentative placement's, keeping the
 float product bit-identical to a full rescan.
 
-:attr:`TMSPolicy.reject_floor` is a lower bound on every sync delay C1
-rejected; the TMS search uses it to skip ``C_delay`` thresholds that
-provably replay the same failed placements.
+:attr:`TMSPolicy.replay_floor` is the smallest ``C_delay`` threshold at
+which some ``select`` call since the policy was built would answer
+differently.  C1 admits a row exactly when its largest sync delay
+(``maxsync``) is at most ``C_delay``; the score, the resource probe, C2
+and the windows never read ``C_delay``.  So raising the threshold from
+``C`` to ``C'`` changes a call's answer only through a row that C1
+rejected at ``C``, that fits and passes C2, and that has ``maxsync <=
+C'``: it gives a node without a slot one, or beats the chosen row on
+``(score, scan position)``.  A call's divergence threshold is the
+smallest ``maxsync`` of such a row (``inf`` if there is none), and the
+floor is the minimum over every call.  Every threshold in ``[C,
+replay_floor)`` therefore repeats the attempts call for call; the TMS
+search uses that to skip candidates that replay a failed one.
 """
 
 from __future__ import annotations
@@ -178,6 +188,28 @@ def _crossing(edges: list, stage: int, inbound: bool) -> list:
     return out
 
 
+def _stage_deps(edges: tuple, stage: int, synced_mem: bool) -> tuple:
+    """``(crossing, prods, cons)`` of ``v`` issuing in ``stage``:
+    ``crossing`` is the :func:`_crossing` form of the :func:`_placed`
+    ``(reg_in, reg_out, mem_in, mem_out)`` edges, and the synchronised
+    dependences among them give ``sync(row) = (a - row)/k + C_reg_com``
+    per ``(a, k)`` producer and ``(row - b)/k + C_reg_com`` per ``(b,
+    k)`` consumer (a self edge is neither: its sync is row-free)."""
+    reg_in, reg_out, mem_in, mem_out = edges
+    r_in = _crossing(reg_in, stage, True)
+    r_out = _crossing(reg_out, stage, False)
+    m_in = _crossing(mem_in, stage, True)
+    m_out = _crossing(mem_out, stage, False)
+    prods = [(row_s + lat, k)
+             for row_s, k, lat, *_ in r_in if row_s is not None]
+    cons = [(row_d - lat, k) for row_d, k, lat, *_ in r_out]
+    if synced_mem:
+        prods += [(row_s + lat, k)
+                  for row_s, k, lat, *_ in m_in if row_s is not None]
+        cons += [(row_d - lat, k) for row_d, k, lat, *_ in m_out]
+    return (r_in, r_out, m_in, m_out), prods, cons
+
+
 def _producer_sync(prods: list, row: int, ccom: int, floor: float) -> float:
     """The largest of ``floor`` and the producers' sync delays at
     ``row`` (see :meth:`TMSPolicy.select`)."""
@@ -196,6 +228,20 @@ def _consumer_sync(cons: list, row: int, ccom: int, floor: float) -> float:
         if sync > floor:
             floor = sync
     return floor
+
+
+def _c1_interval(prods: list, cons: list, lo: int, hi: int,
+                 slack: int) -> tuple[int, int]:
+    """The rows of ``[lo, hi]`` where every synchronised dependence has
+    ``span <= k * slack``: C1's row interval at ``C_delay = slack +
+    C_reg_com`` (see :meth:`TMSPolicy.select`)."""
+    for a, k in prods:
+        if a - k * slack > lo:
+            lo = a - k * slack
+    for b, k in cons:
+        if b + k * slack < hi:
+            hi = b + k * slack
+    return lo, hi
 
 
 def _headroom(need: int, shortfall: int) -> float:
@@ -233,9 +279,10 @@ class TMSPolicy(SlotPolicy):
         # the new dependences of the slot select() last returned, which
         # on_place commits.
         self._chosen: tuple[list, list] = ([], [])
-        #: lower bound on every sync delay C1 rejected since construction
-        #: (over every attempt); ``inf`` while C1 rejected nothing.
-        self.reject_floor = math.inf
+        #: the smallest threshold at which a select call since
+        #: construction (over every attempt) would answer differently;
+        #: ``inf`` while every call answers the same at any threshold.
+        self.replay_floor = math.inf
 
     def begin_attempt(self, partial) -> None:
         self._sreg.clear()
@@ -275,6 +322,9 @@ class TMSPolicy(SlotPolicy):
         row, plus the shrinking ones at the stage's last row, bound the
         score of every row still ahead (float addition is monotone), and
         the scan leaves the stage once that bound reaches the best score.
+
+        Each call also lowers :attr:`replay_floor` to the threshold at
+        which it would answer differently (:meth:`_diverge`).
         """
         if start > end:
             return None, 0
@@ -289,17 +339,18 @@ class TMSPolicy(SlotPolicy):
         reg_out = _placed(tms.reg_out[v], slots, ii, v)
         mem_in = _placed(tms.mem_in[v], slots, ii, v)
         mem_out = _placed(tms.mem_out[v], slots, ii, v)
+        edges = (reg_in, reg_out, mem_in, mem_out)
 
         # A self edge's sync delay is the same in every row: over the
         # threshold it rejects the whole window, else it floors the score.
         self_sync = 0.0
+        self_rejects = False
         for _u, stage, _row, dist, lat, *_p in \
                 (reg_in + mem_in if synced_mem else reg_in):
             if stage is None and dist >= 1:
                 sync = lat / dist + ccom
                 if lat > dist * slack:
-                    self.reject_floor = min(self.reject_floor, sync)
-                    return None, 0
+                    self_rejects = True
                 if sync > self_sync:
                     self_sync = sync
 
@@ -308,6 +359,10 @@ class TMSPolicy(SlotPolicy):
             p not in slots for p in tms.pred0[v]) else 0
         above = tms.height[v] if any(
             s not in slots for s in tms.succ0[v]) else 0
+        if self_rejects:
+            self._diverge(v, start, end, scan_down, ps, edges, self_sync,
+                          below, above, None, 0.0)
+            return None, 0
 
         stages = range(start // ii, end // ii + 1)
         best_cycle: int | None = None
@@ -318,36 +373,10 @@ class TMSPolicy(SlotPolicy):
             base = stage * ii
             w_lo = max(start - base, 0)
             w_hi = min(end - base, ii - 1)
-            r_in = _crossing(reg_in, stage, True)
-            r_out = _crossing(reg_out, stage, False)
-            m_in = _crossing(mem_in, stage, True)
-            m_out = _crossing(mem_out, stage, False)
-            # the synchronised dependences, as sync(row) = (a - row)/k +
-            # C_reg_com per producer and (row - b)/k + C_reg_com per
-            # consumer
-            prods = [(row_s + lat, k)
-                     for row_s, k, lat, *_ in r_in if row_s is not None]
-            cons = [(row_d - lat, k) for row_d, k, lat, *_ in r_out]
-            if synced_mem:
-                prods += [(row_s + lat, k)
-                          for row_s, k, lat, *_ in m_in if row_s is not None]
-                cons += [(row_d - lat, k) for row_d, k, lat, *_ in m_out]
+            crossing, prods, cons = _stage_deps(edges, stage, synced_mem)
+            r_in, r_out, m_in, m_out = crossing
             # C1 as the row interval [lo, hi] of this stage
-            lo, hi = w_lo, w_hi
-            for a, k in prods:
-                if a - k * slack > lo:
-                    lo = a - k * slack
-            for b, k in cons:
-                if b + k * slack < hi:
-                    hi = b + k * slack
-            # The window rows next to the interval bound every sync
-            # delay C1 rejects in this stage.
-            if lo > w_lo:
-                self.reject_floor = min(self.reject_floor, _producer_sync(
-                    prods, min(lo - 1, w_hi), ccom, -math.inf))
-            if hi < w_hi:
-                self.reject_floor = min(self.reject_floor, _consumer_sync(
-                    cons, max(hi + 1, w_lo), ccom, -math.inf))
+            lo, hi = _c1_interval(prods, cons, w_lo, w_hi, slack)
             if lo > hi:
                 continue
             check_c2 = not synced_mem and (m_in or m_out)
@@ -386,9 +415,67 @@ class TMSPolicy(SlotPolicy):
                     break
             if best_cycle is not None and best_score <= 0.0:
                 break
-        if best_cycle is not None:
-            self._chosen = self._new_deps(v, *best_at)
+        if best_cycle is None:
+            self._diverge(v, start, end, scan_down, ps, edges, self_sync,
+                          below, above, None, 0.0)
+            return None, rows
+        self._chosen = self._new_deps(v, *best_at)
+        # a row C1 rejects has maxsync > C_delay, so its score can beat
+        # the chosen one only when the tiebreaks lift that over C_delay
+        if best_score > self._c_delay:
+            self._diverge(v, start, end, scan_down, ps, edges, self_sync,
+                          below, above, best_cycle, best_score)
         return best_cycle, rows
+
+    def _diverge(self, v: str, start: int, end: int, scan_down: bool, ps,
+                 edges: tuple, self_sync: float, below: int, above: int,
+                 best_cycle: int | None, best_score: float) -> None:
+        """Lower :attr:`replay_floor` to this call's divergence threshold:
+        the smallest ``maxsync`` of a row C1 rejected that fits, passes
+        C2 and, when the call chose ``best_cycle``, beats it on ``(score,
+        scan position)``.
+
+        With no slot chosen every rejected row counts.  With one chosen,
+        its score is at most its sync plus 0.9 (each tiebreak is at most
+        0.45), so only rejected rows with ``maxsync`` in ``(C_delay,
+        best_score]`` can beat it; they all lie in the C1 interval at
+        ``C_delay + 1``.
+        """
+        ii = self._ii
+        ccom = self._ccom
+        c_delay = self._c_delay
+        slack = c_delay - ccom
+        synced_mem = not self._speculation
+        fits = ps.fits
+        floor = self.replay_floor
+        for stage in range(start // ii, end // ii + 1):
+            base = stage * ii
+            w_lo = max(start - base, 0)
+            w_hi = min(end - base, ii - 1)
+            crossing, prods, cons = _stage_deps(edges, stage, synced_mem)
+            _r_in, _r_out, m_in, m_out = crossing
+            if best_cycle is None:
+                lo, hi = w_lo, w_hi
+            else:
+                lo, hi = _c1_interval(prods, cons, w_lo, w_hi, slack + 1)
+            check_c2 = not synced_mem and (m_in or m_out)
+            for row in range(lo, hi + 1):
+                sync = _consumer_sync(cons, row, ccom, _producer_sync(
+                    prods, row, ccom, self_sync))
+                if sync <= c_delay or sync >= floor:
+                    continue  # admitted at C_delay, or no lower floor
+                cycle = base + row
+                if best_cycle is not None:
+                    score = sync + _headroom(below, below - row) \
+                        + _headroom(above, above - (ii - 1 - row))
+                    if score > best_score or score == best_score and (
+                            cycle < best_cycle if scan_down
+                            else cycle > best_cycle):
+                        continue
+                if fits(v, cycle) and (not check_c2 or self._c2_holds(
+                        *self._new_deps(v, row, *crossing))):
+                    floor = sync
+        self.replay_floor = floor
 
     def _new_deps(self, v: str, row: int, r_in, r_out, m_in, m_out):
         """The inter-iteration dependences placing ``v`` in ``row`` would

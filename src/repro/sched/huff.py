@@ -98,10 +98,9 @@ class HuffModuloScheduler:
     def _try_ii(self, ii: int) -> dict[str, int] | None:
         budget = self.config.budget_ratio_ii * len(self.ddg) + 32
         ctx = self.engine.ctx
-        table = self.engine.windows.table(ii)
-        pred = table.pred
-        succ = table.succ
-        self_blocked = table.self_blocked
+        windows = self.engine.windows
+        pred = windows.pred
+        succ = windows.succ
         ps = PartialSchedule(ctx, ii)
         placed = ps.slots
         n_nodes = len(ctx.node_names)
@@ -122,20 +121,20 @@ class HuffModuloScheduler:
             # bidirectional placement: ops anchored from above go early,
             # ops anchored from below go late
             preds_v = pred[v]
-            anchored_up = any(src in placed for src, _d in preds_v)
-            anchored_down = any(dst in placed for dst, _d in succ[v])
+            anchored_up = any(src in placed for src, _d, _k in preds_v)
+            anchored_down = any(dst in placed for dst, _d, _k in succ[v])
             candidates = range(lo, min(hi, lo + ii - 1) + 1)
             if anchored_down and not anchored_up:
                 candidates = reversed(list(candidates))
             slot = None
-            if not self_blocked[v]:
+            if not windows.self_blocked(v, ii):
                 for cycle in candidates:
                     if cycle <= force_floor[v]:
                         continue
                     deps_ok = True
-                    for src, delta in preds_v:
+                    for src, delay, dist in preds_v:
                         s = placed.get(src)
-                        if s is not None and cycle < s + delta:
+                        if s is not None and cycle < s + delay - ii * dist:
                             deps_ok = False
                             break
                     if deps_ok and ps.fits(v, cycle):
@@ -149,13 +148,13 @@ class HuffModuloScheduler:
                 ps.remove(v)
             ps.place(v, slot)
             # eject dependence-violating already-placed neighbours
-            for dst, delta in succ[v]:
+            for dst, delay, dist in succ[v]:
                 s = placed.get(dst)
-                if s is not None and s < slot - delta:
+                if s is not None and s < slot + delay - ii * dist:
                     ps.remove(dst)
-            for src, delta in preds_v:
+            for src, delay, dist in preds_v:
                 s = placed.get(src)
-                if s is not None and slot < s + delta:
+                if s is not None and slot < s + delay - ii * dist:
                     ps.remove(src)
         return placed
 

@@ -16,13 +16,16 @@ failure discipline) and changes two things:
    frequency ``1 - prod(1 - p_e)`` over all *non-preserved* memory
    dependences among the scheduled instructions stays at most ``P_max``.
 
-Pruning (exact): placement reads ``C_delay`` only in C1's ``sync >
+Pruning (exact): placement reads ``C_delay`` only in C1's ``maxsync <=
 C_delay`` test — C2, the slot score, the windows and the resources never
-read it.  When ``(II, C)`` fails, let ``m`` be the smallest sync delay C1
-rejected in either seed pass (:attr:`TMSPolicy.reject_floor`).  Every
-``(II, C')`` with ``C <= C' < m`` makes the same C1 decisions, replays the
-same placements and fails, so the search marks it ``pruned`` without
-placing it.  Pruned candidates count toward the attempt budget
+read it.  So a ``select`` call answers differently at a higher threshold
+only once C1 admits a row it rejected that fits, passes C2 and gives a
+slotless node a slot or beats the chosen row.  When ``(II, C)`` fails,
+:attr:`TMSPolicy.replay_floor` is the smallest such ``maxsync`` over
+every call of both seed passes.  Every ``(II, C')`` with ``C <= C' <
+replay_floor`` repeats both failed passes call for call, so the search
+marks it ``pruned`` without placing it; every higher threshold places a
+different trace.  Pruned candidates count toward the attempt budget
 (``SchedulerConfig.max_candidates``), so the search stops where an
 unpruned one would, and no divergence from Figure 3 remains.
 
@@ -135,7 +138,7 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
                         ncore=self.arch.ncore)
         attempts = 0
         # per II, the last failed candidate's C_delay range [C, m) that
-        # provably fails too (see the module docstring)
+        # replays it (see the module docstring)
         failed: dict[int, tuple[int, float]] = {}
         for index, (f_value, cd, ii) in enumerate(self._candidates()):
             if attempts >= self.config.max_candidates:
@@ -148,17 +151,19 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
             if fail_lo <= cd < fail_hi:
                 if tracer.enabled:
                     self._emit_candidate(tracer, index, ii, cd, f_value,
-                                         "pruned")
+                                         "pruned", replays=fail_lo)
                 continue
             metrics.counter(
                 "tms.candidates",
                 "TMS (II, C_delay) candidates placed").inc()
-            slots, reject_floor = self._try_tms(ii, cd, p_max)
+            slots, replay_floor = self._try_tms(ii, cd, p_max)
             if slots is None:
-                failed[ii] = (cd, reject_floor)
+                failed[ii] = (cd, replay_floor)
                 if tracer.enabled:
-                    self._emit_candidate(tracer, index, ii, cd, f_value,
-                                         "reject")
+                    self._emit_candidate(
+                        tracer, index, ii, cd, f_value, "reject",
+                        replay_floor=(replay_floor if replay_floor < math.inf
+                                      else None))
                 continue
             if tracer.enabled:
                 self._emit_candidate(tracer, index, ii, cd, f_value, "accept")
@@ -184,10 +189,12 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
             f"{self.max_ii()} even without thread-sensitivity constraints")
 
     def _emit_candidate(self, tracer, index: int, ii: int, cd: int,
-                        f_value: float, outcome: str) -> None:
+                        f_value: float, outcome: str, **why) -> None:
         """One ``tms.candidate`` event: the (II, C_delay) pair, the full
         ``F`` objective breakdown (its four max-terms), and the outcome
-        (``accept`` / ``reject`` / ``pruned``)."""
+        (``accept`` / ``reject`` / ``pruned``) with ``why``: a reject's
+        ``replay_floor`` (``None`` when unbounded), the C_delay of the
+        rejected pair a pruned one ``replays``."""
         arch = self.arch
         tracer.emit(
             "sched", "tms.candidate", loop=self.ddg.name, index=index,
@@ -196,7 +203,7 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
             f_c_ci=float(arch.commit_overhead),
             f_c_delay=float(cd),
             f_t_lb_share=t_lower_bound(ii, cd, arch) / arch.ncore,
-            outcome=outcome)
+            outcome=outcome, **why)
 
     def _finish(self, ii: int, slots: Mapping[str, int], cd: int, p_max: float,
                 f_value: float, *, fallback: bool) -> Schedule:
@@ -224,7 +231,7 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         Definition-4 state resets between passes (``begin_attempt``).
 
         Returns ``(slots, m)``: the slot map (``None`` on failure) and
-        the policy's :attr:`~TMSPolicy.reject_floor` over both passes.
+        the policy's :attr:`~TMSPolicy.replay_floor` over both passes.
         """
         policy = TMSPolicy(self._tms_ctx, self.arch, self.config, ii,
                            c_delay, p_max)
@@ -232,8 +239,8 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
             self.seed_high = seed_high
             slots = self.try_policy(ii, policy)
             if slots is not None:
-                return slots, policy.reject_floor
-        return None, policy.reject_floor
+                return slots, policy.replay_floor
+        return None, policy.replay_floor
 
 
 def schedule_tms(ddg: DDG, resources: ResourceModel, arch: ArchConfig,

@@ -1,8 +1,9 @@
 """Content-addressed artifact cache: in-memory LRU plus optional disk tier.
 
 The in-memory tier is a plain LRU over fingerprint keys.  The disk tier
-(enabled by passing ``disk_dir`` — the session layer resolves
-``REPRO_CACHE_DIR`` / ``~/.cache/repro``) persists artifacts as pickles
+(enabled by passing ``disk_dir`` — the session layer passes its
+``cache_dir`` argument or ``REPRO_CACHE_DIR``, with ``~`` expanded; there
+is no default directory) persists artifacts as pickles
 under two-level fan-out directories (``ab/ab12….pkl``), written
 atomically (temp file + rename) so concurrent writers — e.g. the
 :class:`~repro.session.runner.ParallelRunner`'s worker processes — never

@@ -70,9 +70,9 @@ class SessionStats:
 
 def _resolve_cache_dir(cache_dir: str | os.PathLike | None) -> Path | None:
     if cache_dir is not None:
-        return Path(cache_dir)
+        return Path(cache_dir).expanduser()
     env = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    return Path(env) if env else None
+    return Path(env).expanduser() if env else None
 
 
 def _resolve_cache_size() -> int:

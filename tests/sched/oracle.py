@@ -5,8 +5,8 @@ what the engine computes faster:
 
 * :func:`compute_window` — the SMS scheduling window (Section 4.1 of the
   paper), re-walking every incident edge of the node being placed.  The
-  engine's memoized :class:`~repro.sched.engine.WindowTable` must
-  reproduce it exactly.
+  engine's per-DDG :class:`~repro.sched.engine.WindowTable` must
+  reproduce it exactly at every II.
 * :class:`PerProbeTMSPolicy` — Figure 3's C1/C2 slot acceptance
   evaluated slot by slot: every row of the window is probed for
   resources, then C1, then C2, then scored.  The engine's
@@ -32,7 +32,6 @@ ASAP+II-1]`` upward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -114,11 +113,6 @@ class PerProbeTMSPolicy(SlotPolicy):
     is vetoed by :meth:`accept` (C1, then C2) or ranked by :meth:`score`;
     the minimum-score slot wins, ties to window order, stopping at a
     perfect ``score <= 0``.
-
-    :attr:`c1_floor` is the smallest sync delay at which a probed slot
-    that C1 rejected would pass it: over every such slot, the largest
-    sync delay of its synchronised dependences.  Any threshold below it
-    makes every C1 decision of the run the same.
     """
 
     name = "tms-per-probe"
@@ -136,7 +130,6 @@ class PerProbeTMSPolicy(SlotPolicy):
         # memory (row_src, required_skew, probability, consumer)
         self._sreg: list[tuple[int, float, str]] = []
         self._smem: list[tuple[int, float, float, str]] = []
-        self.c1_floor = math.inf
 
     def begin_attempt(self, partial) -> None:
         self._sreg.clear()
@@ -225,7 +218,6 @@ class PerProbeTMSPolicy(SlotPolicy):
         # C1: every new synchronised dependence within threshold
         syncs = self._synced(new_reg, new_mem)
         if any(sync > self._c_delay for sync in syncs):
-            self.c1_floor = min(self.c1_floor, max(syncs))
             return False
         if not self._speculation or not new_mem:
             return True

@@ -15,7 +15,7 @@ from repro.sched import (
     SlotPolicy,
     schedule_tms,
 )
-from repro.sched.engine import EngineContext, WindowService
+from repro.sched.engine import EngineContext, WindowTable
 
 from .oracle import compute_window
 
@@ -32,13 +32,14 @@ def _random_partial(ddg, ii, rng):
 @pytest.mark.parametrize("ddg_fixture", ["fig1_ddg", "axpy_ddg",
                                          "recurrent_ddg"])
 def test_window_table_matches_compute_window(ddg_fixture, resources, request):
-    """The folded per-II window tables reproduce compute_window exactly —
-    bounds AND scan direction — on random partial schedules."""
+    """One folded window table per DDG reproduces compute_window exactly
+    at every II — bounds AND scan direction — on random partial
+    schedules."""
     ddg = request.getfixturevalue(ddg_fixture)
     ctx = EngineContext(ddg, resources)
+    table = WindowTable(ctx)
     rng = random.Random(1234)
     for ii in (2, 3, 5, 8):
-        table = WindowService(ctx).table(ii)
         for _ in range(25):
             partial = _random_partial(ddg, ii, rng)
             for v in ddg.node_names:
@@ -49,19 +50,13 @@ def test_window_table_matches_compute_window(ddg_fixture, resources, request):
                         ref = compute_window(ddg, v, partial, ii,
                                              ctx.metrics, direction,
                                              seed_high=seed_high)
-                        got = table.window(v, partial,
+                        got = table.window(v, partial, ii,
                                            direction == "bottom-up",
                                            seed_high)
                         assert got == (ref.start, ref.end,
                                        ref.direction == "down"), \
                             f"{ddg.name}/{v} ii={ii} {direction} " \
                             f"seed_high={seed_high}"
-
-
-def test_window_service_memoizes(fig1_ddg, resources):
-    svc = WindowService(EngineContext(fig1_ddg, resources))
-    assert svc.table(4) is svc.table(4)
-    assert svc.table(4) is not svc.table(5)
 
 
 def test_partial_schedule_matches_mrt(recurrent_ddg, resources):
@@ -175,9 +170,6 @@ def test_engine_metrics_published(axpy_ddg, resources, arch, registry):
     snap = {name: s.get("value", 0) for name, s in registry.snapshot().items()}
     assert snap.get("sched.engine.attempts", 0) > 0
     assert snap.get("sched.engine.slot_probes", 0) > 0
-    assert snap.get("sched.engine.window_tables", 0) > 0
-    # the TMS (II, C_delay) search re-attempts IIs: the memo must hit
-    assert snap.get("sched.engine.window_reuses", 0) > 0
 
 
 def test_schedule_round_trip_still_validates(fig1_ddg, fig1_machine):

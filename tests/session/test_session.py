@@ -164,6 +164,22 @@ def test_cache_dir_env(loop, tmp_path, monkeypatch):
     assert warm.stats.compiles == 0
 
 
+def test_cache_dir_expands_the_home_directory(loop, tmp_path, monkeypatch):
+    """``~`` in ``cache_dir`` and ``REPRO_CACHE_DIR`` names the home
+    directory, never a literal ``./~`` under the working directory."""
+    home = tmp_path / "home"
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.chdir(work)
+    Session(cache_dir="~/c").compile(loop)
+    assert list((home / "c").rglob("*.pkl"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", "~/env")
+    Session().compile(loop)
+    assert list((home / "env").rglob("*.pkl"))
+    assert not (work / "~").exists()
+
+
 def test_cache_size_env(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_SIZE", "17")
     assert Session().cache.maxsize == 17
