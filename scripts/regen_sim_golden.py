@@ -5,7 +5,7 @@ SMS and TMS schedules of every paper kernel (table2 synthetic SPECfp at
 the CI ``--quick`` cap plus the table3 DOACROSS loops) at a fixed
 iteration count and seed.  The stats are captured through the
 **reference event loop** (``SimConfig(exact=True)``), so the golden
-test — which simulates through the default vectorised/fast-forward
+test — which simulates through the default memoised/fast-forward
 path — doubles as a committed differential oracle: any fidelity drift
 in the fast path shows up as a review-able diff of this file, never as
 silent corruption.

@@ -18,9 +18,9 @@ from .errors import MachineError
 
 __all__ = ["ArchConfig", "KNOWN_POLICIES", "SchedulerConfig", "SimConfig"]
 
-#: scheduling policies selectable via ``SchedulerConfig.policy`` (and the
-#: ``--policy`` CLI flag).  Each names the first rung of the degradation
-#: chain in :func:`repro.sched.degrade.schedule_with_degradation`.
+#: scheduling policies :func:`repro.sched.degrade.schedule_with_policy`
+#: runs (and the ``compile --policy`` CLI flag names), in the order of the
+#: degradation ladder.
 KNOWN_POLICIES: tuple[str, ...] = ("tms", "sms", "ims", "seq")
 
 
@@ -155,12 +155,6 @@ class SchedulerConfig:
         dependences instead of speculating them (the Section 5.2 ablation:
         every memory dependence must be preserved, i.e. treated like a
         register dependence for C1 purposes).
-    policy:
-        First rung of the degradation chain (one of
-        :data:`KNOWN_POLICIES`): ``"tms"`` (the default) runs the full
-        TMS -> SMS -> IMS -> SEQ ladder; ``"sms"``/``"ims"``/``"seq"``
-        start further down, scheduling with the named baseline instead of
-        TMS (useful for ablations).
     """
 
     p_max: float = 0.05
@@ -170,15 +164,10 @@ class SchedulerConfig:
     max_candidates: int = 4000
     budget_ratio_ii: int = 3
     speculation: bool = True
-    policy: str = "tms"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_max <= 1.0:
             raise MachineError(f"p_max must be in [0, 1], got {self.p_max}")
-        if self.policy not in KNOWN_POLICIES:
-            raise MachineError(
-                f"policy must be one of {KNOWN_POLICIES}, got "
-                f"{self.policy!r}")
         if self.max_ii_factor < 1.0:
             raise MachineError("max_ii_factor must be >= 1.0")
         if self.max_candidates < 1:
@@ -198,21 +187,20 @@ class SimConfig:
         RNG seed for memory-dependence realisation and cache-miss draws.
         Experiments use a different seed from the profiling run, mirroring
         the paper's train-input/large-input split.
-    trace:
-        Record a per-thread event trace (slower; used by tests/examples).
     max_events:
         Safety bound on simulator events to guarantee termination.
     exact:
-        Force the reference per-thread event loop, disabling the
-        steady-state fast path (see docs/simulator.md).  The
-        ``REPRO_SIM_EXACT=1`` environment variable forces the same mode
-        process-wide; results are byte-identical either way — this is the
-        differential oracle's escape hatch, not a different model.
+        Force the reference per-thread event loop: every thread resolved
+        afresh, no resolution memo, no steady-state skips or replays (see
+        docs/simulator.md).  Results are byte-identical either way — this
+        is the differential oracle, not a different model.
+
+    A run's per-thread timeline is its ``sim`` event stream, recorded by
+    simulating under ``Telemetry(events=True)``.
     """
 
     iterations: int = 1000
     seed: int = 0xACE5
-    trace: bool = False
     max_events: int = 50_000_000
     exact: bool = False
 

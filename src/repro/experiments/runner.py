@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -52,8 +53,41 @@ from .table3 import render_table3, run_table3
 
 __all__ = ["main"]
 
-_EXPERIMENTS = ("table1", "table2", "table3", "fig4", "fig5", "fig6",
-                "speculation", "ablation")
+#: the paper's tables and figures, as (name, help); any of them run
+#: together in one suite invocation
+_SUITE = (
+    ("table1", "Table 1: the simulated architecture"),
+    ("table2", "Table 2: SMS vs TMS over the synthetic SPECfp2000 suite"),
+    ("table3", "Table 3: the DOACROSS loops and their TMS metrics"),
+    ("fig4", "Figure 4: speedups of TMS over SMS"),
+    ("fig5", "Figure 5: speedups of TMS over single-threaded code"),
+    ("fig6", "Figure 6: synchronisation behaviour of TMS vs SMS"),
+    ("speculation", "Section 5.2's speculation ablation"),
+    ("ablation", "P_max, C_reg_com, core-count, granularity and loop-nest "
+                 "sweeps"),
+    ("all", "every table and figure above"),
+)
+_EXPERIMENTS = tuple(name for name, _help in _SUITE if name != "all")
+
+#: the commands with parsers of their own, as (name, help)
+_SUBCOMMANDS = (
+    ("compile", "compile a DSL loop file with SMS and TMS and report "
+                "schedules + simulated performance"),
+    ("validate", "compare the Section 4.2 cost model against the "
+                 "simulator per kernel and report aggregate MAPE"),
+    ("chaos", "seeded fault-injection campaign: squash storms, "
+              "operand-network jitter/loss, flaky spawns — every run "
+              "checked against the trace invariant sanitizer"),
+    ("report", "render the run ledger (REPRO_LEDGER_DIR) and compare "
+               "perfbench result lines of a change with its parent's; "
+               "--check gates on BENCHMARK.json's bounds"),
+    ("serve", "run the long-lived compile/simulate daemon: warm caches, "
+              "request coalescing, bounded admission control "
+              "(docs/serving.md)"),
+    ("submit", "send one compile/simulate request to a running serve "
+               "daemon and print the result"),
+)
+_HELP = dict(_SUITE + _SUBCOMMANDS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,9 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Regenerate the paper's tables/figures, or compile a "
                     "loop of your own.")
     sub = parser.add_subparsers(dest="command")
-    comp = sub.add_parser(
-        "compile", help="compile a DSL loop file with SMS and TMS and "
-                        "report schedules + simulated performance")
+    comp = sub.add_parser("compile", help=_HELP["compile"])
     comp.add_argument("path", help="loop source file (repro.ir.dsl syntax)")
     comp.add_argument("--cores", type=int, default=4)
     comp.add_argument("--iterations", type=int, default=1000)
@@ -75,9 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--policy", default=None,
                       help="comma-separated scheduling policies to run "
                            "(tms, sms, ims, seq; default: sms,tms)")
-    val = sub.add_parser(
-        "validate", help="compare the Section 4.2 cost model against the "
-                         "simulator per kernel and report aggregate MAPE")
+    val = sub.add_parser("validate", help=_HELP["validate"])
     val.add_argument("--suite", choices=("table2", "table3", "both"),
                      default="table2",
                      help="kernel suite(s) to validate (default: table2)")
@@ -91,30 +121,18 @@ def _build_parser() -> argparse.ArgumentParser:
     val.add_argument("--out", default=None,
                      help="also write the report as JSON (stable schema)")
     _add_obs_flags(val)
-    chaos = sub.add_parser(
-        "chaos", help="seeded fault-injection campaign: squash storms, "
-                      "operand-network jitter/loss, flaky spawns — every "
-                      "run checked against the trace invariant sanitizer")
+    chaos = sub.add_parser("chaos", help=_HELP["chaos"])
     from ..faults.cli import add_chaos_arguments
     add_chaos_arguments(chaos)
     _add_obs_flags(chaos)
-    rep = sub.add_parser(
-        "report", help="render the run ledger (REPRO_LEDGER_DIR) and "
-                       "compare perfbench result lines of a change with "
-                       "its parent's; --check gates on BENCHMARK.json's "
-                       "bounds")
+    rep = sub.add_parser("report", help=_HELP["report"])
     from .report_cli import add_report_arguments
     add_report_arguments(rep)
     from ..serve.cli import add_serve_arguments, add_submit_arguments
-    serve = sub.add_parser(
-        "serve", help="run the long-lived compile/simulate daemon: warm "
-                      "caches, request coalescing, bounded admission "
-                      "control (docs/serving.md)")
+    serve = sub.add_parser("serve", help=_HELP["serve"])
     add_serve_arguments(serve)
     _add_obs_flags(serve)
-    submit = sub.add_parser(
-        "submit", help="send one compile/simulate request to a running "
-                       "serve daemon and print the result")
+    submit = sub.add_parser("submit", help=_HELP["submit"])
     add_submit_arguments(submit)
     return parser
 
@@ -260,9 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         # per-attempt detail spans would be pure memory overhead here.
         from ..obs import telemetry
         telemetry.current().spans.enabled = True
-    command = raw[0] if raw and raw[0] in (
-        "compile", "validate", "chaos", "serve", "submit") \
-        else "suite"
+    command = raw[0] if raw and raw[0] in dict(_SUBCOMMANDS) else "suite"
     start = time.perf_counter()
     code = _dispatch(command, raw)
     if ledgered:
@@ -295,8 +311,15 @@ def _dispatch(command: str, raw: list[str]) -> int:
 def _run_suite_command(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="tms-experiments",
-        description="Regenerate the paper's tables and figures "
-                    "(or 'compile <file>' for a loop of your own).")
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Regenerate the paper's tables and figures, or run "
+                    "one of the other commands listed below.",
+        epilog="commands:\n" + "\n".join(
+            textwrap.fill(text, 79, initial_indent=f"  {name:<12} ",
+                          subsequent_indent=" " * 15)
+            for name, text in _HELP.items())
+        + "\n\n'tms-experiments COMMAND --help' shows a command's "
+          "options.")
     parser.add_argument("experiments", nargs="+",
                         choices=_EXPERIMENTS + ("all",),
                         help="which tables/figures to run")

@@ -16,7 +16,7 @@
 * :mod:`repro.sched.ims` — Rau's iterative modulo scheduling, an extra
   baseline.
 * :mod:`repro.sched.degrade` — the TMS -> SMS -> IMS -> SEQ degradation
-  chain and policy dispatch (``SchedulerConfig.policy``).
+  chain and single-policy dispatch (``schedule_with_policy``).
 * :mod:`repro.sched.listsched` — acyclic list scheduling for the
   single-threaded comparison (Figure 5).
 * :mod:`repro.sched.postpass` — modulo variable expansion (register

@@ -13,12 +13,11 @@ degradation chain the pipeline routes through:
    ``II = span``: no inter-iteration overlap, trivially valid, always
    succeeds.
 
-``SchedulerConfig.policy`` names the chain's first rung (one of
-:data:`repro.config.KNOWN_POLICIES`), so the same driver runs the
-baseline schedulers by config alone — the ``--policy`` CLI flag rides on
-this.  Every schedule the chain
-returns carries ``meta["policy"]`` naming the rung that actually
-produced it.
+:func:`schedule_with_degradation` always starts the chain at TMS;
+:func:`schedule_with_policy` runs exactly one named rung (one of
+:data:`repro.config.KNOWN_POLICIES`) with no fallback — the ``compile
+--policy`` CLI flag rides on it.  Every schedule either returns carries
+``meta["policy"]`` naming the rung that actually produced it.
 
 Each step down the chain publishes the ``sched.degraded`` metric, emits a
 ``sched.degraded`` trace event, and stamps the schedule's ``meta`` with
@@ -79,17 +78,16 @@ def _rung_builders(ddg: DDG, resources: ResourceModel, arch: ArchConfig,
 
 
 def schedule_with_policy(ddg: DDG, resources: ResourceModel,
-                         arch: ArchConfig, policy: str | None = None,
+                         arch: ArchConfig, policy: str,
                          config: SchedulerConfig | None = None) -> Schedule:
     """Schedule with exactly the named policy — no degradation.
 
-    ``policy`` defaults to ``config.policy``.  Raises
-    :class:`SchedulingError` if the named scheduler fails (use
+    Raises :class:`SchedulingError` if the named scheduler fails (use
     :func:`schedule_with_degradation` for a never-fail chain).  The
     result carries ``meta["policy"]``.
     """
     config = config or SchedulerConfig()
-    name = (policy if policy is not None else config.policy).lower()
+    name = policy.lower()
     if name not in KNOWN_POLICIES:
         raise SchedulingError(
             f"unknown scheduling policy {name!r}; known: {KNOWN_POLICIES}")
@@ -103,21 +101,18 @@ def schedule_with_degradation(ddg: DDG, resources: ResourceModel,
                               arch: ArchConfig,
                               config: SchedulerConfig | None = None
                               ) -> Schedule:
-    """``config.policy`` with graceful degradation; never hangs, never
-    raises :class:`SchedulingError` for a well-formed DDG.
+    """TMS with graceful degradation; never hangs, never raises
+    :class:`SchedulingError` for a well-formed DDG.
 
     Returns the first schedule the chain produces, with
     ``meta["policy"]`` naming the rung that succeeded.  A degraded result
-    additionally carries ``meta["degraded_from"]`` (the requested rung,
-    e.g. ``"TMS"``) and ``meta["degraded_to"]`` naming the rung that
-    succeeded.
+    additionally carries ``meta["degraded_from"]`` (``"TMS"``) and
+    ``meta["degraded_to"]`` naming the rung that succeeded.
     """
     config = config or SchedulerConfig()
-    first = config.policy  # validated against KNOWN_POLICIES on construction
-    ladder = _LADDER[_LADDER.index(first):]
     builders = _rung_builders(ddg, resources, arch, config)
     failures: list[str] = []
-    for name in ladder:
+    for name in _LADDER:
         try:
             with span("sched.rung", kernel=ddg.name, policy=name) as sp:
                 sched = builders[name]()
@@ -128,7 +123,7 @@ def schedule_with_degradation(ddg: DDG, resources: ResourceModel,
             continue
         sched.meta["policy"] = name
         if failures:
-            sched.meta["degraded_from"] = first.upper()
+            sched.meta["degraded_from"] = "TMS"
             sched.meta["degraded_to"] = name.upper()
             sched.meta["degradation_reason"] = failures[0]
             metrics.counter(
@@ -137,7 +132,7 @@ def schedule_with_degradation(ddg: DDG, resources: ResourceModel,
             tracer = telemetry.current().tracer
             if tracer.enabled:
                 tracer.emit("sched", "sched.degraded", loop=ddg.name,
-                            degraded_from=first.upper(),
+                            degraded_from="TMS",
                             degraded_to=name.upper(), reason=failures[0])
         return sched
     raise SchedulingError(

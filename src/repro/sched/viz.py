@@ -6,15 +6,17 @@ Terminal-friendly renderings for inspection, docs and the compile CLI:
   per placed instruction, stage numbers marked;
 * ``flat_schedule_chart`` — the one-iteration flat schedule as horizontal
   issue/latency bars, stage boundaries ruled;
-* ``thread_timeline`` — SpMT threads (from a traced simulation) as
-  per-core occupancy bars, showing spawn cascade, stalls and commit
-  serialisation.
+* ``thread_timeline`` — SpMT threads (from a simulation's ``sim``
+  events) as per-core occupancy bars, showing spawn cascade, stalls and
+  commit serialisation.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..ir.opcode import FUClass
-from ..spmt.trace import ThreadRecord
+from ..obs.events import Event
 from .schedule import Schedule
 
 __all__ = ["kernel_gantt", "flat_schedule_chart", "thread_timeline"]
@@ -73,26 +75,40 @@ def flat_schedule_chart(schedule: Schedule, width: int = 72) -> str:
     return "\n".join(lines)
 
 
-def thread_timeline(records: list[ThreadRecord], ncore: int,
+def thread_timeline(events: Iterable[Event], ncore: int,
                     width: int = 72, limit: int = 16) -> str:
     """Per-core occupancy bars for the first ``limit`` committed threads.
 
-    '=' marks execution, '.' the gap to commit; the left edge of each bar
-    is the thread's start time.
+    ``events`` are one simulation's trace events, recorded under
+    ``Telemetry(events=True)``: each thread's ``sim.exec`` event gives
+    its core, start, finish and restarts, its ``sim.commit`` event the
+    end of its commit.  '=' marks execution, '.' the gap to commit; the
+    left edge of each bar is the thread's start time.
     """
-    records = records[:limit]
-    if not records:
-        return "(no thread records; run with SimConfig(trace=True))"
-    t0 = min(r.start for r in records)
-    t1 = max(r.commit for r in records)
+    execs: dict[int, Event] = {}
+    commits: dict[int, float] = {}
+    for e in events:
+        if e.cat == "sim" and e.name == "exec":
+            execs[e.args["thread"]] = e
+        elif e.cat == "sim" and e.name == "commit":
+            commits[e.args["thread"]] = e.ts + e.dur
+    threads = sorted(j for j in execs if j in commits)[:limit]
+    if not threads:
+        return ("(no thread records; simulate under "
+                "Telemetry(events=True))")
+    t0 = min(execs[j].ts for j in threads)
+    t1 = max(commits[j] for j in threads)
     scale = max(1.0, (t1 - t0) / width)
-    lines = [f"thread timeline ({len(records)} threads, {ncore} cores, "
+    lines = [f"thread timeline ({len(threads)} threads, {ncore} cores, "
              f"1 char ~ {scale:.1f} cycles)"]
-    for rec in records:
-        start = int((rec.start - t0) / scale)
-        run = max(1, int((rec.finish - rec.start) / scale))
-        wait = max(0, int((rec.commit - rec.finish) / scale))
+    for j in threads:
+        ex = execs[j]
+        finish = ex.ts + ex.dur
+        start = int((ex.ts - t0) / scale)
+        run = max(1, int((finish - ex.ts) / scale))
+        wait = max(0, int((commits[j] - finish) / scale))
         bar = " " * start + "=" * run + "." * wait
-        flag = f" !{rec.restarts}" if rec.restarts else ""
-        lines.append(f"t{rec.index:<3} c{rec.core} |{bar[:width + 8]}{flag}")
+        restarts = ex.args["restarts"]
+        flag = f" !{restarts}" if restarts else ""
+        lines.append(f"t{j:<3} c{ex.args['tid']} |{bar[:width + 8]}{flag}")
     return "\n".join(lines)

@@ -21,7 +21,6 @@ Modules:
 """
 
 from .stats import SimStats
-from .trace import ThreadRecord, format_trace
 from .sim import SpMTSimulator, simulate
 from .single import (
     simulate_sequential,
@@ -30,8 +29,6 @@ from .single import (
 
 __all__ = [
     "SimStats",
-    "ThreadRecord",
-    "format_trace",
     "SpMTSimulator",
     "simulate",
     "simulate_modulo_single_core",

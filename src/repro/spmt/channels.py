@@ -71,11 +71,6 @@ class KernelTimingTemplate:
         self.intra_preds: list[list[int]] = [[] for _ in self.names]
         for src, dst in intra:
             self.intra_preds[dst].append(src)
-        #: forward adjacency of the same DAG (partial re-resolution
-        #: walks the affected cone downstream from stalled consumers)
-        self.intra_succs: list[list[int]] = [[] for _ in self.names]
-        for src, dst in intra:
-            self.intra_succs[src].append(dst)
 
         #: incoming synchronised dependences (consumer side)
         self.channels: list[_ChannelRef] = [
@@ -98,40 +93,6 @@ class KernelTimingTemplate:
             (e.src, e.dst, sched.d_ker(e), e.probability)
             for e in pipelined.speculated
         ]
-
-        # -- vectorised-executor views (simulator fast path) ---------------
-        # Channels grouped by hop count: arrivals for one group come from a
-        # single producer thread (j - hops), so each group is one gather.
-        self.latency_f = self.latency.astype(np.float64)
-        self.n_channels = len(self.channels)
-        self.chan_consumer_idx = np.array(
-            [ch.consumer_index for ch in self.channels], dtype=np.int64)
-        by_hops: dict[int, list[int]] = {}
-        for ci, ch in enumerate(self.channels):
-            by_hops.setdefault(ch.hops, []).append(ci)
-        #: list of (hops, channel_indices, producer_node_indices)
-        self.hop_groups: list[tuple[int, np.ndarray, np.ndarray]] = [
-            (hops,
-             np.array(cis, dtype=np.int64),
-             np.array([self.channels[ci].producer_index for ci in cis],
-                      dtype=np.int64))
-            for hops, cis in sorted(by_hops.items())
-        ]
-        # The no-stall reference execution: what resolve() returns when
-        # every arrival is satisfied by dataflow alone.  Computed by the
-        # scalar resolver itself so the values are definitionally identical.
-        _base = ThreadTiming.resolve(
-            self, 0.0, [float("-inf")] * self.n_channels)
-        #: issue_rel of a stall-free thread (shared, read-only)
-        self.base_issue_rel: list[float] = _base.issue_rel
-        self.base_issue = np.array(_base.issue_rel, dtype=np.float64)
-        #: finish - start of a stall-free thread
-        self.base_finish: float = _base.finish
-        #: base issue time of each channel's consumer: an arrival at or
-        #: below this threshold cannot stall anything.
-        self.base_cons_issue = (self.base_issue[self.chan_consumer_idx]
-                                if self.n_channels else
-                                np.empty(0, dtype=np.float64))
 
 
 @dataclass
@@ -188,66 +149,6 @@ class ThreadTiming:
         return cls(start=start, issue_rel=issue, total_stall=stall,
                    finish=start + finish)
 
-    @classmethod
-    def resolve_partial(cls, template: KernelTimingTemplate, start: float,
-                        arrivals: Sequence[float],
-                        seeds: Sequence[int]) -> "ThreadTiming":
-        """:meth:`resolve` when only ``seeds`` — the consumer nodes whose
-        channel arrival exceeds their stall-free issue time — can perturb
-        the stall-free execution: relax just the affected cone over the
-        template's precomputed base pattern.
-
-        Byte-identical to :meth:`resolve`: an unaffected node's running
-        issue time is at least its base issue time at every channel
-        comparison (arrivals only add delay), so an arrival at or below
-        the base threshold can neither stall nor raise it — those nodes
-        keep their base values and contribute exactly ``0.0`` stall, and
-        the affected nodes replay the scalar loop's float operations in
-        the same topological order.
-        """
-        row = template.row
-        lat = template.latency
-        issue: list[float] = list(template.base_issue_rel)
-        dirty = set(seeds)
-        stall = 0.0
-        finish = template.base_finish
-        for i in template.topo:
-            if i not in dirty:
-                continue
-            t = float(row[i])
-            for p in template.intra_preds[i]:
-                ready = issue[p] + float(lat[p])
-                if ready > t:
-                    t = ready
-            for ci in template.channels_into[i]:
-                arr_rel = arrivals[ci] - start
-                if arr_rel > t:
-                    stall += arr_rel - t
-                    t = arr_rel
-            if t != issue[i]:
-                issue[i] = t
-                for s in template.intra_succs[i]:
-                    dirty.add(s)
-            top = t + float(lat[i])
-            if top > finish:
-                finish = top
-        return cls(start=start, issue_rel=issue, total_stall=stall,
-                   finish=start + finish)
-
-    @classmethod
-    def no_stall(cls, template: KernelTimingTemplate,
-                 start: float) -> "ThreadTiming":
-        """The stall-free execution at ``start``.
-
-        Byte-identical to :meth:`resolve` whenever no arrival exceeds its
-        consumer's dataflow-ready time (then every relaxation in the
-        scalar loop is a no-op and the issue pattern is the template's
-        precomputed base).  ``issue_rel`` is shared with the template —
-        callers treat timings as immutable.
-        """
-        return cls(start=start, issue_rel=template.base_issue_rel,
-                   total_stall=0.0, finish=start + template.base_finish)
-
     def shifted(self, delta: float) -> "ThreadTiming":
         """This timing translated ``delta`` cycles later (issue pattern
         shared — relative times are unchanged by translation)."""
@@ -255,14 +156,6 @@ class ThreadTiming:
                             issue_rel=self.issue_rel,
                             total_stall=self.total_stall,
                             finish=self.finish + delta)
-
-    def issue_array(self) -> np.ndarray:
-        """``issue_rel`` as a float64 array, cached on the instance."""
-        arr = getattr(self, "_issue_np", None)
-        if arr is None:
-            arr = np.asarray(self.issue_rel, dtype=np.float64)
-            self._issue_np = arr
-        return arr
 
     def issue_time(self, template: KernelTimingTemplate, name: str) -> float:
         return self.start + self.issue_rel[template.index[name]]

@@ -26,10 +26,10 @@ measure.
 
 Two execution strategies produce byte-identical :class:`SimStats`:
 
-* the **reference event loop** iterates every thread with the scalar
-  resolver — forced by ``SimConfig.exact`` or ``REPRO_SIM_EXACT=1``;
-* the default path vectorises per-thread arrival resolution over the
-  kernel template and keys every thread boundary on the relative thread
+* the **reference event loop** resolves every thread with the scalar
+  resolver — forced by ``SimConfig.exact``;
+* the default path memoises that resolver per run on the relative
+  arrival vector and keys every thread boundary on the relative thread
   state (:class:`~repro.spmt.fastpath.SteadyStateDetector`): it skips
   analytically through proven cycles of that state, and replays a
   thread already committed from the same state with the same
@@ -40,8 +40,6 @@ Two execution strategies produce byte-identical :class:`SimStats`:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from ..config import ArchConfig, SimConfig
@@ -51,7 +49,6 @@ from ..sched.postpass import PipelinedLoop
 from .channels import KernelTimingTemplate, ThreadTiming
 from .fastpath import SteadyStateDetector
 from .stats import SimStats
-from .trace import ThreadRecord
 from .violations import RealisationTable, detect_violation
 
 __all__ = ["SpMTSimulator", "simulate"]
@@ -59,16 +56,10 @@ __all__ = ["SpMTSimulator", "simulate"]
 #: restart attempts per thread before declaring the simulation wedged.
 _MAX_RESTARTS = 64
 
-#: distinct relative-arrival vectors memoised per run by the vectorised
-#: executor (steady and violation-periodic regimes cycle through a
-#: handful; the cap only guards pathological non-repeating kernels).
+#: distinct relative-arrival vectors memoised per run (steady and
+#: violation-periodic regimes cycle through a handful; the cap only
+#: guards pathological non-repeating kernels).
 _RESOLVE_CACHE_MAX = 4096
-
-
-def _env_exact() -> bool:
-    """``REPRO_SIM_EXACT=1`` forces the reference event loop everywhere
-    (including session worker processes, which inherit the environment)."""
-    return os.environ.get("REPRO_SIM_EXACT", "").strip() not in ("", "0")
 
 
 class SpMTSimulator:
@@ -76,8 +67,7 @@ class SpMTSimulator:
 
     def __init__(self, pipelined: PipelinedLoop, arch: ArchConfig,
                  sim: SimConfig | None = None, *,
-                 template: KernelTimingTemplate | None = None,
-                 exact: bool | None = None) -> None:
+                 template: KernelTimingTemplate | None = None) -> None:
         self.pipelined = pipelined
         self.arch = arch
         self.sim = sim or SimConfig()
@@ -85,19 +75,13 @@ class SpMTSimulator:
         # solely from (pipelined, reg_comm_latency), so reuse is exact.
         self.template = template if template is not None else \
             KernelTimingTemplate(pipelined, arch.reg_comm_latency)
-        if exact is None:
-            exact = self.sim.exact
-        self._exact = bool(exact) or _env_exact()
         # cache-perturbation state (miss rng + load indices) is derived
         # lazily inside the run so a reused simulator never replays a
         # previous run's rng position or a stale template's load set.
         self._cache_rng: np.random.Generator | None = None
         self._load_indices: list[int] | None = None
-        #: no-stall shortcut hit diagnostics (reset per run)
-        self._fast_calls = 0
-        self._fast_hits = 0
-        #: relative-arrival memo of the vectorised executor (reset per run)
-        self._resolve_cache: dict[bytes, tuple[list[float], float, float]] = {}
+        #: resolutions at start 0, keyed by relative arrivals (reset per run)
+        self._resolved: dict[tuple[float, ...], ThreadTiming] = {}
 
     def run(self) -> SimStats:
         """Simulate all iterations; one ``sim.run`` span per call, with
@@ -124,9 +108,7 @@ class SpMTSimulator:
         # simulator must not see a previous run's rng position)
         self._cache_rng = None
         self._load_indices = None
-        self._fast_calls = 0
-        self._fast_hits = 0
-        self._resolve_cache = {}
+        self._resolved = {}
 
         stats = SimStats(iterations=n, ncore=arch.ncore,
                          reg_comm_latency=arch.reg_comm_latency)
@@ -136,7 +118,6 @@ class SpMTSimulator:
         prev_commit = 0.0
         events = 0
 
-        trace = self.sim.trace
         tracer = telemetry.current().tracer
 
         # kernel distances are immutable for the run, so the retention
@@ -148,18 +129,13 @@ class SpMTSimulator:
         )
         retention = max_hops + arch.ncore + 1
 
-        # the vectorised resolver replaces the scalar one whenever nothing
-        # needs the scalar loop's side channels (per-RECV stall logs, cache
-        # draws, arrival perturbation)
+        # skips and replays need every thread to be deterministic and
+        # unobserved: no tracer, no cache draws, no fault hooks of any kind
         cls = type(self)
-        vectorise = (not self._exact and not tracer.enabled
-                     and arch.l1_miss_rate <= 0.0
-                     and cls._perturb_arrivals is SpMTSimulator._perturb_arrivals)
-        # skips and replays additionally need every thread to be
-        # deterministic and unrecorded: no per-thread records, no fault
-        # hooks of any kind
         detector = None
-        if vectorise and not trace \
+        if not self.sim.exact and not tracer.enabled \
+                and arch.l1_miss_rate <= 0.0 \
+                and cls._perturb_arrivals is SpMTSimulator._perturb_arrivals \
                 and cls._start_delay is SpMTSimulator._start_delay \
                 and cls._inject_violation is SpMTSimulator._inject_violation:
             candidate = SteadyStateDetector(template, arch, n)
@@ -222,12 +198,8 @@ class SpMTSimulator:
                         f"simulation exceeded max_events={self.sim.max_events}")
                 if tracer.enabled:
                     stall_log = []
-                    timing = self._execute(j, start, timings,
-                                           stall_log=stall_log)
-                elif vectorise:
-                    timing = self._execute_fast(j, start, timings)
-                else:
-                    timing = self._execute(j, start, timings)
+                timing = self._execute(j, start, timings,
+                                       stall_log=stall_log)
                 timings[j] = timing
                 violation = detect_violation(
                     template, timings, realisations.realised(j), j)
@@ -291,12 +263,6 @@ class SpMTSimulator:
             core_free[core] = commit
             prev_commit = commit
             prev_start = timings[j].start
-            if trace:
-                stats.thread_records.append(ThreadRecord(
-                    index=j, core=core, start=timings[j].start,
-                    finish=timings[j].finish, commit=commit,
-                    stall_cycles=timings[j].total_stall,
-                    restarts=restarts))
             if tracer.enabled:
                 self._emit_thread_events(tracer, j, core, timings[j],
                                          commit, restarts, stall_log)
@@ -406,7 +372,18 @@ class SpMTSimulator:
                  timings: dict[int, ThreadTiming], *,
                  stall_log: list[tuple[int, float, float]] | None = None
                  ) -> ThreadTiming:
-        """Resolve thread ``j``'s timing given all earlier threads."""
+        """Resolve thread ``j``'s timing given all earlier threads.
+
+        The resolver is shift-invariant: the relative arrival vector
+        ``arrivals - start`` is its complete input, and steady and
+        violation-periodic regimes (even post-squash transients) cycle
+        through a handful of such vectors.  So outside the reference
+        loop a new vector is resolved once at start 0 and every later
+        thread that presents it gets that timing translated to its own
+        start — the same floats, since ``(a - start) - 0.0`` is
+        ``a - start`` and ``0.0 + x`` is ``x``.  The reference loop, the
+        tracer's stall log and cache-miss draws resolve every call.
+        """
         template = self.template
         arrivals: list[float] = []
         for idx, ch in enumerate(template.channels):
@@ -419,60 +396,18 @@ class SpMTSimulator:
                 arrivals.append(
                     timings[producer_thread].value_arrival(template, idx))
         arrivals = self._perturb_arrivals(j, arrivals)
-        return ThreadTiming.resolve(template, start, arrivals,
-                                    extra_latency=self._draw_cache_extra(),
-                                    stall_log=stall_log)
-
-    def _execute_fast(self, j: int, start: float,
-                      timings: dict[int, ThreadTiming]) -> ThreadTiming:
-        """Vectorised :meth:`_execute`: one gather per distinct hop count
-        resolves all arrivals, and a thread none of whose arrivals exceeds
-        its consumer's dataflow-ready time reuses the template's shared
-        no-stall timing.  Values are byte-identical to the scalar path:
-        the gather performs the same float operations in the same
-        association order, and any thread that might stall falls back to
-        the scalar resolver.
-        """
-        template = self.template
-        self._fast_calls += 1
-        if template.n_channels == 0:
-            self._fast_hits += 1
-            return ThreadTiming.no_stall(template, start)
-        arrivals = np.empty(template.n_channels, dtype=np.float64)
-        for hops, cis, prod_idx in template.hop_groups:
-            prod = timings.get(j - hops)
-            if prod is None:
-                # live-ins: broadcast before the loop started
-                arrivals[cis] = -np.inf
-            else:
-                # ((start + issue) + lat) + hops * C_reg_com, term for
-                # term as ThreadTiming.value_arrival associates it
-                produced = ((prod.start + prod.issue_array()[prod_idx])
-                            + template.latency_f[prod_idx])
-                arrivals[cis] = produced + (hops * template.reg_comm_latency)
-        rel = arrivals - start
-        exceed = rel > template.base_cons_issue
-        if not exceed.any():
-            self._fast_hits += 1
-            return ThreadTiming.no_stall(template, start)
-        # the resolver is shift-invariant: the relative-arrival vector is
-        # its complete input, and steady/violation-periodic regimes (and
-        # even post-squash transients) cycle through a handful of
-        # distinct vectors — memoise the relaxation per vector
-        key = rel.tobytes()
-        cached = self._resolve_cache.get(key)
-        if cached is None:
-            # only the stalled consumers' cone can deviate from the base
-            # pattern: re-relax just that cone instead of the whole kernel
-            seeds = template.chan_consumer_idx[exceed]
-            t0 = ThreadTiming.resolve_partial(template, 0.0, rel.tolist(),
-                                              seeds)
-            cached = (t0.issue_rel, t0.total_stall, t0.finish)
-            if len(self._resolve_cache) < _RESOLVE_CACHE_MAX:
-                self._resolve_cache[key] = cached
-        issue_rel, stall, finish_rel = cached
-        return ThreadTiming(start=start, issue_rel=issue_rel,
-                            total_stall=stall, finish=start + finish_rel)
+        extra = self._draw_cache_extra()
+        if self.sim.exact or stall_log is not None or extra is not None:
+            return ThreadTiming.resolve(template, start, arrivals,
+                                        extra_latency=extra,
+                                        stall_log=stall_log)
+        key = tuple([a - start for a in arrivals])
+        resolved = self._resolved.get(key)
+        if resolved is None:
+            resolved = ThreadTiming.resolve(template, 0.0, key)
+            if len(self._resolved) < _RESOLVE_CACHE_MAX:
+                self._resolved[key] = resolved
+        return resolved.shifted(start)
 
     def _draw_cache_extra(self) -> list[int] | None:
         """Per-load latency perturbation from the probabilistic cache

@@ -13,12 +13,8 @@ Field names follow the paper's measurement vocabulary (Section 5.2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..config import ArchConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .trace import ThreadRecord
 
 __all__ = ["SimStats"]
 
@@ -51,15 +47,14 @@ class SimStats:
     #: machine model.
     reg_comm_latency: int = field(
         default_factory=lambda: ArchConfig.paper_default().reg_comm_latency)
-    #: per-thread timeline, populated when ``SimConfig.trace`` is set.
-    thread_records: list["ThreadRecord"] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         """JSON-ready numeric view of the run (the golden-pin format).
 
         Cycle fields are cast through ``float`` so numpy scalars never
-        leak into serialised output; ``thread_records`` are omitted (they
-        are populated only under ``SimConfig.trace``).
+        leak into serialised output.  The per-thread timeline is not
+        part of a run's statistics: record it as ``sim`` events under
+        ``Telemetry(events=True)``.
         """
         return {
             "iterations": int(self.iterations),

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.experiments.runner import main
 from repro.obs.report import validate_report_dict
 
@@ -10,6 +12,17 @@ def test_table1(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out
     assert "Architecture simulated" in out
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  ") and not line.startswith("   ")}
+    assert {"table1", "table2", "table3", "fig4", "fig5", "fig6",
+            "speculation", "ablation", "all", "compile", "validate",
+            "chaos", "report", "serve", "submit"} <= listed
 
 
 def test_quick_table3(capsys):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import ArchConfig, SimConfig
 from repro.faults import FaultInjectingSimulator, FaultPlan, FaultSpec, \
     simulate_with_faults
-from repro.sched import run_postpass, schedule_sms
+from repro.faults.campaign import SCENARIOS, build_plan
+from repro.sched import run_postpass, schedule_sms, schedule_tms
 from repro.spmt import simulate
 
 _FIELDS = ("total_cycles", "sync_stall_cycles", "misspeculations",
@@ -124,3 +127,25 @@ def test_injected_tally_resets_per_simulator(pipelined, arch):
                                     plan=plan)
     again.run()
     assert again.injected == first
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_chaos_scenario_matches_reference_loop(fig1_ddg, fig1_machine,
+                                               axpy_ddg, resources, arch,
+                                               scenario):
+    """With events off a faulted run resolves its threads through the
+    per-run memo; it must equal the reference loop
+    (``SimConfig(exact=True)``) in every ``SimStats`` field and in the
+    injected-fault tally, for each chaos scenario's plan."""
+    kernels = (run_postpass(schedule_sms(fig1_ddg, fig1_machine), arch),
+               run_postpass(schedule_tms(fig1_ddg, fig1_machine, arch), arch),
+               run_postpass(schedule_sms(axpy_ddg, resources), arch))
+    for pipelined in kernels:
+        for seed in (1, 2, 3):
+            plan = build_plan(scenario, seed) or FaultPlan(seed=seed)
+            cfg = SimConfig(iterations=400, seed=seed)
+            memo = simulate_with_faults(pipelined, arch, plan, cfg)
+            exact = simulate_with_faults(pipelined, arch, plan,
+                                         replace(cfg, exact=True))
+            assert memo == exact, (pipelined.schedule.algorithm, seed)
+            assert bool(memo[1]) == (scenario != "baseline")

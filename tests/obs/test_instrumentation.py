@@ -90,7 +90,7 @@ def sim_trace(fig1_ddg, fig1_machine, arch):
     pipelined = run_postpass(schedule_tms(fig1_ddg, fig1_machine, arch), arch)
     with Telemetry(events=True) as traced:
         stats = simulate(pipelined, arch,
-                         SimConfig(iterations=200, seed=3, trace=True))
+                         SimConfig(iterations=200, seed=3))
     return stats, traced.tracer.select("sim")
 
 

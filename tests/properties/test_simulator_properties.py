@@ -1,7 +1,7 @@
 """Property-based tests on the SpMT simulator: conservation laws, plus
 the differential oracle for the fast path — every random
 (loop, arch, fault-plan) draw must produce byte-identical ``SimStats``
-through the default vectorised/skip/replay path and the reference
+through the default memoised/skip/replay path and the reference
 event loop (``SimConfig.exact``)."""
 
 from dataclasses import replace

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import SimConfig
+from repro.obs.telemetry import Telemetry
 from repro.sched import (
     flat_schedule_chart,
     kernel_gantt,
@@ -32,10 +33,11 @@ def test_flat_chart(sched):
 
 
 def test_thread_timeline(sched, arch):
-    stats = simulate(run_postpass(sched, arch), arch,
-                     SimConfig(iterations=12, trace=True))
-    text = thread_timeline(stats.thread_records, arch.ncore)
+    with Telemetry(events=True) as traced:
+        simulate(run_postpass(sched, arch), arch, SimConfig(iterations=12))
+    text = thread_timeline(traced.tracer.events, arch.ncore)
     assert "t0" in text and "=" in text
+    assert len(text.splitlines()) == 1 + 12
 
 
 def test_thread_timeline_empty():

@@ -51,7 +51,7 @@ def test_config_fingerprint_covers_every_field():
     assert fingerprint(base) == fingerprint(SchedulerConfig())
     for change in (dict(p_max=0.2), dict(speculation=False),
                    dict(max_ii_factor=3.0), dict(budget_ratio_ii=4),
-                   dict(max_candidates=100), dict(policy="sms")):
+                   dict(max_candidates=100)):
         assert fingerprint(replace(base, **change)) != fingerprint(base), change
 
 

@@ -13,6 +13,7 @@ from repro.graph import build_ddg
 from repro.obs import metrics
 from repro.sched import run_postpass, schedule_sms, schedule_tms
 from repro.spmt import simulate
+from repro.spmt.channels import ThreadTiming
 from repro.spmt.fastpath import SteadyStateDetector
 from repro.spmt.sim import SpMTSimulator
 from repro.spmt.violations import RealisationTable
@@ -85,27 +86,45 @@ def test_fastforward_engages_and_is_counted(axpy_pipelined, arch):
     assert counter.value - before > 15_000
 
 
-def test_exact_env_var_forces_reference_loop(fig1_pipelined_sms, arch,
-                                             monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_EXACT", "1")
-    sim = SpMTSimulator(fig1_pipelined_sms, arch)
-    assert sim._exact
-    monkeypatch.setenv("REPRO_SIM_EXACT", "0")
-    assert not SpMTSimulator(fig1_pipelined_sms, arch)._exact
+def test_memoised_resolution_matches_resolve_per_call(fig1_pipelined_tms,
+                                                      monkeypatch):
+    """Lockstep over every resolved thread: each timing the default path
+    returns (memoised on the relative arrivals, translated to its start)
+    equals ``ThreadTiming.resolve`` at the same start and arrivals — with
+    the detector off (fractional C_spn: every thread resolves) and on —
+    and the whole run equals the reference loop's."""
+    perturb = SpMTSimulator._perturb_arrivals
+    execute = SpMTSimulator._execute
+    seen: dict = {}
+    resolved: list[int] = []
 
+    def capture(self, j, arrivals):
+        seen["arrivals"] = perturb(self, j, arrivals)
+        return seen["arrivals"]
 
-def test_trace_records_identical_and_disable_fastforward(fig1_pipelined_sms,
-                                                         arch):
-    """Tracing keeps every per-thread record, so the fast-forward must
-    stay out of the way — and the vectorised resolver must produce the
-    same records the scalar one does."""
-    traced = simulate(fig1_pipelined_sms, arch,
-                      SimConfig(iterations=300, trace=True))
-    exact = simulate(fig1_pipelined_sms, arch,
-                     SimConfig(iterations=300, trace=True, exact=True))
-    assert len(traced.thread_records) == 300
-    assert traced.thread_records == exact.thread_records
-    assert traced == exact
+    def lockstep(self, j, start, timings, **kwargs):
+        timing = execute(self, j, start, timings, **kwargs)
+        assert timing == ThreadTiming.resolve(self.template, start,
+                                              seen["arrivals"]), j
+        resolved.append(j)
+        return timing
+
+    cfg = SimConfig(iterations=2000, seed=1)
+    for spawn, every_thread in ((1.5, True), (3, False)):
+        arch = ArchConfig(spawn_overhead=spawn)
+        resolved.clear()
+        with monkeypatch.context() as m:
+            # patched on the base class, so the detector still engages
+            m.setattr(SpMTSimulator, "_perturb_arrivals", capture)
+            m.setattr(SpMTSimulator, "_execute", lockstep)
+            sim = SpMTSimulator(fig1_pipelined_tms, arch, cfg)
+            stats = sim.run()
+        assert stats.misspeculations > 0
+        assert (set(resolved) == set(range(cfg.iterations))) == every_thread
+        # the memo answered most calls
+        assert len(sim._resolved) < len(resolved) / 2
+        assert stats == simulate(fig1_pipelined_tms, arch,
+                                 replace(cfg, exact=True))
 
 
 # -- detector gating ---------------------------------------------------------

@@ -2,7 +2,7 @@
 
 ``tests/golden/sim_golden.json`` was captured through the **reference
 event loop** (``SimConfig(exact=True)``); this test replays every pinned
-kernel through the **default** vectorised/fast-forward path and demands
+kernel through the **default** memoised/fast-forward path and demands
 byte-identical :meth:`SimStats.to_dict` rows.  Any fidelity drift in the
 steady-state fast path — or any intended change to the simulator's cost
 model — therefore surfaces as a review-able diff of the golden file
