@@ -146,8 +146,9 @@ class SchedulerConfig:
     max_candidates:
         TMS's attempt budget: the number of (II, C_delay) pairs, in
         ascending ``F``, one search (per ``P_max``) walks — placed or
-        pruned — before it falls back to SMS placement.  The population's
-        ``lucas_fft`` exhausts it on every compile (``tms.fallbacks``).
+        pruned — before it falls back to first-fit placement.  The
+        population's ``lucas_fft`` exhausts it on every compile
+        (``tms.fallbacks``).
     budget_ratio_ii:
         IMS backtracking budget per II as a multiple of the node count.
     speculation:

@@ -32,7 +32,7 @@ from ..sched.ims import IterativeModuloScheduler
 from ..sched.maxlive import max_live
 from ..sched.postpass import PipelinedLoop, run_postpass
 from ..sched.schedule import Schedule
-from ..sched.sms import SwingModuloScheduler
+from ..sched.sms import LoopAnalysis, SwingModuloScheduler
 from ..spmt.single import simulate_modulo_single_core, simulate_sequential
 from ..spmt.stats import SimStats
 
@@ -122,28 +122,35 @@ def compile_loop_uncached(source: Loop | DDG, arch: ArchConfig,
         ddg = source
     else:
         ddg = build_ddg(source, latency or LatencyModel.for_arch(arch))
+    mii = compute_mii(ddg, resources)
+    ldp = longest_dependence_path(ddg)
+    # one analysis of the DDG for every scheduler below; the returned
+    # artifact keeps none of it
+    analysis = LoopAnalysis(ddg, resources, mii, ldp)
     with span("compile.sms", kernel=ddg.name):
         try:
-            sms_sched = SwingModuloScheduler(ddg, resources, config).schedule()
+            sms_sched = SwingModuloScheduler(
+                ddg, resources, config, analysis).schedule()
         except SchedulingError:
             # SMS is restart-only and can wedge on pinched windows; GCC falls
             # back to list scheduling there — we fall back to the backtracking
             # modulo scheduler so suite runs never die on one loop.
             sms_sched = IterativeModuloScheduler(
-                ddg, resources, config).schedule()
+                ddg, resources, config, analysis).schedule()
             sms_sched.meta["fallback_from"] = "SMS"
     # TMS routes through the degradation chain: a budget-exhausted or
     # failed (II, C_delay) search falls back TMS -> SMS -> IMS -> SEQ
     # (recording sched.degraded) instead of killing the whole suite run.
     with span("compile.tms", kernel=ddg.name):
-        tms_sched = schedule_with_degradation(ddg, resources, arch, config)
+        tms_sched = schedule_with_degradation(ddg, resources, arch, config,
+                                              analysis)
     sync_mem = not config.speculation
     return CompiledLoop(
         name=ddg.name,
         ddg=ddg,
         n_inst=len(ddg),
-        mii=compute_mii(ddg, resources),
-        ldp=longest_dependence_path(ddg),
+        mii=mii,
+        ldp=ldp,
         n_scc=_nontrivial_scc_count(ddg),
         sms=AlgResult.from_schedule(sms_sched, arch,
                                     synchronize_memory=sync_mem),

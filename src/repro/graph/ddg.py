@@ -38,7 +38,7 @@ __all__ = ["DDGNode", "DDG", "build_ddg"]
 _ORDER_DELAY = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DDGNode:
     """A scheduling node: one instruction with its assumed latency."""
 
@@ -70,13 +70,15 @@ class DDG:
                 raise DDGError(f"duplicate DDG node {node.name!r}")
             self._by_name[node.name] = node
         self.edges: tuple[Dependence, ...] = tuple(edges)
-        self._preds: dict[str, list[Dependence]] = {n.name: [] for n in self.nodes}
-        self._succs: dict[str, list[Dependence]] = {n.name: [] for n in self.nodes}
+        preds: dict[str, list[Dependence]] = {n.name: [] for n in self.nodes}
+        succs: dict[str, list[Dependence]] = {n.name: [] for n in self.nodes}
         for e in self.edges:
             if e.src not in self._by_name or e.dst not in self._by_name:
                 raise DDGError(f"edge {e} references unknown node")
-            self._succs[e.src].append(e)
-            self._preds[e.dst].append(e)
+            succs[e.src].append(e)
+            preds[e.dst].append(e)
+        self._preds = {name: tuple(es) for name, es in preds.items()}
+        self._succs = {name: tuple(es) for name, es in succs.items()}
         self._check_intra_iteration_acyclic()
 
     # -- basic queries -----------------------------------------------------

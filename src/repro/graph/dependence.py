@@ -28,7 +28,7 @@ class DepType(enum.Enum):
     OUTPUT = "output"  # write-after-write
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dependence:
     """A dependence edge ``src -> dst``.
 

@@ -36,7 +36,7 @@ from ..obs.telemetry import span
 from .ims import IterativeModuloScheduler
 from .listsched import list_schedule
 from .schedule import Schedule, validate_schedule
-from .sms import SwingModuloScheduler
+from .sms import LoopAnalysis, SwingModuloScheduler
 from .tms import ThreadSensitiveScheduler
 
 __all__ = ["schedule_sequential_fallback", "schedule_with_degradation",
@@ -65,14 +65,14 @@ def schedule_sequential_fallback(ddg: DDG,
 
 
 def _rung_builders(ddg: DDG, resources: ResourceModel, arch: ArchConfig,
-                   config: SchedulerConfig):
+                   config: SchedulerConfig, analysis: LoopAnalysis | None):
     return {
         "tms": lambda: ThreadSensitiveScheduler(
-            ddg, resources, arch, config).schedule(),
+            ddg, resources, arch, config, analysis).schedule(),
         "sms": lambda: SwingModuloScheduler(
-            ddg, resources, config).schedule(),
+            ddg, resources, config, analysis).schedule(),
         "ims": lambda: IterativeModuloScheduler(
-            ddg, resources, config).schedule(),
+            ddg, resources, config, analysis).schedule(),
         "seq": lambda: schedule_sequential_fallback(ddg, resources),
     }
 
@@ -92,17 +92,22 @@ def schedule_with_policy(ddg: DDG, resources: ResourceModel,
         raise SchedulingError(
             f"unknown scheduling policy {name!r}; known: {KNOWN_POLICIES}")
     with span("sched.policy", kernel=ddg.name, policy=name):
-        sched = _rung_builders(ddg, resources, arch, config)[name]()
+        sched = _rung_builders(ddg, resources, arch, config, None)[name]()
     sched.meta["policy"] = name
     return sched
 
 
 def schedule_with_degradation(ddg: DDG, resources: ResourceModel,
                               arch: ArchConfig,
-                              config: SchedulerConfig | None = None
+                              config: SchedulerConfig | None = None,
+                              analysis: LoopAnalysis | None = None
                               ) -> Schedule:
     """TMS with graceful degradation; never hangs, never raises
     :class:`SchedulingError` for a well-formed DDG.
+
+    Every modulo-scheduling rung reads one :class:`LoopAnalysis` of
+    ``ddg``: ``analysis`` when given (a compile passes the one its SMS
+    schedule used), else one built here.
 
     Returns the first schedule the chain produces, with
     ``meta["policy"]`` naming the rung that succeeded.  A degraded result
@@ -110,7 +115,8 @@ def schedule_with_degradation(ddg: DDG, resources: ResourceModel,
     ``meta["degraded_to"]`` naming the rung that succeeded.
     """
     config = config or SchedulerConfig()
-    builders = _rung_builders(ddg, resources, arch, config)
+    analysis = analysis or LoopAnalysis(ddg, resources)
+    builders = _rung_builders(ddg, resources, arch, config, analysis)
     failures: list[str] = []
     for name in _LADDER:
         try:

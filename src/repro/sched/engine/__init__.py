@@ -9,7 +9,7 @@ placement disciplines and ``docs/scheduling.md`` for the architecture.
 from .context import EngineContext
 from .core import PlacementEngine
 from .partial import PartialSchedule
-from .policy import SlotPolicy, TMSContext, TMSPolicy
+from .policy import SlotPolicy, TMSContext, TMSPolicy, Trail
 from .windows import WindowTable
 
 __all__ = [
@@ -19,5 +19,6 @@ __all__ = [
     "SlotPolicy",
     "TMSContext",
     "TMSPolicy",
+    "Trail",
     "WindowTable",
 ]

@@ -10,7 +10,9 @@ exposes the two placement disciplines on top of it:
     place each node at the best acceptable slot of its dependence
     window, fail the whole attempt if any node has none.  *Which* slot
     is best is the :class:`~repro.sched.engine.policy.SlotPolicy`'s
-    call.
+    call.  A resumed TMS pass hands it a prefix of cycles to re-place
+    without asking; :meth:`PlacementEngine.replay_failure` traces a
+    pass known to repeat a failed one without running it.
 
 ``run_backtracking``
     the IMS discipline (Rau): repeatedly pick the highest-priority
@@ -26,7 +28,7 @@ shows how much probing a search actually did.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ...graph.ddg import DDG
 from ...machine.resources import ResourceModel
@@ -53,7 +55,8 @@ class PlacementEngine:
 
     def try_place(self, ii: int, order, directions: Mapping[str, str],
                   policy: SlotPolicy | None = None, *, alg: str,
-                  seed_high: bool = False) -> dict[str, int] | None:
+                  seed_high: bool = False,
+                  prefix: Sequence[int] = ()) -> dict[str, int] | None:
         """One placement attempt at ``ii`` over ``order``.
 
         Each node takes the slot ``policy.select`` picks in its
@@ -64,6 +67,10 @@ class PlacementEngine:
         satisfying C1/C2 for TMS — how TMS "finds the time slot ... that
         leads to the shortest synchronisation delay" (Section 4.1).
 
+        The first ``len(prefix)`` nodes take the cycles of ``prefix``
+        instead, with no window or ``select`` call (a resumed TMS pass):
+        each is placed, traced and committed by ``policy.replay``.
+
         Returns the slot map, or ``None`` on failure.
         """
         spans = telemetry.current().spans
@@ -73,16 +80,17 @@ class PlacementEngine:
             with spans.span("sched.place", alg=alg, kernel=self.ctx.name,
                             ii=ii) as sp:
                 out = self._try_place(ii, order, directions, policy, alg=alg,
-                                      seed_high=seed_high)
+                                      seed_high=seed_high, prefix=prefix)
                 if sp is not None:
                     sp.attrs["ok"] = out is not None
                 return out
         return self._try_place(ii, order, directions, policy, alg=alg,
-                               seed_high=seed_high)
+                               seed_high=seed_high, prefix=prefix)
 
     def _try_place(self, ii: int, order, directions: Mapping[str, str],
                    policy: SlotPolicy | None = None, *, alg: str,
-                   seed_high: bool = False) -> dict[str, int] | None:
+                   seed_high: bool = False,
+                   prefix: Sequence[int] = ()) -> dict[str, int] | None:
         if policy is None:
             policy = _FIRST_FIT
         tracer = telemetry.current().tracer
@@ -99,8 +107,13 @@ class PlacementEngine:
         select = policy.select
         on_place = policy.on_place
         loop_name = self.ctx.name
+        for v, cycle in zip(order, prefix):
+            ps.place(v, cycle)
+            if tracer.enabled:
+                _emit_place(tracer, alg, loop_name, ii, v, cycle)
+            policy.replay(v, cycle, partial)
         probes = 0
-        for v in order:
+        for v in order[len(prefix):]:
             start, end, scan_down = window(
                 v, partial, ii,
                 directions.get(v, "top-down") == "bottom-up", seed_high)
@@ -108,17 +121,14 @@ class PlacementEngine:
             probes += rows
             if best_cycle is None:
                 if tracer.enabled:
-                    tracer.emit("sched", "place_fail", alg=alg,
-                                loop=loop_name, ii=ii, node=v)
+                    _emit_place(tracer, alg, loop_name, ii, v, None)
                 metrics.counter(
                     "sched.engine.slot_probes",
                     "window rows evaluated by slot policies").inc(probes)
                 return None
             ps.place(v, best_cycle)
             if tracer.enabled:
-                tracer.emit("sched", "place", alg=alg, loop=loop_name,
-                            ii=ii, node=v, cycle=best_cycle,
-                            row=best_cycle % ii, stage=best_cycle // ii)
+                _emit_place(tracer, alg, loop_name, ii, v, best_cycle)
             if on_place is not None:
                 on_place(v, best_cycle, partial)
         metrics.counter(
@@ -128,6 +138,16 @@ class PlacementEngine:
             "sched.engine.slot_probes",
             "window rows evaluated by slot policies").inc(probes)
         return partial
+
+    def replay_failure(self, ii: int, order, cycles: Sequence[int | None],
+                       *, alg: str) -> None:
+        """Trace a failed placement attempt known to repeat ``cycles``
+        (one per node of ``order``, the last ``None``) without making
+        it: its ``place`` and ``place_fail`` events only."""
+        tracer = telemetry.current().tracer
+        if tracer.enabled:
+            for v, cycle in zip(order, cycles):
+                _emit_place(tracer, alg, self.ctx.name, ii, v, cycle)
 
     # -- backtracking discipline (IMS) ---------------------------------------
 
@@ -217,9 +237,7 @@ class PlacementEngine:
             ps.place(v, slot)
             never_scheduled.discard(v)
             if tracer.enabled:
-                tracer.emit("sched", "place", alg=alg, loop=loop_name,
-                            ii=ii, node=v, cycle=slot, row=slot % ii,
-                            stage=slot // ii)
+                _emit_place(tracer, alg, loop_name, ii, v, slot)
             # eject dependence-violating already-placed neighbours
             for dst, delay, dist in succ[v]:
                 s = placed.get(dst)
@@ -271,3 +289,14 @@ class PlacementEngine:
                 ps.remove(name)
                 if on_eject is not None:
                     on_eject(name, placed)
+
+
+def _emit_place(tracer, alg: str, loop: str, ii: int, v: str,
+                cycle: int | None) -> None:
+    """The ``place`` event of ``v`` at ``cycle``, or its ``place_fail``
+    event when ``cycle`` is ``None``."""
+    if cycle is None:
+        tracer.emit("sched", "place_fail", alg=alg, loop=loop, ii=ii, node=v)
+    else:
+        tracer.emit("sched", "place", alg=alg, loop=loop, ii=ii, node=v,
+                    cycle=cycle, row=cycle % ii, stage=cycle // ii)

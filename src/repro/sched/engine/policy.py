@@ -17,7 +17,10 @@ packages exactly those hooks:
     updated);
 ``on_eject(v, slots)``
     notification when backtracking (IMS) evicts a node (``slots``
-    already updated).
+    already updated);
+``replay(v, cycle, slots)``
+    commit a placement the engine made without a ``select`` call (the
+    replayed prefix of a resumed pass; ``slots`` already updated).
 
 ``on_place``/``on_eject`` are *attributes*: a policy that doesn't use
 one leaves it ``None`` and the engine skips the call entirely.
@@ -35,31 +38,39 @@ the committed register set.  The survivors' ``(1 - p_e)`` factors
 multiply in commit order, then the tentative placement's, keeping the
 float product bit-identical to a full rescan.
 
-:attr:`TMSPolicy.replay_floor` is the smallest ``C_delay`` threshold at
-which some ``select`` call since the policy was built would answer
-differently.  C1 admits a row exactly when its largest sync delay
-(``maxsync``) is at most ``C_delay``; the score, the resource probe, C2
-and the windows never read ``C_delay``.  So raising the threshold from
-``C`` to ``C'`` changes a call's answer only through a row that C1
-rejected at ``C``, that fits and passes C2, and that has ``maxsync <=
-C'``: it gives a node without a slot one, or beats the chosen row on
-``(score, scan position)``.  A call's divergence threshold is the
-smallest ``maxsync`` of such a row (``inf`` if there is none), and the
-floor is the minimum over every call.  Every threshold in ``[C,
-replay_floor)`` therefore repeats the attempts call for call; the TMS
-search uses that to skip candidates that replay a failed one.
+Each call also records a :class:`Trail` entry: its chosen cycle and
+``μ``, the smallest ``C_delay`` threshold at which it or an earlier
+call of the pass would answer differently
+(:attr:`TMSPolicy.replay_floor` after the call).  C1 admits a row
+exactly when its largest sync delay (``maxsync``) is at most
+``C_delay``; the score, the resource probe, C2 and the windows never
+read ``C_delay``.  So raising the threshold from ``C`` to ``C'`` changes
+a call's answer only through a row that C1 rejected at ``C``, that fits
+and passes C2, and that has ``maxsync <= C'``: it gives a node without a
+slot one, or beats the chosen row on ``(score, scan position)``.  A
+call's divergence threshold is the smallest ``maxsync`` of such a row
+(``inf`` if there is none), and ``μ`` is the running minimum of those
+thresholds over the pass.  A pass at ``C' >= C`` therefore repeats every
+call before the first with ``μ <= C'``: each meets the same partial
+schedule and commits the same dependences.  Such a repeated call's
+divergence set at ``C'`` is its set at ``C`` restricted to ``maxsync >
+C'``, which is all of it, so its ``μ`` carries over too.  The TMS search
+uses that to resume each candidate from the prefix it shares with the
+last one placed at its II.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from operator import neg
 from typing import Mapping
 
 from ...config import ArchConfig, SchedulerConfig
 from ...graph.ddg import DDG
 from .context import EngineContext
 
-__all__ = ["SlotPolicy", "TMSContext", "TMSPolicy"]
+__all__ = ["SlotPolicy", "TMSContext", "TMSPolicy", "Trail"]
 
 
 class SlotPolicy:
@@ -88,6 +99,38 @@ class SlotPolicy:
             if fits(v, cycle):
                 return cycle, rows
         return None, len(cycles)
+
+    def replay(self, v: str, cycle: int, slots: Mapping[str, int]) -> None:
+        """Commit ``v`` at ``cycle``, placed without a :meth:`select`
+        call (``slots`` already updated).  First fit keeps no state."""
+
+
+class Trail:
+    """One TMS placement pass at one II, as its ``select`` calls made
+    it at threshold ``c_delay``: per call, in node order, the chosen
+    cycle (``None`` for the failing call that ends a failed pass) and
+    ``μ``, the running minimum of the calls' divergence thresholds (see
+    the module docstring).  ``μ`` never rises along the pass."""
+
+    __slots__ = ("c_delay", "cycles", "floors")
+
+    def __init__(self, c_delay: int, cycles: list, floors: list) -> None:
+        self.c_delay = c_delay
+        self.cycles = cycles
+        self.floors = floors
+
+    def shared(self, c_delay: int) -> int:
+        """How many leading calls a pass at ``c_delay`` repeats: up to
+        the first with ``μ <= c_delay``, and none below the trail's own
+        threshold."""
+        if c_delay < self.c_delay:
+            return 0
+        return bisect_left(self.floors, -c_delay, key=neg)
+
+    def repeats(self, c_delay: int) -> bool:
+        """Whether a pass at ``c_delay`` repeats every call, so fails as
+        this one did (a stored trail is a failed pass's)."""
+        return self.shared(c_delay) == len(self.cycles)
 
 
 class TMSContext:
@@ -279,19 +322,55 @@ class TMSPolicy(SlotPolicy):
         # the new dependences of the slot select() last returned, which
         # on_place commits.
         self._chosen: tuple[list, list] = ([], [])
-        #: the smallest threshold at which a select call since
-        #: construction (over every attempt) would answer differently;
-        #: ``inf`` while every call answers the same at any threshold.
+        #: the current pass's select calls (see :meth:`resume`).
+        self.trail = Trail(c_delay, [], [])
+        #: ``μ`` of the pass's last call: the smallest threshold at which
+        #: a select call of the pass would answer differently; ``inf``
+        #: while every call answers the same at any threshold.
         self.replay_floor = math.inf
 
     def begin_attempt(self, partial) -> None:
         self._sreg.clear()
         self._smem.clear()
 
+    def resume(self, trail: Trail | None, shared: int) -> list:
+        """Start a pass that repeats the first ``shared`` calls of
+        ``trail``, a pass of a candidate at this II and a threshold at
+        most this one's (``shared`` is 0 without one): the pass's trail
+        and floor start as that prefix's.  Returns the prefix's cycles,
+        which the engine re-places without calling :meth:`select`."""
+        prefix = trail.cycles[:shared] if shared else []
+        floors = trail.floors[:shared] if shared else []
+        self.trail = Trail(self._c_delay, list(prefix), floors)
+        self.replay_floor = floors[-1] if floors else math.inf
+        return prefix
+
+    def replay(self, v: str, cycle: int, slots: Mapping[str, int]) -> None:
+        """Commit ``v`` at ``cycle`` as if :meth:`select` had chosen it:
+        re-derive the row's new Definition-4 dependences, then
+        :meth:`on_place`."""
+        ii = self._ii
+        tms = self._tms
+        edges = tuple(_placed(table[v], slots, ii, v) for table in
+                      (tms.reg_in, tms.reg_out, tms.mem_in, tms.mem_out))
+        crossing = _stage_deps(edges, cycle // ii, not self._speculation)[0]
+        self._chosen = self._new_deps(v, cycle % ii, *crossing)
+        self.on_place(v, cycle, slots)
+
     # -- the per-node window scan ---------------------------------------------
 
     def select(self, v: str, start: int, end: int, scan_down: bool,
                ps) -> tuple[int | None, int]:
+        """:meth:`_scan`'s slot for ``v`` and rows evaluated, recorded in
+        :attr:`trail` with the pass's floor after the call."""
+        cycle, rows = self._scan(v, start, end, scan_down, ps)
+        trail = self.trail
+        trail.cycles.append(cycle)
+        trail.floors.append(self.replay_floor)
+        return cycle, rows
+
+    def _scan(self, v: str, start: int, end: int, scan_down: bool,
+              ps) -> tuple[int | None, int]:
         """The minimum-score slot of ``v`` satisfying C1 and C2, first in
         window order, stopping at a score ``<= 0``; ``None`` if no slot
         qualifies.

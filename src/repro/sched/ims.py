@@ -12,7 +12,9 @@ IMS/SMS kernels on the SpMT machine.
 
 Placement runs on the unified engine: IMS is
 :meth:`repro.sched.engine.PlacementEngine.run_backtracking`, the engine's
-eviction discipline, under the default (first-fit, no-veto) policy.
+eviction discipline, under the default (first-fit, no-veto) policy.  It
+reads MII, LDP and the engine from the compile's
+:class:`~repro.sched.sms.LoopAnalysis`.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from __future__ import annotations
 from ..config import SchedulerConfig
 from ..errors import SchedulingError
 from ..graph.ddg import DDG
-from ..graph.mii import compute_mii
-from ..graph.paths import compute_metrics, longest_dependence_path
 from ..machine.resources import ResourceModel
-from .engine import PlacementEngine
 from .schedule import Schedule, validate_schedule
+from .sms import LoopAnalysis
 
 __all__ = ["IterativeModuloScheduler", "schedule_ims"]
 
@@ -37,14 +37,15 @@ class IterativeModuloScheduler:
     algorithm_name = "IMS"
 
     def __init__(self, ddg: DDG, resources: ResourceModel,
-                 config: SchedulerConfig | None = None) -> None:
+                 config: SchedulerConfig | None = None,
+                 analysis: LoopAnalysis | None = None) -> None:
         self.ddg = ddg
         self.resources = resources
         self.config = config or SchedulerConfig()
-        self.metrics = compute_metrics(ddg)
-        self.mii = compute_mii(ddg, resources)
-        self.ldp = longest_dependence_path(ddg)
-        self.engine = PlacementEngine(ddg, resources, self.metrics)
+        analysis = analysis or LoopAnalysis(ddg, resources)
+        self.mii = analysis.mii
+        self.ldp = analysis.ldp
+        self.engine = analysis.engine
 
     def max_ii(self) -> int:
         base = max(self.mii, self.ldp)

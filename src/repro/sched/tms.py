@@ -16,18 +16,26 @@ failure discipline) and changes two things:
    frequency ``1 - prod(1 - p_e)`` over all *non-preserved* memory
    dependences among the scheduled instructions stays at most ``P_max``.
 
-Pruning (exact): placement reads ``C_delay`` only in C1's ``maxsync <=
-C_delay`` test — C2, the slot score, the windows and the resources never
-read it.  So a ``select`` call answers differently at a higher threshold
-only once C1 admits a row it rejected that fits, passes C2 and gives a
-slotless node a slot or beats the chosen row.  When ``(II, C)`` fails,
-:attr:`TMSPolicy.replay_floor` is the smallest such ``maxsync`` over
-every call of both seed passes.  Every ``(II, C')`` with ``C <= C' <
-replay_floor`` repeats both failed passes call for call, so the search
-marks it ``pruned`` without placing it; every higher threshold places a
-different trace.  Pruned candidates count toward the attempt budget
-(``SchedulerConfig.max_candidates``), so the search stops where an
-unpruned one would, and no divergence from Figure 3 remains.
+Prefix replay (exact): placement reads ``C_delay`` only in C1's
+``maxsync <= C_delay`` test — C2, the slot score, the windows and the
+resources never read it.  So a ``select`` call answers differently at a
+higher threshold only once C1 admits a row it rejected that fits, passes
+C2 and gives a slotless node a slot or beats the chosen row.  Each seed
+pass of a placed candidate ``(II, C)`` leaves a :class:`Trail`: per
+call, the chosen cycle and ``μ``, the smallest such ``maxsync`` over the
+pass's calls so far.  Each II's candidates are walked by increasing
+``C_delay``, so the next one placed at that II, ``(II, C')`` with ``C' >=
+C``, repeats every call before the first with ``μ <= C'``: it re-places
+that prefix without a ``select`` call and scans from there.  A repeated
+call's ``μ`` carries over unchanged (see
+:mod:`repro.sched.engine.policy`), so the resumed pass leaves exactly the
+trail a from-scratch placement would.  A pass that repeats whole fails
+as before and is not run (its ``place`` and ``place_fail`` events are
+still emitted); a candidate whose two passes both repeat whole is marked
+``pruned`` without placing anything.  Pruned candidates count toward
+the attempt budget (``SchedulerConfig.max_candidates``), so the search
+stops where an unpruned one would, and no divergence from Figure 3
+remains.
 
 The ``speculation=False`` mode (Section 5.2's ablation) treats memory flow
 dependences as synchronised: they join C1 and never misspeculate.
@@ -51,9 +59,9 @@ from ..errors import SchedulingError
 from ..graph.ddg import DDG
 from ..machine.resources import ResourceModel
 from ..obs import metrics, telemetry
-from .engine import TMSContext, TMSPolicy
+from .engine import TMSContext, TMSPolicy, Trail
 from .schedule import Schedule, validate_schedule
-from .sms import SwingModuloScheduler
+from .sms import LoopAnalysis, SwingModuloScheduler
 
 __all__ = ["ThreadSensitiveScheduler", "schedule_tms"]
 
@@ -64,10 +72,10 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
     algorithm_name = "TMS"
 
     def __init__(self, ddg: DDG, resources: ResourceModel, arch: ArchConfig,
-                 config: SchedulerConfig | None = None) -> None:
-        super().__init__(ddg, resources, config)
+                 config: SchedulerConfig | None = None,
+                 analysis: LoopAnalysis | None = None) -> None:
+        super().__init__(ddg, resources, config, analysis)
         self.arch = arch
-        self.seed_high = True
         self._max_lat = max((n.latency for n in ddg.nodes), default=1)
         #: per-DDG facts of the C1/C2 conditions (flow-edge tables,
         #: ancestor closures, tiebreak inputs), shared by every
@@ -137,9 +145,9 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
                         p_max=p_max, mii=self.mii, max_ii=self.max_ii(),
                         ncore=self.arch.ncore)
         attempts = 0
-        # per II, the last failed candidate's C_delay range [C, m) that
-        # replays it (see the module docstring)
-        failed: dict[int, tuple[int, float]] = {}
+        # per (II, seed pass): that pass of the last candidate placed at
+        # the II (see the module docstring)
+        trails: dict[tuple[int, bool], Trail] = {}
         for index, (f_value, cd, ii) in enumerate(self._candidates()):
             if attempts >= self.config.max_candidates:
                 if tracer.enabled:
@@ -147,18 +155,17 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
                                 loop=self.ddg.name, attempts=attempts)
                 break
             attempts += 1
-            fail_lo, fail_hi = failed.get(ii, (0, 0.0))
-            if fail_lo <= cd < fail_hi:
+            passes = [trails.get((ii, high)) for high in (False, True)]
+            if all(t is not None and t.repeats(cd) for t in passes):
                 if tracer.enabled:
                     self._emit_candidate(tracer, index, ii, cd, f_value,
-                                         "pruned", replays=fail_lo)
+                                         "pruned", replays=passes[0].c_delay)
                 continue
             metrics.counter(
                 "tms.candidates",
                 "TMS (II, C_delay) candidates placed").inc()
-            slots, replay_floor = self._try_tms(ii, cd, p_max)
+            slots, replay_floor = self._try_tms(ii, cd, p_max, trails)
             if slots is None:
-                failed[ii] = (cd, replay_floor)
                 if tracer.enabled:
                     self._emit_candidate(
                         tracer, index, ii, cd, f_value, "reject",
@@ -168,16 +175,17 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
             if tracer.enabled:
                 self._emit_candidate(tracer, index, ii, cd, f_value, "accept")
             return self._finish(ii, slots, cd, p_max, f_value, fallback=False)
-        # Fallback: unconstrained C1 (threshold at cap) and C2 disabled —
-        # degenerates to SMS placement; keeps suite runs robust on
-        # pathological DDGs.  Recorded in meta.
+        # Fallback: C1 unconstrained (threshold at cap) and C2 disabled —
+        # first-fit placement in the swing order with seeds anchored high,
+        # as in TMS's second pass, at the lowest II that admits it; keeps
+        # suite runs robust on pathological DDGs.  Recorded in meta.
         for ii in range(self.mii, self.max_ii() + 1):
             cd = self._c_delay_cap(ii)
-            slots = self.try_ii(ii)
+            slots = self.try_ii(ii, seed_high=True)
             if slots is not None:
                 metrics.counter(
                     "tms.fallbacks",
-                    "TMS searches resolved by the SMS-placement "
+                    "TMS searches resolved by the first-fit "
                     "fallback").inc()
                 if tracer.enabled:
                     tracer.emit("sched", "tms.fallback", loop=self.ddg.name,
@@ -219,7 +227,8 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
 
     # -- one TMS scheduling attempt ---------------------------------------------
 
-    def _try_tms(self, ii: int, c_delay: int, p_max: float
+    def _try_tms(self, ii: int, c_delay: int, p_max: float,
+                 trails: dict[tuple[int, bool], Trail] | None = None
                  ) -> tuple[dict[str, int] | None, float]:
         """SMS placement with Figure 3's C1/C2 acceptance conditions
         (a :class:`TMSPolicy` over the shared placement engine).
@@ -230,17 +239,38 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         e.g. equake's smvp strands).  The policy's incremental
         Definition-4 state resets between passes (``begin_attempt``).
 
+        ``trails`` is the search's store of the last passes placed per
+        ``(II, seed pass)``: each pass resumes from the prefix its trail
+        shares at ``c_delay`` (a pass it repeats whole is not run) and
+        leaves its own trail there.  Without a store every pass places
+        from scratch.
+
         Returns ``(slots, m)``: the slot map (``None`` on failure) and
-        the policy's :attr:`~TMSPolicy.replay_floor` over both passes.
+        the smallest ``μ`` over both passes, the threshold from which a
+        ``select`` call of them would answer differently.
         """
         policy = TMSPolicy(self._tms_ctx, self.arch, self.config, ii,
                            c_delay, p_max)
+        replay_floor = math.inf
         for seed_high in (False, True):
-            self.seed_high = seed_high
-            slots = self.try_policy(ii, policy)
+            trail = None if trails is None else trails.get((ii, seed_high))
+            if trail is not None and trail.repeats(c_delay):
+                # the whole pass repeats: it fails as before
+                self.engine.replay_failure(ii, self.order, trail.cycles,
+                                           alg=self.algorithm_name)
+                trails[(ii, seed_high)] = Trail(c_delay, trail.cycles,
+                                                trail.floors)
+                replay_floor = min(replay_floor, trail.floors[-1])
+                continue
+            shared = 0 if trail is None else trail.shared(c_delay)
+            prefix = policy.resume(trail, shared)
+            slots = self.try_policy(ii, policy, seed_high, prefix)
             if slots is not None:
                 return slots, policy.replay_floor
-        return None, policy.replay_floor
+            replay_floor = min(replay_floor, policy.replay_floor)
+            if trails is not None:
+                trails[(ii, seed_high)] = policy.trail
+        return None, replay_floor
 
 
 def schedule_tms(ddg: DDG, resources: ResourceModel, arch: ArchConfig,

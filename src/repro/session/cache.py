@@ -8,7 +8,9 @@ under two-level fan-out directories (``ab/ab12….pkl``), written
 atomically (temp file + rename) so concurrent writers — e.g. the
 :class:`~repro.session.runner.ParallelRunner`'s worker processes — never
 expose a torn file.  Disk entries are self-invalidating across library
-versions because the fingerprint key embeds ``repro.__version__``.
+versions and artifact pickle layouts because the fingerprint key embeds
+``repro.__version__`` and ``ARTIFACT_FORMAT``
+(:mod:`repro.session.fingerprint`).
 
 Within one process the cache is thread-safe: every public operation
 (lookup, store, invalidate, stats read) runs under a single re-entrant

@@ -11,8 +11,8 @@ without concrete IR, e.g. the motivating example's hand-built DDG).
 
 :func:`artifact_key` combines the pieces that determine a
 :class:`~repro.experiments.pipeline.CompiledLoop` into one cache key and
-includes the library version, so artifacts persisted to disk by an older
-build are never served by a newer one.
+includes the library version and :data:`ARTIFACT_FORMAT`, so artifacts
+persisted to disk by an older build are never served by a newer one.
 """
 
 from __future__ import annotations
@@ -30,7 +30,16 @@ from ..ir.serialize import loop_to_dict
 from ..machine.latency import LatencyModel
 from ..machine.resources import ResourceModel
 
-__all__ = ["artifact_key", "fingerprint", "fingerprint_payload"]
+__all__ = ["ARTIFACT_FORMAT", "artifact_key", "fingerprint",
+           "fingerprint_payload"]
+
+#: Pickle layout of a compile artifact, embedded in :func:`artifact_key`.
+#: Bump it whenever a class a ``CompiledLoop`` holds changes how it
+#: pickles its state: an entry written under the old layout may load
+#: without error into wrong values.  2: ``DDGNode`` and ``Dependence``
+#: became slotted (they pickled a ``__dict__`` before, which a slotted
+#: dataclass reads as its field names).
+ARTIFACT_FORMAT = 2
 
 
 def _canonical(obj: Any) -> Any:
@@ -116,6 +125,7 @@ def artifact_key(source: Loop | DDG,
 
     return fingerprint({
         "version": __version__,
+        "format": ARTIFACT_FORMAT,
         "source": source,
         "arch": arch,
         "resources": resources,

@@ -1,7 +1,7 @@
 """Reference implementations the scheduling engine is checked against.
 
-Neither is used by the program; both are the straightforward forms of
-what the engine computes faster:
+None is used by the program; each is the straightforward form of what
+the engine computes faster:
 
 * :func:`compute_window` — the SMS scheduling window (Section 4.1 of the
   paper), re-walking every incident edge of the node being placed.  The
@@ -12,6 +12,10 @@ what the engine computes faster:
   resources, then C1, then C2, then scored.  The engine's
   :class:`~repro.sched.engine.TMSPolicy` scans each window once, with C1
   as a row interval, and must pick the same slot.
+* :func:`reference_search` — the TMS ``(II, C_delay)`` search placing
+  every candidate it does not prune from scratch.  The program's search
+  resumes each candidate from the placement prefix it shares with the
+  last one placed at its II and must give the same schedule and events.
 
 ``compute_window``: for the node ``v`` being placed against a partial
 schedule,
@@ -32,15 +36,21 @@ ASAP+II-1]`` upward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from repro.config import ArchConfig, SchedulerConfig
+from repro.costmodel.exectime import objective_f
+from repro.errors import SchedulingError
 from repro.graph.ddg import DDG
 from repro.graph.paths import NodeMetrics
+from repro.obs import telemetry
+from repro.sched import Schedule, ThreadSensitiveScheduler
 from repro.sched.engine import SlotPolicy, TMSContext
 
-__all__ = ["PerProbeTMSPolicy", "SchedulingWindow", "compute_window"]
+__all__ = ["PerProbeTMSPolicy", "SchedulingWindow", "compute_window",
+           "reference_search"]
 
 
 @dataclass(frozen=True)
@@ -264,3 +274,58 @@ class PerProbeTMSPolicy(SlotPolicy):
         if self._speculation:
             self._smem.extend((row, req, prob, y)
                               for row, _sync, req, prob, y in new_mem)
+
+
+def reference_search(tms: ThreadSensitiveScheduler, p_max: float
+                     ) -> Schedule:
+    """``tms``'s search at one ``P_max``, every candidate it places
+    placed from scratch.
+
+    Candidates are walked by increasing ``F`` under the attempt budget.
+    One is ``pruned`` when the last candidate placed at its II failed
+    with a ``replay_floor`` above its ``C_delay``; every other one runs
+    both seed passes from the first node.  An exhausted walk falls back
+    to first-fit placement with seeds anchored high, at the lowest II
+    that admits it.  Emits the search's ``sched`` events.
+    """
+    tracer = telemetry.current().tracer
+    if tracer.enabled:
+        tracer.emit("sched", "tms.search", loop=tms.ddg.name, p_max=p_max,
+                    mii=tms.mii, max_ii=tms.max_ii(), ncore=tms.arch.ncore)
+    attempts = 0
+    failed: dict[int, tuple[int, float]] = {}
+    for index, (f_value, cd, ii) in enumerate(tms._candidates()):
+        if attempts >= tms.config.max_candidates:
+            if tracer.enabled:
+                tracer.emit("sched", "tms.budget_exhausted",
+                            loop=tms.ddg.name, attempts=attempts)
+            break
+        attempts += 1
+        fail_lo, fail_hi = failed.get(ii, (0, 0.0))
+        if fail_lo <= cd < fail_hi:
+            if tracer.enabled:
+                tms._emit_candidate(tracer, index, ii, cd, f_value,
+                                    "pruned", replays=fail_lo)
+            continue
+        slots, replay_floor = tms._try_tms(ii, cd, p_max)
+        if slots is None:
+            failed[ii] = (cd, replay_floor)
+            if tracer.enabled:
+                tms._emit_candidate(
+                    tracer, index, ii, cd, f_value, "reject",
+                    replay_floor=(replay_floor if replay_floor < math.inf
+                                  else None))
+            continue
+        if tracer.enabled:
+            tms._emit_candidate(tracer, index, ii, cd, f_value, "accept")
+        return tms._finish(ii, slots, cd, p_max, f_value, fallback=False)
+    for ii in range(tms.mii, tms.max_ii() + 1):
+        cd = tms._c_delay_cap(ii)
+        slots = tms.try_ii(ii, seed_high=True)
+        if slots is not None:
+            if tracer.enabled:
+                tracer.emit("sched", "tms.fallback", loop=tms.ddg.name,
+                            ii=ii, c_delay=cd, outcome="accept")
+            return tms._finish(ii, slots, cd, 1.0,
+                               objective_f(ii, cd, tms.arch), fallback=True)
+    raise SchedulingError(f"TMS failed on {tms.ddg.name!r}")

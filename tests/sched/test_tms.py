@@ -105,7 +105,7 @@ def test_meta_fields(fig1_ddg, fig1_machine, arch):
 @pytest.mark.parametrize("budget", [40, 4100])
 def test_max_candidates_is_the_whole_budget(budget):
     """The search walks exactly ``max_candidates`` (II, C_delay) pairs,
-    pruned ones included, before it falls back to SMS placement — also
+    pruned ones included, before it falls back to first-fit placement — also
     above 4,000.  lucas_fft fails every pair either budget reaches."""
     arch = ArchConfig.paper_default()
     (loop,) = [sl.loop for sl in DOACROSS_LOOPS if sl.loop.name == "lucas_fft"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import replace
 
 import pytest
@@ -96,6 +97,13 @@ def test_artifact_key_embeds_library_version(monkeypatch):
     import repro
     base = _default_key(parse_loop(SRC))
     monkeypatch.setattr(repro, "__version__", "0.0.0-test")
+    assert _default_key(parse_loop(SRC)) != base
+
+
+def test_artifact_key_embeds_the_pickle_format(monkeypatch):
+    fp = importlib.import_module("repro.session.fingerprint")
+    base = _default_key(parse_loop(SRC))
+    monkeypatch.setattr(fp, "ARTIFACT_FORMAT", fp.ARTIFACT_FORMAT + 1)
     assert _default_key(parse_loop(SRC)) != base
 
 

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import copyreg
+import dataclasses
+import enum
+import pickle
+
 import pytest
 
+import repro
 from repro.config import ArchConfig, SchedulerConfig, SimConfig
+from repro.graph.ddg import DDGNode
+from repro.graph.dependence import Dependence
 from repro.ir import parse_loop
 from repro.obs.telemetry import Telemetry
-from repro.session import Session, get_session, reset_session, set_session
+from repro.session import (Session, artifact_key, fingerprint, get_session,
+                           reset_session, set_session)
 from repro.spmt import simulate
 
 SRC = """
@@ -154,6 +163,85 @@ def test_disk_tier_warm_session_compiles_nothing(loop, tmp_path):
     warm.compile(loop)
     assert warm.stats.compiles == 0
     assert warm.stats.cache.disk_hits == 1
+
+
+def test_disk_tier_reload_equals_the_compiled_loop(loop, tmp_path):
+    """A ``CompiledLoop`` reloaded from the disk tier equals the one
+    compiled, field for field (its DDG's nodes and edges are frozen
+    slotted dataclasses), and neither carries the compile's scheduler
+    analysis."""
+    compiled = Session(cache_dir=tmp_path).compile(loop)
+    warm = Session(cache_dir=tmp_path)
+    reloaded = warm.compile(loop)
+    assert warm.stats.cache.disk_hits == 1 and reloaded is not compiled
+    assert reloaded.ddg.nodes == compiled.ddg.nodes
+    assert reloaded.ddg.edges == compiled.ddg.edges
+    assert _same(reloaded, compiled)
+    blob = pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
+    for name in (b"LoopAnalysis", b"EngineContext", b"WindowTable"):
+        assert name not in blob
+
+
+def test_disk_tier_never_serves_an_entry_of_the_unslotted_layout(
+        loop, tmp_path):
+    """``DDGNode`` and ``Dependence`` pickled their fields as a
+    ``__dict__`` before they had slots; the slotted classes load such a
+    state as the field names themselves, without an error.  An entry
+    written in that layout, under the key the library computed then
+    (the version and the components, no pickle format), is never read:
+    the session compiles afresh."""
+    session = Session(cache_dir=tmp_path)
+    parts = session._resolve(loop, None, None, None, None)
+    compiled = Session().compile(loop)
+    old_key = fingerprint({"version": repro.__version__, "source": loop,
+                           **dict(zip(("arch", "resources", "config",
+                                       "latency"), parts))})
+    assert old_key != artifact_key(loop, *parts)
+    path = tmp_path / old_key[:2] / f"{old_key}.pkl"
+    path.parent.mkdir()
+    path.write_bytes(_dict_state_pickle(compiled))
+    # what reading the entry would serve
+    assert pickle.loads(path.read_bytes()).ddg.nodes[0].latency == "latency"
+    served = session.compile(loop)
+    assert session.stats.compiles == 1
+    assert session.stats.cache.disk_hits == 0
+    assert _same(served, compiled)
+
+
+def _dict_state_pickle(obj) -> bytes:
+    """``obj`` pickled with every ``DDGNode`` and ``Dependence`` in the
+    layout of their unslotted classes (``__newobj__`` plus a field
+    dict)."""
+    import io
+
+    class Pickler(pickle.Pickler):
+        def reducer_override(self, o):
+            if type(o) in (DDGNode, Dependence):
+                return (copyreg.__newobj__, (type(o),),
+                        {f.name: getattr(o, f.name)
+                         for f in dataclasses.fields(o)})
+            return NotImplemented
+
+    buf = io.BytesIO()
+    Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buf.getvalue()
+
+
+def _same(a, b) -> bool:
+    """Structural equality of two object graphs: containers element by
+    element, any other object by the state it pickles (dataclasses, slotted
+    or not, compare field by field; identity never matters)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if a is None or isinstance(a, (bool, int, float, str, bytes, frozenset,
+                                   set, enum.Enum)):
+        return a == b
+    return _same(a.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2],
+                 b.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2])
 
 
 def test_cache_dir_env(loop, tmp_path, monkeypatch):
