@@ -14,6 +14,11 @@ with :data:`EXIT_REGRESSION` when the change breaks it:
   worse than the parent's by more than the metric's ``bound``, in the
   metric's ``better`` direction.
 
+The markdown table also shows, per metric, how many of the paired runs
+(the change's i-th line against the parent's i-th line) the change wins
+and the interquartile range of the parent's runs: a claimed gain is
+judged on those, not on the medians alone.
+
 Metric names, directions and bounds come only from the
 ``BENCHMARK.json`` at the repository root.  A traced run
 (``--trace 1``) prints per-layer metrics only, so its line is rejected.
@@ -97,18 +102,30 @@ def compare_runs(change: list[dict], parent: list[dict],
                  end_to_end: list[dict]) -> list[dict[str, Any]]:
     """One row per end-to-end metric: both medians and how much worse
     the change is, as a fraction of the parent's median in the metric's
-    ``better`` direction; ``regressed`` when that exceeds ``bound``."""
+    ``better`` direction; ``regressed`` when that exceeds ``bound``.
+
+    Each row also holds what a claimed gain is judged on: ``wins``, the
+    change's wins over the ``pairs`` formed by its i-th run and the
+    parent's i-th run (a tie is nobody's win), and ``parent_iqr``, the
+    distance between the quartiles of the parent's runs."""
     rows = []
     for spec in end_to_end:
         name = spec["name"]
-        new = statistics.median(r["metrics"][name]["value"] for r in change)
-        old = statistics.median(r["metrics"][name]["value"] for r in parent)
+        news = [r["metrics"][name]["value"] for r in change]
+        olds = [r["metrics"][name]["value"] for r in parent]
+        new, old = statistics.median(news), statistics.median(olds)
         worse = new - old if spec["better"] == "lower" else old - new
         worse_by = worse / old if old else (math.inf if worse > 0 else 0.0)
+        q1, _, q3 = statistics.quantiles(olds, n=4, method="inclusive") \
+            if len(olds) > 1 else (old, old, old)
         rows.append({"metric": name, "better": spec["better"],
                      "bound": spec["bound"], "parent": old, "change": new,
                      "worse_by": worse_by,
-                     "regressed": worse_by > spec["bound"]})
+                     "regressed": worse_by > spec["bound"],
+                     "wins": sum(n < o if spec["better"] == "lower"
+                                 else n > o for n, o in zip(news, olds)),
+                     "pairs": min(len(news), len(olds)),
+                     "parent_iqr": q3 - q1})
     return rows
 
 
@@ -192,14 +209,16 @@ def _pair_section(pair: dict) -> list[str]:
              f"ops {cf} of {ca} against {pf} of {pa}.",
              "",
              "| metric | better | bound | parent median | change median "
-             "| worse by | status |",
-             "|---|---|---:|---:|---:|---:|---|"]
+             "| worse by | change wins | parent IQR | status |",
+             "|---|---|---:|---:|---:|---:|---:|---:|---|"]
     for row in pair["rows"]:
         status = "**REGRESSED**" if row["regressed"] else "ok"
         lines.append(
             f"| {row['metric']} | {row['better']} | {row['bound']:g} "
             f"| {row['parent']:.4g} | {row['change']:.4g} "
-            f"| {row['worse_by']:+.3f} | {status} |")
+            f"| {row['worse_by']:+.3f} "
+            f"| {row['wins']} of {row['pairs']} pairs "
+            f"| {row['parent_iqr']:.4g} | {status} |")
     lines.append("")
     if pair["problems"]:
         lines += [f"- {problem}" for problem in pair["problems"]] + [""]

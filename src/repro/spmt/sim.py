@@ -31,11 +31,12 @@ Two execution strategies produce byte-identical :class:`SimStats`:
 * the default path memoises that resolver per run on the relative
   arrival vector and keys every thread boundary on the relative thread
   state (:class:`~repro.spmt.fastpath.SteadyStateDetector`): it skips
-  analytically through proven cycles of that state, and replays a
-  thread already committed from the same state with the same
-  realisation draws.  Tracing, cache-miss draws and fault hooks all
-  disengage the parts of the fast path they would perturb (see
-  docs/simulator.md).
+  analytically through proven cycles of that state, and replays in one
+  step the chain of threads already committed from the same states
+  with the same realisation draws.  The event loop applies a skip and a
+  chain alike, and runs every other thread itself.  Tracing, cache-miss
+  draws and fault hooks all disengage the parts of the fast path they
+  would perturb (see docs/simulator.md).
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class SpMTSimulator:
         arch = self.arch
         n = self.sim.iterations
         template = self.template
-        realisations = RealisationTable(template, self.sim.seed)
+        realisations = RealisationTable(template, self.sim.seed, n)
         # re-derive perturbation state per run (satellite fix: a reused
         # simulator must not see a previous run's rng position)
         self._cache_rng = None
@@ -129,7 +130,7 @@ class SpMTSimulator:
         )
         retention = max_hops + arch.ncore + 1
 
-        # skips and replays need every thread to be deterministic and
+        # skips and replay chains need every thread to be deterministic and
         # unobserved: no tracer, no cache draws, no fault hooks of any kind
         cls = type(self)
         detector = None
@@ -147,7 +148,6 @@ class SpMTSimulator:
 
         j = 0
         while j < n:
-            replay = None
             if detector is not None:
                 ff = detector.attempt(j, realisations)
                 if ff is not None:
@@ -166,32 +166,22 @@ class SpMTSimulator:
                     prev_start = ff.prev_start
                     prev_commit = ff.prev_commit
                     core_free = ff.core_free
-                    fastforwards += 1
-                    fastforwarded_threads += ff.skipped
+                    if ff.replayed:
+                        replayed_threads += ff.skipped
+                    else:
+                        fastforwards += 1
+                        fastforwarded_threads += ff.skipped
                     j = ff.target
                     continue
-                replay = detector.replay(j, realisations)
             core = j % arch.ncore
             restarts = 0
             thread_wasted = 0.0
             thread_squashed = 0
             stall_log: list[tuple[int, float, float]] | None = None
-            if replay is not None:
-                timings[j], restarts, thread_wasted, thread_squashed = replay
-                events += 1 + restarts
-                if events > self.sim.max_events:
-                    raise SimulationError(
-                        f"simulation exceeded max_events={self.sim.max_events}")
-                stats.misspeculations += restarts
-                stats.invalidation_cycles += \
-                    restarts * arch.invalidation_overhead
-                replayed_threads += 1
-            else:
-                start = max(prev_start + arch.spawn_overhead, core_free[core])
-                start += self._start_delay(j, core)
-            # execution attempts until one commits (a replayed thread's
-            # attempts are already in its record)
-            while replay is None:
+            start = max(prev_start + arch.spawn_overhead, core_free[core])
+            start += self._start_delay(j, core)
+            # execution attempts until one commits
+            while True:
                 events += 1
                 if events > self.sim.max_events:
                     raise SimulationError(
@@ -269,8 +259,7 @@ class SpMTSimulator:
             if detector is not None:
                 detector.observe(j, timings[j], commit, restarts,
                                  thread_wasted, thread_squashed,
-                                 realisations, replay is not None)
-            realisations.release(j)
+                                 realisations)
             # bound memory: drop state no longer reachable by any kernel
             # distance (communication hops or speculated distances)
             horizon = j - retention

@@ -15,6 +15,12 @@ producer completed:
 
 and the violation is *detected* when the producer's store completes (its
 MDT lookup).
+
+Thread ``j``'s draws are row ``j`` of one seeded stream, whichever
+threads the simulator reads or skips: :class:`RealisationTable` draws
+them in chunks of threads and gives each thread's draws as a tuple (for
+:func:`detect_violation`) and as an int bitmask (the fast path's memo
+key and skip scans).
 """
 
 from __future__ import annotations
@@ -26,79 +32,87 @@ from .channels import KernelTimingTemplate, ThreadTiming
 __all__ = ["RealisationTable", "detect_violation", "manifest_violations"]
 
 
-class RealisationTable:
-    """Pre-drawn Bernoulli realisations for every (dependence, thread).
+#: threads per chunk of realisation draws.
+_CHUNK = 2048
 
-    Drawing lazily per thread, and releasing a thread's draws once it
-    has committed (:meth:`release`), keeps memory bounded for long runs
-    while staying deterministic for a given seed.
+#: mask bits per int64 word of a chunk's mask product.
+_WORD = 63
+_BITS = np.left_shift(np.int64(1), np.arange(_WORD, dtype=np.int64))
+
+
+class RealisationTable:
+    """Bernoulli realisations for every (dependence, thread), drawn in
+    chunks of threads.
+
+    Thread ``t``'s draws are row ``t`` of the seeded stream: a chunk of
+    ``min(n, 2048)`` threads is drawn in one batch, which consumes the
+    generator exactly as one ``n_deps`` draw per thread in thread order
+    would, so any read order and any skipped threads see the reference
+    loop's draws.  The table holds the chunk being read and the one
+    before it, which bounds memory for long runs; a read before that
+    raises ``IndexError`` rather than drawing fresh values.
     """
 
-    def __init__(self, template: KernelTimingTemplate, seed: int) -> None:
+    def __init__(self, template: KernelTimingTemplate, seed: int,
+                 n: int = _CHUNK) -> None:
         self.template = template
         self._rng = np.random.default_rng(seed)
-        self._cache: dict[int, tuple[bool, ...]] = {}
         self._probs = np.array(
             [p for (_x, _y, _k, p) in template.speculated], dtype=np.float64)
-        # most recent batch draw (fast-path skip scans): first thread
-        # index plus the boolean realisation matrix for its thread range.
-        self._block_first = 0
-        self._block: np.ndarray | None = None
+        self._chunk = min(n, _CHUNK)
+        #: draws of threads [_first, _first + len(_masks)), as bool rows
+        #: and as int bitmasks
+        self._first = 0
+        self._rows = np.zeros((0, len(self._probs)), dtype=bool)
+        self._masks: list[int] = []
+
+    def _hold(self, thread: int) -> int:
+        """Row of ``thread``, drawing chunks up to the one that holds
+        it."""
+        if thread < self._first:
+            raise IndexError(
+                f"thread {thread}'s realisation draws were dropped (the "
+                f"table holds threads from {self._first})")
+        chunk, nspec = self._chunk, len(self._probs)
+        while thread >= self._first + len(self._masks):
+            rows = self._rng.random((chunk, nspec)) < self._probs
+            masks = [0] * chunk
+            for lo in range(0, nspec, _WORD):
+                word = (rows[:, lo:lo + _WORD]
+                        @ _BITS[:min(_WORD, nspec - lo)]).tolist()
+                masks = [m | w << lo for m, w in zip(masks, word)] \
+                    if lo else word
+            # keep the newest held chunk beside the new one
+            self._first += max(0, len(self._masks) - chunk)
+            self._rows = np.concatenate((self._rows[-chunk:], rows))
+            self._masks = self._masks[-chunk:] + masks
+        return thread - self._first
 
     def realised(self, thread: int) -> tuple[bool, ...]:
         """Which speculated dependences manifest for consumer ``thread``.
 
-        Draws are made in thread order; querying out of order is supported
-        through the cache.  Realisations are sticky: the paper's model
-        re-executes the *same* dynamic iteration, so a restarted thread
-        sees the draws of its first execution.
+        Realisations are sticky: the paper's model re-executes the
+        *same* dynamic iteration, so a restarted thread sees the draws
+        of its first execution.
         """
-        got = self._cache.get(thread)
-        if got is None:
-            block = self._block
-            if block is not None and \
-                    self._block_first <= thread < self._block_first + len(block):
-                got = tuple(block[thread - self._block_first].tolist())
-            else:
-                draws = self._rng.random(len(self.template.speculated)) \
-                    if self.template.speculated else np.empty(0)
-                got = tuple(bool(d < p) for d, (_x, _y, _k, p)
-                            in zip(draws, self.template.speculated))
-            self._cache[thread] = got
-        return got
+        i = thread - self._first
+        if not 0 <= i < len(self._masks):
+            i = self._hold(thread)
+        return tuple(self._rows[i].tolist())
 
-    def release(self, thread: int) -> None:
-        """Forget ``thread``'s draws: it has committed, and only its own
-        restarts re-read them."""
-        self._cache.pop(thread, None)
+    def mask(self, thread: int) -> int:
+        """:meth:`realised` as an int: bit ``i`` set when dependence
+        ``i`` manifests."""
+        i = thread - self._first
+        if not 0 <= i < len(self._masks):
+            i = self._hold(thread)
+        return self._masks[i]
 
-    def block(self, first: int, count: int) -> np.ndarray:
-        """Realisation matrix (``count`` x n_deps, bool) for threads
-        ``[first, first + count)``, drawn in one batch.
-
-        Batched draws consume the underlying stream exactly as ``count``
-        sequential :meth:`realised` calls would, so per-thread and batched
-        access interleave without diverging from the reference simulator.
-        An overlap with the previous block is served from that block
-        (those threads' draws were already consumed), and rows it holds
-        past the request stay retained; only threads beyond it draw fresh
-        values.  The caller must request threads in simulation order,
-        which is how the event loop proceeds.
-        """
-        nspec = len(self.template.speculated)
-        if nspec == 0:
-            return np.zeros((count, 0), dtype=bool)
-        mat = np.zeros((0, nspec), dtype=bool)
-        prev, prev_first = self._block, self._block_first
-        if prev is not None and prev_first <= first < prev_first + len(prev):
-            mat = prev[first - prev_first:]
-        missing = count - len(mat)
-        if missing > 0:
-            draws = self._rng.random((missing, nspec))
-            mat = np.concatenate((mat, draws < self._probs))
-        self._block_first = first
-        self._block = mat
-        return mat[:count]
+    def chunk(self, thread: int) -> tuple[int, list[int]]:
+        """``(first, masks)``: the held bitmasks, ``masks[k]`` being
+        thread ``first + k``'s, drawn through ``thread``'s chunk."""
+        self.mask(thread)
+        return self._first, self._masks
 
 
 def detect_violation(template: KernelTimingTemplate,

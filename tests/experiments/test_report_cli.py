@@ -110,6 +110,63 @@ class TestCheckMath:
         assert regressed(parent, parent) == []
 
 
+class TestGainColumns:
+    """Pair wins and the parent's IQR, which a claimed gain is judged
+    on, beside the medians."""
+
+    def rows(self, change: list[dict], parent: list[dict]) -> dict:
+        return {row["metric"]: row
+                for row in compare_runs(change, parent, END_TO_END)}
+
+    def test_wins_follow_each_metric_direction_and_ties_win_nothing(self):
+        parent = [result_line(ops_per_s=10.0, op_ms_p50=10.0)] * 4
+        change = [result_line(ops_per_s=v, op_ms_p50=v)
+                  for v in (12.0, 9.0, 10.0, 11.0)]
+        rows = self.rows(change, parent)
+        assert (rows["ops_per_s"]["wins"], rows["ops_per_s"]["pairs"]) \
+            == (2, 4)
+        assert (rows["op_ms_p50"]["wins"], rows["op_ms_p50"]["pairs"]) \
+            == (1, 4)
+        assert rows["op_ms_p90"]["wins"] == 0  # every pair ties
+
+    def test_lines_pair_by_position(self):
+        """The i-th line against the i-th line: a change better in
+        sorted order can still lose a pair."""
+        parent = [result_line(ops_per_s=v) for v in (1.0, 2.0, 3.0)]
+        change = [result_line(ops_per_s=v) for v in (1.5, 2.5, 0.5)]
+        assert self.rows(change, parent)["ops_per_s"]["wins"] == 2
+        short = self.rows(change[:2], parent)["ops_per_s"]
+        assert (short["wins"], short["pairs"]) == (2, 2)
+
+    def test_parent_iqr(self):
+        parent = [result_line(ops_per_s=v) for v in (5.0, 1.0, 4.0, 2.0,
+                                                     3.0)]
+        rows = self.rows([result_line()], parent)
+        assert rows["ops_per_s"]["parent_iqr"] == 2.0  # quartiles 2 and 4
+        assert rows["op_ms_p50"]["parent_iqr"] == 0.0
+        assert self.rows(parent, [result_line()])["ops_per_s"][
+            "parent_iqr"] == 0.0  # one parent run
+
+    def test_markdown_shows_both_columns(self, tmp_path, capsys):
+        c = write_runs(tmp_path / "c.jsonl",
+                       *[result_line(ops_per_s=v) for v in (9.0, 12.0)])
+        p = write_runs(tmp_path / "p.jsonl",
+                       *[result_line(ops_per_s=v) for v in (10.0, 11.0)])
+        assert run_report_command(parse(
+            ["--bench", str(c), "--against", str(p)])) == 0
+        out = capsys.readouterr().out
+        assert "| change wins | parent IQR | status |" in out
+        [row] = [line for line in out.splitlines()
+                 if line.startswith("| ops_per_s ")]
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        assert cells[6:] == ["1 of 2 pairs", "0.5", "ok"]
+
+    def test_check_rule_ignores_the_gain_columns(self, tmp_path):
+        """Losing every pair within the bound still passes ``--check``."""
+        change = [result_line(ops_per_s=at_bound("ops_per_s", 0.5))] * 3
+        assert check(tmp_path, change, [result_line()] * 3) == 0
+
+
 class TestRunReportCommand:
     def test_clean_check_exits_zero(self, tmp_path, capsys):
         runs = [result_line(), result_line(), result_line()]

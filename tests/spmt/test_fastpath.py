@@ -193,73 +193,85 @@ def test_max_events_counts_skipped_threads(axpy_pipelined, arch):
                                exact=exact))
 
 
-# -- realisation block draws -------------------------------------------------
+# -- realisation chunk draws -------------------------------------------------
+
+
+def _sequential_draws(template, seed, count):
+    """Each thread's draws as one ``rng.random(n_deps)`` call per thread
+    in thread order: the reference loop's stream."""
+    rng = np.random.default_rng(seed)
+    probs = [p for (_x, _y, _k, p) in template.speculated]
+    return [tuple(bool(d < p) for d, p in zip(rng.random(len(probs)), probs))
+            for _ in range(count)]
+
+
+def _bits(draws):
+    return sum(1 << i for i, hit in enumerate(draws) if hit)
 
 
 def test_block_draws_match_sequential(fig1_pipelined_tms, arch):
+    """Tuple and bitmask draws equal sequential per-thread draws across a
+    chunk boundary (2,048 threads), and when ``n`` is shorter than one
+    chunk (chunks of ``n`` threads)."""
     sim = SpMTSimulator(fig1_pipelined_tms, arch)
-    seq = RealisationTable(sim.template, seed=42)
-    batched = RealisationTable(sim.template, seed=42)
-    mat = batched.block(0, 64)
-    for j in range(64):
-        assert tuple(bool(x) for x in mat[j]) == seq.realised(j)
-    # draws after the block continue the same stream
-    assert batched.realised(64) == seq.realised(64)
+    expected = _sequential_draws(sim.template, 42, 2100)
+    assert any(any(draws) for draws in expected)
+    for n, count in ((5000, 2100), (50, 120)):
+        tuples = RealisationTable(sim.template, 42, n)
+        masks = RealisationTable(sim.template, 42, n)
+        for j in range(count):
+            assert tuples.realised(j) == expected[j]
+            assert masks.mask(j) == _bits(expected[j])
 
 
 def test_block_overlap_does_not_redraw(fig1_pipelined_tms, arch):
+    """Reading the held chunks again, through ``chunk`` or ``realised``,
+    consumes nothing: later threads continue the same stream."""
     sim = SpMTSimulator(fig1_pipelined_tms, arch)
-    seq = RealisationTable(sim.template, seed=9)
-    tab = RealisationTable(sim.template, seed=9)
-    first = tab.block(0, 32)
-    again = tab.block(16, 32)  # [16, 48): 16 overlap + 16 fresh
-    assert np.array_equal(first[16:], again[:16])
+    expected = _sequential_draws(sim.template, 9, 52)
+    tab = RealisationTable(sim.template, 9, 32)
+    assert tab.chunk(16) == (0, [_bits(d) for d in expected[:32]])
+    for j in (20, 16, 31, 0):
+        assert tab.realised(j) == expected[j]
     for j in range(48, 52):
-        assert tab.realised(j) == seq_realised_at(seq, j)
+        assert tab.realised(j) == expected[j]
 
 
 def test_block_keeps_rows_past_a_shorter_request(fig1_pipelined_tms, arch):
-    """A request inside the previous block must not drop that block's
-    later rows: their draws are already consumed from the stream."""
+    """Reading back into the older held chunk must not drop the newer
+    one: its draws are already consumed from the stream."""
     sim = SpMTSimulator(fig1_pipelined_tms, arch)
-    seq = RealisationTable(sim.template, seed=11)
-    expected = [seq.realised(j) for j in range(89)]
-    tab = RealisationTable(sim.template, seed=11)
-    tab.block(0, 64)
-    tab.block(16, 8)
-    later = tab.block(24, 64)
-    assert [tuple(row.tolist()) for row in later] == expected[24:88]
+    expected = _sequential_draws(sim.template, 11, 89)
+    tab = RealisationTable(sim.template, 11, 32)
+    tab.realised(40)
+    assert tab.realised(16) == expected[16]
+    later = [tab.realised(j) for j in range(24, 64)]
+    assert later == expected[24:64]
     assert tab.realised(88) == expected[88]
 
 
-def seq_realised_at(table, j):
-    for i in range(j + 1):
-        got = table.realised(i)
-    return got
-
-
 @pytest.mark.parametrize("exact", [False, True])
-def test_realisation_table_holds_only_the_running_thread(
+def test_realisation_table_holds_at_most_two_chunks(
         fig1_pipelined_sms, arch, monkeypatch, exact):
-    """Committed threads' draws are released: the table never holds more
-    than the running thread's, at 2,000 iterations or 20,000.  The
-    motivating kernel's SMS schedule misspeculates, so threads restart
-    and re-read their draws."""
+    """The table holds at most two chunks of ``min(n, 2048)`` threads'
+    draws, at 2,000 iterations or 200,000.  The motivating kernel's SMS
+    schedule misspeculates, so threads restart and re-read their
+    draws."""
     peaks = []
 
     class Recording(RealisationTable):
-        def realised(self, thread):
-            got = super().realised(thread)
-            peaks[-1] = max(peaks[-1], len(self._cache))
-            return got
+        def _hold(self, thread):
+            row = super()._hold(thread)
+            peaks[-1] = max(peaks[-1], len(self._masks), len(self._rows))
+            return row
 
     monkeypatch.setattr("repro.spmt.sim.RealisationTable", Recording)
-    for n in (2_000, 20_000):
+    for n in (2_000, 200_000):
         peaks.append(0)
         stats = simulate(fig1_pipelined_sms, arch,
                          SimConfig(iterations=n, exact=exact))
         assert stats.misspeculations > 0
-    assert peaks == [1, 1]
+    assert peaks == [2_000, 2 * 2048]
 
 
 # -- spawn-chain squash estimate (satellite bugfix) --------------------------

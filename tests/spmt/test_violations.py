@@ -1,5 +1,8 @@
 """Speculated-dependence realisation and detection."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.sched import run_postpass, schedule_sms
@@ -26,6 +29,38 @@ def test_realisations_sticky(template):
     first = table.realised(5)
     table.realised(6)
     assert table.realised(5) == first
+
+
+def test_read_before_the_held_chunks_raises():
+    """A thread whose draws were dropped is never redrawn: reading it
+    raises, and the threads after it keep their own draws.  (A table
+    that drew such a read fresh would hand it its successor's draws and
+    shift every later thread's by one.)"""
+    coin_flips = SimpleNamespace(speculated=[("x", "y", 1, 0.5)] * 6)
+    rng = np.random.default_rng(11)
+    expected = [tuple(bool(d < 0.5) for d in rng.random(6))
+                for _ in range(4101)]
+    table = RealisationTable(coin_flips, seed=11)
+    assert table.realised(0) == expected[0]
+    assert table.realised(4096) == expected[4096]   # drops threads < 2048
+    for read in (table.realised, table.mask):
+        with pytest.raises(IndexError, match="thread 0's realisation"):
+            read(0)
+    assert [table.realised(j) for j in range(4097, 4101)] == \
+        expected[4097:]
+
+
+def test_masks_have_no_width_cap():
+    """A thread's bitmask holds every dependence, past 64 of them."""
+    wide = SimpleNamespace(speculated=[("x", "y", 1, 0.5)] * 130)
+    rng = np.random.default_rng(5)
+    table = RealisationTable(wide, seed=5, n=8)
+    for j in range(20):
+        draws = rng.random(130) < 0.5
+        assert table.mask(j) == sum(1 << i for i, hit in enumerate(draws)
+                                    if hit)
+        assert table.realised(j) == tuple(draws.tolist())
+    assert table.mask(19).bit_length() > 64
 
 
 def test_realisation_rate_tracks_probability(template):
