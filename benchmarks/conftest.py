@@ -14,7 +14,6 @@ so the environment knobs the session layer honours apply here too:
   within a run even without it).
 * ``REPRO_JOBS=N`` — fan compilations/simulations out over ``N`` worker
   processes (``-1`` = all cores); result ordering stays deterministic.
-* ``REPRO_CACHE_SIZE=N`` — in-memory artifact LRU capacity (default 2048).
 
     pytest benchmarks/ --benchmark-only
     REPRO_FULL=1 pytest benchmarks/ --benchmark-only -s

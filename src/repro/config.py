@@ -140,17 +140,6 @@ class SchedulerConfig:
         once per value here and keeps the schedule with the best modelled
         execution time (the paper: "several values for P_max can be tried so
         that the best schedule for a loop can be picked").
-    max_ii_factor:
-        Hard bound on II as a multiple of the longest dependence path, used
-        as a search safety net.
-    max_candidates:
-        TMS's attempt budget: the number of (II, C_delay) pairs, in
-        ascending ``F``, one search (per ``P_max``) walks — placed or
-        pruned — before it falls back to first-fit placement.  The
-        population's ``lucas_fft`` exhausts it on every compile
-        (``tms.fallbacks``).
-    budget_ratio_ii:
-        IMS backtracking budget per II as a multiple of the node count.
     speculation:
         When False, TMS synchronises *all* inter-iteration memory
         dependences instead of speculating them (the Section 5.2 ablation:
@@ -161,18 +150,11 @@ class SchedulerConfig:
     p_max: float = 0.05
     try_p_max_values: bool = False
     p_max_candidates: tuple[float, ...] = (0.0, 0.01, 0.05, 0.2, 1.0)
-    max_ii_factor: float = 2.0
-    max_candidates: int = 4000
-    budget_ratio_ii: int = 3
     speculation: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_max <= 1.0:
             raise MachineError(f"p_max must be in [0, 1], got {self.p_max}")
-        if self.max_ii_factor < 1.0:
-            raise MachineError("max_ii_factor must be >= 1.0")
-        if self.max_candidates < 1:
-            raise MachineError("max_candidates must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -188,8 +170,6 @@ class SimConfig:
         RNG seed for memory-dependence realisation and cache-miss draws.
         Experiments use a different seed from the profiling run, mirroring
         the paper's train-input/large-input split.
-    max_events:
-        Safety bound on simulator events to guarantee termination.
     exact:
         Force the reference per-thread event loop: every thread resolved
         afresh, no resolution memo, no steady-state skips or replays (see
@@ -202,7 +182,6 @@ class SimConfig:
 
     iterations: int = 1000
     seed: int = 0xACE5
-    max_events: int = 50_000_000
     exact: bool = False
 
     def __post_init__(self) -> None:

@@ -20,6 +20,7 @@ from ..machine import LatencyModel, ResourceModel
 from ..sched import (
     allocate_registers,
     generate_thread_program,
+    max_live,
     run_postpass,
     schedule_with_policy,
 )
@@ -94,7 +95,7 @@ def compile_report(source: str, *, arch: ArchConfig | None = None,
             "ii": sched.ii,
             "stages": sched.num_stages,
             "c_delay": achieved_c_delay(sched, arch),
-            "max_live": alloc.n_registers,
+            "max_live": max_live(sched),
             "registers": alloc.n_registers,
             "send_recv_pairs_per_iteration":
                 pipelined.comm.pairs_per_iteration,

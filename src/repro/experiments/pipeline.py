@@ -130,13 +130,13 @@ def compile_loop_uncached(source: Loop | DDG, arch: ArchConfig,
     with span("compile.sms", kernel=ddg.name):
         try:
             sms_sched = SwingModuloScheduler(
-                ddg, resources, config, analysis).schedule()
+                ddg, resources, analysis).schedule()
         except SchedulingError:
             # SMS is restart-only and can wedge on pinched windows; GCC falls
             # back to list scheduling there — we fall back to the backtracking
             # modulo scheduler so suite runs never die on one loop.
             sms_sched = IterativeModuloScheduler(
-                ddg, resources, config, analysis).schedule()
+                ddg, resources, analysis).schedule()
             sms_sched.meta["fallback_from"] = "SMS"
     # TMS routes through the degradation chain: a budget-exhausted or
     # failed (II, C_delay) search falls back TMS -> SMS -> IMS -> SEQ

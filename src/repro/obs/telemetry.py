@@ -6,7 +6,7 @@ context for one at call time (``metrics.counter(...)``,
 ``telemetry.current().tracer``, :func:`span`), so a block run under
 ``with Telemetry(...) as t:`` records into ``t`` alone.  The current
 context is a plain module global, not a thread- or context-local one:
-the serve broker's executor threads count into the context their caller
+the serve broker's executor thread counts into the context its caller
 installed.
 
 A :class:`~repro.session.runner.ParallelRunner` worker runs each task

@@ -5,7 +5,7 @@ loop defeats the TMS ``(II, C_delay)`` search.  This module provides the
 degradation chain the pipeline routes through:
 
 1. **TMS** — the thread-sensitive search, bounded by its attempt budget
-   (``SchedulerConfig.max_candidates``);
+   (:data:`repro.sched.tms.MAX_CANDIDATES`);
 2. **SMS** — plain swing modulo scheduling (no thread-sensitivity);
 3. **IMS** — the backtracking iterative modulo scheduler (survives the
    pinched windows that wedge SMS's restart-only discipline);
@@ -70,9 +70,9 @@ def _rung_builders(ddg: DDG, resources: ResourceModel, arch: ArchConfig,
         "tms": lambda: ThreadSensitiveScheduler(
             ddg, resources, arch, config, analysis).schedule(),
         "sms": lambda: SwingModuloScheduler(
-            ddg, resources, config, analysis).schedule(),
+            ddg, resources, analysis).schedule(),
         "ims": lambda: IterativeModuloScheduler(
-            ddg, resources, config, analysis).schedule(),
+            ddg, resources, analysis).schedule(),
         "seq": lambda: schedule_sequential_fallback(ddg, resources),
     }
 

@@ -17,7 +17,9 @@ exposes the two placement disciplines on top of it:
 ``run_backtracking``
     the IMS discipline (Rau): repeatedly pick the highest-priority
     unscheduled op; if its window has no conflict-free slot, force it in
-    and eject whoever conflicts, under a per-II budget.
+    and eject whoever conflicts, under a per-II budget
+    (:attr:`PlacementEngine.backtrack_budget`, which Huff's scheduler
+    shares).
 
 Both produce slot maps byte-identical to the seed implementations they
 replace — the golden-equivalence suite pins this on every paper kernel.
@@ -42,6 +44,11 @@ __all__ = ["PlacementEngine"]
 
 _FIRST_FIT = SlotPolicy()
 
+#: a backtracking attempt forces at most ``_BACKTRACK_PER_NODE`` placements
+#: per node, plus ``_BACKTRACK_BASE``, before it gives up on its II
+_BACKTRACK_PER_NODE = 3
+_BACKTRACK_BASE = 32
+
 
 class PlacementEngine:
     """Shared placement core over one DDG + resource model."""
@@ -50,6 +57,9 @@ class PlacementEngine:
                  metrics_map=None) -> None:
         self.ctx = EngineContext(ddg, resources, metrics_map)
         self.windows = WindowTable(self.ctx)
+        #: placements one backtracking attempt may make (IMS and Huff)
+        self.backtrack_budget = (_BACKTRACK_PER_NODE * len(ddg)
+                                 + _BACKTRACK_BASE)
 
     # -- restart discipline (SMS / TMS) -------------------------------------
 
@@ -151,10 +161,9 @@ class PlacementEngine:
 
     # -- backtracking discipline (IMS) ---------------------------------------
 
-    def run_backtracking(self, ii: int, budget: int,
-                         policy: SlotPolicy | None = None, *,
+    def run_backtracking(self, ii: int, *,
                          alg: str = "IMS") -> dict[str, int] | None:
-        """One IMS attempt at ``ii`` under an eviction ``budget``.
+        """One IMS attempt at ``ii`` under :attr:`backtrack_budget`.
 
         Highest priority first (greatest height, then program order);
         an op with no conflict-free window slot is forced into its
@@ -168,17 +177,15 @@ class PlacementEngine:
         if spans.enabled and spans.detail:
             with spans.span("sched.backtrack", alg=alg,
                             kernel=self.ctx.name, ii=ii) as sp:
-                out = self._run_backtracking(ii, budget, policy, alg=alg)
+                out = self._run_backtracking(ii, alg=alg)
                 if sp is not None:
                     sp.attrs["ok"] = out is not None
                 return out
-        return self._run_backtracking(ii, budget, policy, alg=alg)
+        return self._run_backtracking(ii, alg=alg)
 
-    def _run_backtracking(self, ii: int, budget: int,
-                          policy: SlotPolicy | None = None, *,
+    def _run_backtracking(self, ii: int, *,
                           alg: str = "IMS") -> dict[str, int] | None:
-        if policy is None:
-            policy = _FIRST_FIT
+        budget = self.backtrack_budget
         tracer = telemetry.current().tracer
         metrics.counter(
             "sched.attempts",
@@ -194,8 +201,6 @@ class PlacementEngine:
         loop_name = ctx.name
         ps = PartialSchedule(ctx, ii)
         placed = ps.slots
-        policy.begin_attempt(ps)
-        on_eject = policy.on_eject
         n_nodes = len(ctx.node_names)
         never_scheduled = set(ctx.node_names)
         # mintime: monotonically raised forced-start per node, guaranteeing
@@ -230,7 +235,7 @@ class PlacementEngine:
                 slot = lo
                 if v not in never_scheduled and mintime[v] >= slot:
                     slot = mintime[v] + 1
-                self._evict_conflicts(ps, v, slot, on_eject)
+                self._evict_conflicts(ps, v, slot)
                 mintime[v] = slot
             if v in placed:
                 ps.remove(v)
@@ -243,8 +248,6 @@ class PlacementEngine:
                 s = placed.get(dst)
                 if s is not None and s < slot + delay - ii * dist:
                     ps.remove(dst)
-                    if on_eject is not None:
-                        on_eject(dst, placed)
                     if tracer.enabled:
                         tracer.emit("sched", "eject", alg=alg,
                                     loop=loop_name, ii=ii, node=dst, by=v)
@@ -252,8 +255,6 @@ class PlacementEngine:
                 s = placed.get(src)
                 if s is not None and slot < s + delay - ii * dist:
                     ps.remove(src)
-                    if on_eject is not None:
-                        on_eject(src, placed)
                     if tracer.enabled:
                         tracer.emit("sched", "eject", alg=alg,
                                     loop=loop_name, ii=ii, node=src, by=v)
@@ -263,8 +264,7 @@ class PlacementEngine:
         return placed
 
     @staticmethod
-    def _evict_conflicts(ps: PartialSchedule, v: str, slot: int,
-                         on_eject) -> None:
+    def _evict_conflicts(ps: PartialSchedule, v: str, slot: int) -> None:
         """Remove the minimum of already-placed ops blocking ``v`` at
         ``slot``: first same-FU ops overlapping its reservation rows, then
         (if the issue row is still full) arbitrary ops issuing in the same
@@ -279,16 +279,12 @@ class PlacementEngine:
                 continue
             if rows & set(ps.occupancy_rows(name, placed[name])):
                 ps.remove(name)
-                if on_eject is not None:
-                    on_eject(name, placed)
         ii = ps.ii
         for name in list(placed):
             if ps.fits(v, slot):
                 break
             if name != v and placed[name] % ii == slot % ii:
                 ps.remove(name)
-                if on_eject is not None:
-                    on_eject(name, placed)
 
 
 def _emit_place(tracer, alg: str, loop: str, ii: int, v: str,

@@ -15,15 +15,12 @@ packages exactly those hooks:
 ``on_place(v, cycle, slots)``
     commit incremental state after a placement (``slots`` already
     updated);
-``on_eject(v, slots)``
-    notification when backtracking (IMS) evicts a node (``slots``
-    already updated);
 ``replay(v, cycle, slots)``
     commit a placement the engine made without a ``select`` call (the
     replayed prefix of a resumed pass; ``slots`` already updated).
 
-``on_place``/``on_eject`` are *attributes*: a policy that doesn't use
-one leaves it ``None`` and the engine skips the call entirely.
+``on_place`` is an *attribute*: a policy that doesn't use it leaves it
+``None`` and the engine skips the call entirely.
 
 :class:`TMSPolicy` is the paper's Figure-3 slot acceptance as a policy
 instance.  Its ``select`` scans a node's window once: C1 becomes an
@@ -77,11 +74,8 @@ class SlotPolicy:
     """Base policy: first fit in window order, no state (plain SMS
     placement)."""
 
-    name = "firstfit"
-
-    #: hooks; ``None`` means "not used" and is skipped by the engine.
+    #: hook; ``None`` means "not used" and is skipped by the engine.
     on_place = None
-    on_eject = None
 
     def begin_attempt(self, partial) -> None:
         """Reset per-attempt incremental state (called by the engine
@@ -301,8 +295,6 @@ class TMSPolicy(SlotPolicy):
     flow dependences as synchronised: they join C1 and never
     misspeculate.
     """
-
-    name = "tms"
 
     def __init__(self, tms_ctx: TMSContext, arch: ArchConfig,
                  config: SchedulerConfig, ii: int, c_delay: int,

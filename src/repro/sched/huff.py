@@ -13,58 +13,29 @@ groups with SMS as "tightly scheduled" / "lifetime-minimal").
 When an op has no conflict-free slot in its window it is force-placed at
 its earliest bound and conflicting ops are ejected (the same eviction
 discipline as Rau's IMS, shared via the unified engine's
-:class:`~repro.sched.engine.PlacementEngine`), under a per-II budget.
+:class:`~repro.sched.engine.PlacementEngine`), under IMS's per-II budget.
+It reads MII, LDP, the node metrics and the engine from a
+:class:`~repro.sched.sms.LoopAnalysis`.
 """
 
 from __future__ import annotations
 
-from ..config import SchedulerConfig
-from ..errors import SchedulingError
 from ..graph.ddg import DDG
-from ..graph.mii import compute_mii
-from ..graph.paths import compute_metrics, longest_dependence_path
 from ..machine.resources import ResourceModel
 from .engine import PartialSchedule, PlacementEngine
-from .schedule import Schedule, validate_schedule
+from .schedule import Schedule
+from .sms import ModuloScheduler
 
 __all__ = ["HuffModuloScheduler", "schedule_huff"]
 
-_II_SLACK = 16
 #: Lstart horizon for ops with no scheduled downstream anchor.
 _HORIZON_STAGES = 4
 
 
-class HuffModuloScheduler:
+class HuffModuloScheduler(ModuloScheduler):
     """Slack-driven bidirectional modulo scheduling."""
 
     algorithm_name = "Huff"
-
-    def __init__(self, ddg: DDG, resources: ResourceModel,
-                 config: SchedulerConfig | None = None) -> None:
-        self.ddg = ddg
-        self.resources = resources
-        self.config = config or SchedulerConfig()
-        self.metrics = compute_metrics(ddg)
-        self.mii = compute_mii(ddg, resources)
-        self.ldp = longest_dependence_path(ddg)
-        self.engine = PlacementEngine(ddg, resources, self.metrics)
-
-    def max_ii(self) -> int:
-        base = max(self.mii, self.ldp)
-        return int(base * self.config.max_ii_factor) + _II_SLACK
-
-    def schedule(self) -> Schedule:
-        for ii in range(self.mii, self.max_ii() + 1):
-            slots = self._try_ii(ii)
-            if slots is not None:
-                sched = Schedule(self.ddg, ii, slots,
-                                 algorithm=self.algorithm_name,
-                                 meta={"mii": self.mii, "ldp": self.ldp})
-                validate_schedule(sched, self.resources)
-                return sched
-        raise SchedulingError(
-            f"Huff failed on {self.ddg.name!r}: no valid schedule with "
-            f"II <= {self.max_ii()}")
 
     # -- bound propagation -------------------------------------------------
 
@@ -73,10 +44,10 @@ class HuffModuloScheduler:
         """Dynamic Estart/Lstart for every node (relaxation to fixpoint)."""
         names = self.ddg.node_names
         horizon = self.ldp + _HORIZON_STAGES * ii
-        est = {n: (placed[n] if n in placed else self.metrics[n].depth)
-               for n in names}
-        lst = {n: (placed[n] if n in placed else
-                   horizon - self.metrics[n].height)
+        depth = self.engine.ctx.depth
+        height = self.engine.ctx.height
+        est = {n: (placed[n] if n in placed else depth[n]) for n in names}
+        lst = {n: (placed[n] if n in placed else horizon - height[n])
                for n in names}
         for _ in range(len(names)):
             changed = False
@@ -95,8 +66,8 @@ class HuffModuloScheduler:
 
     # -- one attempt -----------------------------------------------------------
 
-    def _try_ii(self, ii: int) -> dict[str, int] | None:
-        budget = self.config.budget_ratio_ii * len(self.ddg) + 32
+    def try_ii(self, ii: int) -> dict[str, int] | None:
+        budget = self.engine.backtrack_budget
         ctx = self.engine.ctx
         windows = self.engine.windows
         pred = windows.pred
@@ -142,7 +113,7 @@ class HuffModuloScheduler:
                         break
             if slot is None:
                 slot = max(lo, force_floor[v] + 1)
-                PlacementEngine._evict_conflicts(ps, v, slot, None)
+                PlacementEngine._evict_conflicts(ps, v, slot)
                 force_floor[v] = slot
             if v in placed:  # pragma: no cover - defensive
                 ps.remove(v)
@@ -159,7 +130,6 @@ class HuffModuloScheduler:
         return placed
 
 
-def schedule_huff(ddg: DDG, resources: ResourceModel,
-                  config: SchedulerConfig | None = None) -> Schedule:
+def schedule_huff(ddg: DDG, resources: ResourceModel) -> Schedule:
     """Convenience wrapper: Huff-schedule ``ddg``."""
-    return HuffModuloScheduler(ddg, resources, config).schedule()
+    return HuffModuloScheduler(ddg, resources).schedule()

@@ -18,17 +18,18 @@ TMS passes a full :class:`~repro.sched.engine.policy.SlotPolicy` via
 :meth:`try_policy`.
 
 Everything the schedulers derive from the DDG and the resource model
-alone — node metrics, the swing order, MII, LDP and the placement
-engine's context and window table — is one :class:`LoopAnalysis`.  A
-compile builds it once and hands it to the SMS, TMS and IMS schedulers
-it runs; a scheduler built without one analyses the DDG itself.
+alone — node metrics, the swing order, MII, LDP, the II search bound and
+the placement engine's context and window table — is one
+:class:`LoopAnalysis`.  A compile builds it once and hands it to the
+SMS, TMS and IMS schedulers it runs; a scheduler built without one
+analyses the DDG itself.  :class:`ModuloScheduler` is the lowest-II
+search they all share.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
-from ..config import SchedulerConfig
 from ..errors import SchedulingError
 from ..graph.ddg import DDG
 from ..graph.mii import compute_mii
@@ -38,20 +39,24 @@ from .engine import PlacementEngine, SlotPolicy
 from .ordering import compute_node_order_with_directions
 from .schedule import Schedule, validate_schedule
 
-__all__ = ["LoopAnalysis", "SwingModuloScheduler", "schedule_sms"]
+__all__ = ["LoopAnalysis", "ModuloScheduler", "SwingModuloScheduler",
+           "schedule_sms"]
 
-#: extra II headroom beyond max(MII, LDP) before declaring failure.
+#: the II search bound is ``_MAX_II_FACTOR * max(MII, LDP) + _II_SLACK``:
+#: the paper bounds II by the longest dependence path; the factor and
+#: the slack cover resource-bound corner cases.
+_MAX_II_FACTOR = 2
 _II_SLACK = 16
 
 
 class LoopAnalysis:
     """The per-(DDG, resources) facts every modulo scheduler of a compile
-    reads: the swing order and its directions, MII, LDP, and the
-    :class:`PlacementEngine` (its context, with the node metrics, and
-    its window table).  ``mii`` and ``ldp`` are computed unless
-    given."""
+    reads: the swing order and its directions, MII, LDP, the largest II
+    a search tries (``max_ii``), and the :class:`PlacementEngine` (its
+    context, with the node metrics, and its window table).  ``mii`` and
+    ``ldp`` are computed unless given."""
 
-    __slots__ = ("order", "directions", "mii", "ldp", "engine")
+    __slots__ = ("order", "directions", "mii", "ldp", "max_ii", "engine")
 
     def __init__(self, ddg: DDG, resources: ResourceModel,
                  mii: int | None = None, ldp: int | None = None) -> None:
@@ -60,48 +65,58 @@ class LoopAnalysis:
             ddg, metrics)
         self.mii = compute_mii(ddg, resources) if mii is None else mii
         self.ldp = longest_dependence_path(ddg) if ldp is None else ldp
+        self.max_ii = _MAX_II_FACTOR * max(self.mii, self.ldp) + _II_SLACK
         self.engine = PlacementEngine(ddg, resources, metrics)
 
 
-class SwingModuloScheduler:
-    """SMS over one DDG + resource model."""
+class ModuloScheduler:
+    """The lowest-II search over one DDG + resource model: :meth:`try_ii`
+    (the algorithm's one attempt) at every II from MII to ``max_ii``,
+    keeping the first that places every node."""
 
-    algorithm_name = "SMS"
+    algorithm_name: str
 
     def __init__(self, ddg: DDG, resources: ResourceModel,
-                 config: SchedulerConfig | None = None,
                  analysis: LoopAnalysis | None = None) -> None:
         self.ddg = ddg
         self.resources = resources
-        self.config = config or SchedulerConfig()
         analysis = analysis or LoopAnalysis(ddg, resources)
         self.order = analysis.order
         self.order_directions = analysis.directions
         self.mii = analysis.mii
         self.ldp = analysis.ldp
+        self.max_ii = analysis.max_ii
         self.engine = analysis.engine
 
-    # -- public API -----------------------------------------------------------
-
-    def max_ii(self) -> int:
-        """Search bound: the paper bounds II by the longest dependence
-        path; we add slack for resource-bound corner cases."""
-        base = max(self.mii, self.ldp)
-        return int(base * self.config.max_ii_factor) + _II_SLACK
+    def try_ii(self, ii: int) -> dict[str, int] | None:
+        """One scheduling attempt at ``ii``: the slot map, or None."""
+        raise NotImplementedError
 
     def schedule(self) -> Schedule:
         """Find the lowest-II valid schedule (validated before return)."""
-        for ii in range(self.mii, self.max_ii() + 1):
-            slots = self.try_ii(ii)
+        ii, slots = self._lowest_ii(self.try_ii)
+        sched = Schedule(self.ddg, ii, slots, algorithm=self.algorithm_name,
+                         meta={"mii": self.mii, "ldp": self.ldp})
+        validate_schedule(sched, self.resources)
+        return sched
+
+    def _lowest_ii(self, attempt: Callable[[int], dict[str, int] | None]
+                   ) -> tuple[int, dict[str, int]]:
+        """The lowest II from MII to ``max_ii`` where ``attempt`` gives a
+        slot map, and that map."""
+        for ii in range(self.mii, self.max_ii + 1):
+            slots = attempt(ii)
             if slots is not None:
-                sched = Schedule(self.ddg, ii, slots,
-                                 algorithm=self.algorithm_name,
-                                 meta={"mii": self.mii, "ldp": self.ldp})
-                validate_schedule(sched, self.resources)
-                return sched
+                return ii, slots
         raise SchedulingError(
             f"{self.algorithm_name} failed on {self.ddg.name!r}: no valid "
-            f"schedule with II <= {self.max_ii()} (MII={self.mii})")
+            f"schedule with II <= {self.max_ii} (MII={self.mii})")
+
+
+class SwingModuloScheduler(ModuloScheduler):
+    """SMS over one DDG + resource model."""
+
+    algorithm_name = "SMS"
 
     # -- one scheduling attempt ------------------------------------------------
 
@@ -128,7 +143,6 @@ class SwingModuloScheduler:
         return self.try_policy(ii, seed_high=seed_high)
 
 
-def schedule_sms(ddg: DDG, resources: ResourceModel,
-                 config: SchedulerConfig | None = None) -> Schedule:
+def schedule_sms(ddg: DDG, resources: ResourceModel) -> Schedule:
     """Convenience wrapper: SMS-schedule ``ddg``."""
-    return SwingModuloScheduler(ddg, resources, config).schedule()
+    return SwingModuloScheduler(ddg, resources).schedule()

@@ -33,9 +33,8 @@ trail a from-scratch placement would.  A pass that repeats whole fails
 as before and is not run (its ``place`` and ``place_fail`` events are
 still emitted); a candidate whose two passes both repeat whole is marked
 ``pruned`` without placing anything.  Pruned candidates count toward
-the attempt budget (``SchedulerConfig.max_candidates``), so the search
-stops where an unpruned one would, and no divergence from Figure 3
-remains.
+the attempt budget (:data:`MAX_CANDIDATES`), so the search stops where
+an unpruned one would, and no divergence from Figure 3 remains.
 
 The ``speculation=False`` mode (Section 5.2's ablation) treats memory flow
 dependences as synchronised: they join C1 and never misspeculate.
@@ -63,7 +62,13 @@ from .engine import TMSContext, TMSPolicy, Trail
 from .schedule import Schedule, validate_schedule
 from .sms import LoopAnalysis, SwingModuloScheduler
 
-__all__ = ["ThreadSensitiveScheduler", "schedule_tms"]
+__all__ = ["MAX_CANDIDATES", "ThreadSensitiveScheduler", "schedule_tms"]
+
+#: the attempt budget: the (II, C_delay) pairs, in ascending ``F``, one
+#: search (per ``P_max``) walks — placed or pruned — before it falls back
+#: to first-fit placement.  The population's ``lucas_fft`` exhausts it on
+#: every compile (``tms.fallbacks``).
+MAX_CANDIDATES = 4000
 
 
 class ThreadSensitiveScheduler(SwingModuloScheduler):
@@ -74,7 +79,8 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
     def __init__(self, ddg: DDG, resources: ResourceModel, arch: ArchConfig,
                  config: SchedulerConfig | None = None,
                  analysis: LoopAnalysis | None = None) -> None:
-        super().__init__(ddg, resources, config, analysis)
+        super().__init__(ddg, resources, analysis)
+        self.config = config or SchedulerConfig()
         self.arch = arch
         self._max_lat = max((n.latency for n in ddg.nodes), default=1)
         #: per-DDG facts of the C1/C2 conditions (flow-edge tables,
@@ -127,7 +133,7 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         each II's row is already in that order and merging the rows
         yields the fully sorted sequence."""
         return heapq.merge(*(self._ii_candidates(ii) for ii in
-                             range(self.mii, self.max_ii() + 1)))
+                             range(self.mii, self.max_ii + 1)))
 
     def _ii_candidates(self, ii: int) -> Iterator[tuple[float, int, int]]:
         """One II's (F, C_delay, II) triples by increasing C_delay."""
@@ -142,14 +148,14 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
             "tms.searches", "TMS (II, C_delay) searches started").inc()
         if tracer.enabled:
             tracer.emit("sched", "tms.search", loop=self.ddg.name,
-                        p_max=p_max, mii=self.mii, max_ii=self.max_ii(),
+                        p_max=p_max, mii=self.mii, max_ii=self.max_ii,
                         ncore=self.arch.ncore)
         attempts = 0
         # per (II, seed pass): that pass of the last candidate placed at
         # the II (see the module docstring)
         trails: dict[tuple[int, bool], Trail] = {}
         for index, (f_value, cd, ii) in enumerate(self._candidates()):
-            if attempts >= self.config.max_candidates:
+            if attempts >= MAX_CANDIDATES:
                 if tracer.enabled:
                     tracer.emit("sched", "tms.budget_exhausted",
                                 loop=self.ddg.name, attempts=attempts)
@@ -179,22 +185,17 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         # first-fit placement in the swing order with seeds anchored high,
         # as in TMS's second pass, at the lowest II that admits it; keeps
         # suite runs robust on pathological DDGs.  Recorded in meta.
-        for ii in range(self.mii, self.max_ii() + 1):
-            cd = self._c_delay_cap(ii)
-            slots = self.try_ii(ii, seed_high=True)
-            if slots is not None:
-                metrics.counter(
-                    "tms.fallbacks",
-                    "TMS searches resolved by the first-fit "
-                    "fallback").inc()
-                if tracer.enabled:
-                    tracer.emit("sched", "tms.fallback", loop=self.ddg.name,
-                                ii=ii, c_delay=cd, outcome="accept")
-                return self._finish(ii, slots, cd, 1.0,
-                                    objective_f(ii, cd, self.arch), fallback=True)
-        raise SchedulingError(
-            f"TMS failed on {self.ddg.name!r}: no schedule up to II "
-            f"{self.max_ii()} even without thread-sensitivity constraints")
+        ii, slots = self._lowest_ii(
+            lambda ii: self.try_ii(ii, seed_high=True))
+        cd = self._c_delay_cap(ii)
+        metrics.counter(
+            "tms.fallbacks",
+            "TMS searches resolved by the first-fit fallback").inc()
+        if tracer.enabled:
+            tracer.emit("sched", "tms.fallback", loop=self.ddg.name,
+                        ii=ii, c_delay=cd, outcome="accept")
+        return self._finish(ii, slots, cd, 1.0,
+                            objective_f(ii, cd, self.arch), fallback=True)
 
     def _emit_candidate(self, tracer, index: int, ii: int, cd: int,
                         f_value: float, outcome: str, **why) -> None:

@@ -16,7 +16,7 @@ Layers (each importable alone):
 - :mod:`~repro.serve.cli` — ``serve`` / ``submit`` subcommands
 """
 
-from .broker import BrokerConfig, RequestBroker, execute_request
+from .broker import RequestBroker, execute_request
 from .client import ServeClient, SubmitOutcome, wait_ready
 from .protocol import (
     EXIT_ERROR,
@@ -30,7 +30,6 @@ from .protocol import (
 from .server import ServeDaemon
 
 __all__ = [
-    "BrokerConfig",
     "EXIT_ERROR",
     "EXIT_OK",
     "EXIT_REJECTED",

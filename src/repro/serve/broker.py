@@ -7,18 +7,18 @@ submit`, which walks the admission pipeline:
 1. **draining?** — a daemon in graceful shutdown answers every new
    submission with a typed ``draining`` rejection;
 2. **result cache** — a completed identical request (same work
-   fingerprint) is answered from a bounded LRU of past responses
-   without touching the queue (``serve.result_hits``);
+   fingerprint) is answered from the broker's bounded LRU of past
+   responses without touching the queue (``serve.result_hits``);
 3. **coalescing** — an *in-flight* identical request adopts the
    existing job: the waiter blocks on the same event and receives the
    exact same response object (``serve.coalesce_hits``), so N
    concurrent identical submissions cost one computation;
 4. **admission control** — a genuinely new job is admitted only while
    the number of distinct in-flight jobs is below
-   ``max_queue_depth``; beyond it the submission is rejected
+   :data:`MAX_QUEUE_DEPTH`; beyond it the submission is rejected
    ``queue_full`` (backpressure, never an unbounded queue);
 5. **execution** — admitted jobs are executed FIFO by the broker's
-   executor threads against one shared
+   one executor thread against one shared
    :class:`~repro.session.session.Session` (its artifact cache and
    template memo stay warm across requests), each wrapped in a
    ``serve.request`` span.
@@ -39,14 +39,13 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass
+from collections import OrderedDict
 from typing import Any, Callable, Mapping
 
 from ..config import ArchConfig
 from ..obs import metrics
 from ..obs.telemetry import span
 from ..session import Session
-from ..session.cache import MISS, ArtifactCache
 from .protocol import (
     REJECT_REASONS,
     ServeRequest,
@@ -57,34 +56,16 @@ from .protocol import (
     simulate_result_dict,
 )
 
-__all__ = ["BrokerConfig", "RequestBroker", "execute_request"]
+__all__ = ["MAX_QUEUE_DEPTH", "RequestBroker", "execute_request"]
 
-#: sentinel shutting one executor thread down
+#: distinct in-flight jobs admitted before ``queue_full`` rejections
+MAX_QUEUE_DEPTH = 64
+
+#: completed responses kept for identical future requests (LRU)
+_RESULT_CACHE_SIZE = 512
+
+#: sentinel shutting the executor thread down
 _STOP = object()
-
-
-@dataclass(frozen=True)
-class BrokerConfig:
-    """Admission-control and execution knobs of one broker."""
-
-    #: distinct in-flight jobs admitted before ``queue_full`` rejections
-    max_queue_depth: int = 64
-    #: executor threads draining the job queue (1 = strictly FIFO)
-    workers: int = 1
-    #: completed responses kept for identical future requests (LRU)
-    result_cache_size: int = 512
-    #: deadline applied when a request doesn't carry its own
-    default_deadline_seconds: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_queue_depth < 1:
-            raise ValueError(f"max_queue_depth must be >= 1, "
-                             f"got {self.max_queue_depth}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.result_cache_size < 1:
-            raise ValueError(f"result_cache_size must be >= 1, "
-                             f"got {self.result_cache_size}")
 
 
 def execute_request(session: Session,
@@ -137,26 +118,24 @@ class RequestBroker:
     session:
         The compile/simulate context every job runs against.  Defaults
         to a fresh :class:`Session`.
-    config:
-        Admission/execution knobs (:class:`BrokerConfig`).
     execute:
         The job execution function — :func:`execute_request` unless a
         test injects a stub.
     """
 
-    def __init__(self, session: Session | None = None,
-                 config: BrokerConfig | None = None, *,
+    def __init__(self, session: Session | None = None, *,
                  execute: Callable[..., dict[str, Any]] | None = None
                  ) -> None:
         self.session = session if session is not None else Session()
-        self.config = config or BrokerConfig()
         self._execute = execute or execute_request
-        self._results = ArtifactCache(maxsize=self.config.result_cache_size)
+        #: fingerprint -> completed response, least recently used first
+        #: (guarded by ``_lock``)
+        self._results: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._queue: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
         self._in_flight: dict[str, _Job] = {}
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
         self._draining = False
         self._stopped = False
         #: exact submission-outcome tallies (mirrored into ``serve.*``
@@ -175,15 +154,13 @@ class RequestBroker:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "RequestBroker":
-        """Spawn the executor threads (idempotent)."""
+        """Spawn the executor thread (idempotent)."""
         with self._lock:
-            if self._threads or self._stopped:
+            if self._thread is not None or self._stopped:
                 return self
-            for i in range(self.config.workers):
-                t = threading.Thread(target=self._worker_loop,
-                                     name=f"serve-exec-{i}", daemon=True)
-                t.start()
-                self._threads.append(t)
+            self._thread = threading.Thread(target=self._worker_loop,
+                                            name="serve-exec", daemon=True)
+            self._thread.start()
         return self
 
     @property
@@ -210,19 +187,17 @@ class RequestBroker:
     def stop(self, drain: bool = True,
              timeout: float | None = None) -> bool:
         """Graceful shutdown: reject new work, optionally wait for the
-        queue to drain, stop the executors.  Returns whether the drain
+        queue to drain, stop the executor.  Returns whether the drain
         completed."""
         self.begin_drain()
         drained = self.drain(timeout) if drain else False
         with self._lock:
             already = self._stopped
             self._stopped = True
-            threads = list(self._threads)
-        if not already:
-            for _ in threads:
-                self._queue.put(_STOP)
-            for t in threads:
-                t.join(timeout=5.0)
+            thread = self._thread
+        if not already and thread is not None:
+            self._queue.put(_STOP)
+            thread.join(timeout=5.0)
         return drained
 
     # -- submission ----------------------------------------------------------
@@ -246,9 +221,12 @@ class RequestBroker:
         fingerprint = request.fingerprint()
         if self._draining:
             return self._reject(request, "draining"), "rejected"
-        cached = self._results.get(fingerprint)
-        if cached is not MISS:
-            self._count("result_hits")
+        with self._lock:
+            cached = self._results.get(fingerprint)
+            if cached is not None:
+                self._results.move_to_end(fingerprint)
+                self.counts["result_hits"] += 1
+        if cached is not None:
             metrics.counter("serve.result_hits",
                             "requests answered from the response "
                             "cache").inc()
@@ -257,7 +235,7 @@ class RequestBroker:
             job = self._in_flight.get(fingerprint)
             coalesced = job is not None
             if not coalesced:
-                if len(self._in_flight) >= self.config.max_queue_depth:
+                if len(self._in_flight) >= MAX_QUEUE_DEPTH:
                     return self._reject(request, "queue_full",
                                         locked=True), "rejected"
                 job = _Job(request, fingerprint, time.monotonic())
@@ -271,7 +249,7 @@ class RequestBroker:
         else:
             self._queue.put(job)
         self.start()
-        deadline = self._deadline(request)
+        deadline = request.deadline_seconds
         if coalesced and deadline is not None \
                 and not job.done.wait(timeout=deadline):
             # this waiter's budget expired mid-coalesce-wait; the
@@ -282,11 +260,6 @@ class RequestBroker:
         if job.response["status"] == "rejected":
             return job.response, "rejected"
         return job.response, ("coalesced" if coalesced else "computed")
-
-    def _deadline(self, request: ServeRequest) -> float | None:
-        return request.deadline_seconds \
-            if request.deadline_seconds is not None \
-            else self.config.default_deadline_seconds
 
     def _reject(self, request: ServeRequest, reason: str, *,
                 locked: bool = False) -> dict[str, Any]:
@@ -329,7 +302,7 @@ class RequestBroker:
 
     def _run_job(self, job: _Job) -> None:
         request = job.request
-        deadline = self._deadline(request)
+        deadline = request.deadline_seconds
         outcome = "ok"
         with span("serve.request", kind=request.kind,
                   request_id=request.request_id()) as s:
@@ -352,10 +325,14 @@ class RequestBroker:
             if s is not None:
                 s.attrs["outcome"] = outcome
         if outcome == "ok":
-            self._count("completed")
+            with self._lock:
+                self.counts["completed"] += 1
+                self._results[job.fingerprint] = response
+                self._results.move_to_end(job.fingerprint)
+                if len(self._results) > _RESULT_CACHE_SIZE:
+                    self._results.popitem(last=False)
             metrics.counter("serve.completed",
                             "requests executed to completion").inc()
-            self._results.put(job.fingerprint, response)
         job.response = response
 
     # -- reporting -----------------------------------------------------------
@@ -366,19 +343,23 @@ class RequestBroker:
 
     def stats(self) -> dict[str, Any]:
         """The ``/stats`` payload: outcome tallies, both caches, the
-        session's counters, and the admission knobs."""
+        session's counters, and the admission bound.  The response
+        cache stores every completed response, so its ``stores`` are
+        the ``completed`` tally."""
         with self._lock:
             counts = dict(self.counts)
             depth = len(self._in_flight)
+            entries = len(self._results)
         stats = self.session.stats
         return {
             "draining": self._draining,
             "queue_depth": depth,
-            "max_queue_depth": self.config.max_queue_depth,
-            "workers": self.config.workers,
+            "max_queue_depth": MAX_QUEUE_DEPTH,
             "counts": counts,
             "cache": self.session.cache.stats_dict(),
-            "result_cache": self._results.stats_dict(),
+            "result_cache": {"hits": counts["result_hits"],
+                             "stores": counts["completed"],
+                             "entries": entries},
             "session": {
                 "compiles": stats.compiles,
                 "simulations": stats.simulations,

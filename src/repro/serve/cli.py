@@ -39,27 +39,11 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--port", type=int, default=DEFAULT_PORT,
                         help=f"bind port; 0 picks a free one "
                              f"(default: {DEFAULT_PORT})")
-    parser.add_argument("--queue-depth", type=int, default=64,
-                        help="max distinct in-flight jobs before "
-                             "queue_full rejections (default: 64)")
-    parser.add_argument("--serve-workers", type=int, default=1,
-                        help="broker executor threads (default: 1, "
-                             "strictly FIFO)")
-    parser.add_argument("--result-cache-size", type=int, default=512,
-                        help="completed responses kept for identical "
-                             "future requests (default: 512)")
-    parser.add_argument("--deadline", type=float, default=None,
-                        help="default per-request deadline in seconds "
-                             "(requests may carry their own)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="the session's worker processes (default: "
-                             "$REPRO_JOBS or sequential); a request is "
-                             "one task, so it never fans out")
-    parser.add_argument("--max-body-bytes", type=int, default=None,
-                        help="request body cap; larger bodies get a "
-                             "typed HTTP 413 (default: 1 MiB)")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log every HTTP request")
+                             "$REPRO_JOBS or sequential); changes "
+                             "nothing: a request is one task, which "
+                             "never fans out")
 
 
 def add_submit_arguments(parser: argparse.ArgumentParser) -> None:
@@ -91,31 +75,15 @@ def add_submit_arguments(parser: argparse.ArgumentParser) -> None:
 
 def run_serve_command(ns: argparse.Namespace) -> int:
     from ..session import Session
-    from .broker import BrokerConfig, RequestBroker
-    from .server import MAX_BODY_BYTES, ServeDaemon
+    from .broker import MAX_QUEUE_DEPTH, RequestBroker
+    from .server import ServeDaemon
 
-    try:
-        config = BrokerConfig(max_queue_depth=ns.queue_depth,
-                              workers=ns.serve_workers,
-                              result_cache_size=ns.result_cache_size,
-                              default_deadline_seconds=ns.deadline)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    broker = RequestBroker(session=Session(jobs=ns.jobs), config=config)
-    try:
-        daemon = ServeDaemon(
-            ns.host, ns.port, broker=broker,
-            install_signal_handlers=True, verbose=ns.verbose,
-            max_body_bytes=ns.max_body_bytes if ns.max_body_bytes
-            is not None else MAX_BODY_BYTES)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    broker = RequestBroker(session=Session(jobs=ns.jobs))
+    daemon = ServeDaemon(ns.host, ns.port, broker=broker,
+                         install_signal_handlers=True)
     daemon.start()
     print(f"[serve] listening on {daemon.address} "
-          f"(queue depth {config.max_queue_depth}, "
-          f"{config.workers} executor(s)); SIGTERM or POST /shutdown "
+          f"(queue depth {MAX_QUEUE_DEPTH}); SIGTERM or POST /shutdown "
           f"to stop", flush=True)
     daemon.wait()
     drained = daemon.drained

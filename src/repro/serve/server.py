@@ -51,13 +51,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from ..errors import ProtocolError
-from .broker import BrokerConfig, RequestBroker
+from .broker import RequestBroker
 from .protocol import PROTOCOL_VERSION, response_bytes
 
 __all__ = ["MAX_BODY_BYTES", "ServeDaemon"]
 
-#: default request body cap — a DSL loop is tiny; anything larger is
-#: malformed (override per daemon with ``max_body_bytes``).
+#: request body cap — a DSL loop is tiny; anything larger is malformed.
+#: A larger declared body is refused with a typed HTTP 413
+#: (``X-Repro-Served: rejected``) before any body byte is read.
 MAX_BODY_BYTES = 1 << 20
 
 #: seconds a stopping daemon waits for its connection handlers to close
@@ -85,8 +86,8 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.daemon
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if self.daemon.verbose:
-            self.daemon._log(f"{self.address_string()} {format % args}")
+        """No per-request log lines (the base class writes one to stderr
+        per request)."""
 
     def _send_json(self, status: int, payload: dict[str, Any],
                    headers: dict[str, str] | None = None, *,
@@ -130,15 +131,14 @@ class _Handler(BaseHTTPRequestHandler):
         if n <= 0:
             self.send_error(400, "request body required")
             return None
-        cap = self.daemon.max_body_bytes
-        if n > cap:
+        if n > MAX_BODY_BYTES:
             # refused before a byte of the body is read: an oversized
             # declared length never ties up handler memory
             self._send_json(
                 413, {"protocol_version": PROTOCOL_VERSION,
                       "status": "error",
                       "error": f"request body of {n} bytes exceeds the "
-                               f"{cap}-byte limit"},
+                               f"{MAX_BODY_BYTES}-byte limit"},
                 {"X-Repro-Served": "rejected"})
             return None
         return self.rfile.read(n)
@@ -239,32 +239,15 @@ class ServeDaemon:
         Bind address; ``port=0`` picks a free port (``self.port`` holds
         the real one after construction — handy for tests).
     broker:
-        A pre-built broker, else one is created from ``config``.
-    config:
-        Broker knobs when ``broker`` is not given.
+        A pre-built broker, else a fresh one.
     install_signal_handlers:
         Wire SIGTERM/SIGINT to graceful drain (main thread only).
-    verbose:
-        Log per-request lines.
-    max_body_bytes:
-        Request body cap; larger declared bodies are refused with a
-        typed HTTP 413 (``X-Repro-Served: rejected``) before any body
-        byte is read.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  broker: RequestBroker | None = None,
-                 config: BrokerConfig | None = None,
-                 install_signal_handlers: bool = False,
-                 verbose: bool = False,
-                 max_body_bytes: int = MAX_BODY_BYTES) -> None:
-        if max_body_bytes < 1:
-            raise ValueError(f"max_body_bytes must be >= 1, "
-                             f"got {max_body_bytes}")
-        self.broker = broker if broker is not None \
-            else RequestBroker(config=config)
-        self.verbose = verbose
-        self.max_body_bytes = max_body_bytes
+                 install_signal_handlers: bool = False) -> None:
+        self.broker = broker if broker is not None else RequestBroker()
         self._httpd = _Server((host, port), _Handler)
         self._httpd.daemon = self
         self.host, self.port = self._httpd.server_address[:2]

@@ -56,7 +56,6 @@ class CacheStats:
     disk_hits: int = 0       #: misses in memory answered by the disk tier
     disk_stores: int = 0     #: values persisted to the disk tier
     disk_errors: int = 0     #: unreadable/corrupt disk entries discarded
-    disk_prunes: int = 0     #: entries removed by the size-cap pruner
 
     @property
     def lookups(self) -> int:
@@ -72,8 +71,7 @@ class CacheStats:
         return (f"{self.hits} memory hits, {self.disk_hits} disk hits, "
                 f"{self.misses} misses ({100 * self.hit_rate:.1f}% hit rate), "
                 f"{self.evictions} evictions, {self.invalidations} "
-                f"invalidations, {self.disk_errors} disk errors, "
-                f"{self.disk_prunes} disk prunes")
+                f"invalidations, {self.disk_errors} disk errors")
 
 
 def _counter(name: str) -> metrics.Counter:
@@ -92,25 +90,16 @@ class ArtifactCache:
         In-memory entry cap; least recently used entries are evicted
         beyond it.  ``None`` means unbounded.
     disk_dir:
-        Root of the on-disk tier; ``None`` disables persistence.
-    max_disk_mb:
-        Size cap (in MiB) for the disk tier; when a write pushes the
-        tier past the cap, the oldest entries (by modification time) are
-        pruned until it fits again.  ``None`` means unbounded.  The
-        session layer resolves ``REPRO_CACHE_MAX_MB`` into this.
+        Root of the on-disk tier; ``None`` disables persistence.  The
+        tier is not size-capped.
     """
 
     def __init__(self, maxsize: int | None = 2048,
-                 disk_dir: str | os.PathLike | None = None,
-                 max_disk_mb: float | None = None) -> None:
+                 disk_dir: str | os.PathLike | None = None) -> None:
         if maxsize is not None and maxsize < 1:
             raise ValueError(f"maxsize must be >= 1 or None, got {maxsize}")
-        if max_disk_mb is not None and max_disk_mb <= 0:
-            raise ValueError(
-                f"max_disk_mb must be > 0 or None, got {max_disk_mb}")
         self.maxsize = maxsize
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self.max_disk_mb = max_disk_mb
         self.stats = CacheStats()
         self._mem: OrderedDict[str, Any] = OrderedDict()
         # one lock for both tiers and the counters: get/put from many
@@ -204,7 +193,6 @@ class ArtifactCache:
                 "disk_hits": s.disk_hits,
                 "disk_stores": s.disk_stores,
                 "disk_errors": s.disk_errors,
-                "disk_prunes": s.disk_prunes,
                 "hit_rate": s.hit_rate,
                 "entries": len(self._mem),
                 "maxsize": self.maxsize,
@@ -262,8 +250,6 @@ class ArtifactCache:
                     pass
                 raise
             self._count("disk_stores")
-            if self.max_disk_mb is not None:
-                self._disk_prune(keep=path)
         except (OSError, pickle.PicklingError):
             # persistence is an optimisation; never fail a compile on it.
             self._count("disk_errors")
@@ -289,35 +275,3 @@ class ArtifactCache:
             except OSError:
                 continue
         return removed
-
-    def _disk_prune(self, keep: Path | None = None) -> None:
-        """Evict oldest disk entries until the tier fits ``max_disk_mb``.
-
-        ``keep`` (the entry just written) is never pruned, so a single
-        oversized artifact does not evict itself and thrash.
-        """
-        assert self.disk_dir is not None and self.max_disk_mb is not None
-        budget = int(self.max_disk_mb * 1024 * 1024)
-        entries: list[tuple[float, int, Path]] = []
-        total = 0
-        for path in self.disk_dir.glob("??/*.pkl"):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            total += st.st_size
-            entries.append((st.st_mtime, st.st_size, path))
-        if total <= budget:
-            return
-        entries.sort(key=lambda e: (e[0], str(e[2])))  # oldest first
-        for _mtime, size, path in entries:
-            if total <= budget:
-                break
-            if keep is not None and path == keep:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self._count("disk_prunes")

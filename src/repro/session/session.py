@@ -10,8 +10,8 @@ scheduler config)`` point.  It also memoises the per-kernel
 simulations of the same pipelined loop skip the template rebuild.
 
 Most callers use the process-wide default session (:func:`get_session`):
-its cache size honours ``REPRO_CACHE_SIZE``, and its disk tier turns on
-when ``REPRO_CACHE_DIR`` is set (making warm reruns of whole experiment
+its in-memory LRU holds 2,048 artifacts, and its disk tier turns on when
+``REPRO_CACHE_DIR`` is set (making warm reruns of whole experiment
 suites recompile nothing).
 """
 
@@ -75,32 +75,6 @@ def _resolve_cache_dir(cache_dir: str | os.PathLike | None) -> Path | None:
     return Path(env).expanduser() if env else None
 
 
-def _resolve_cache_size() -> int:
-    env = os.environ.get("REPRO_CACHE_SIZE", "").strip()
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_CACHE_SIZE must be an integer, got {env!r}") from None
-    return 2048
-
-
-def _resolve_max_disk_mb() -> float | None:
-    env = os.environ.get("REPRO_CACHE_MAX_MB", "").strip()
-    if not env:
-        return None
-    try:
-        value = float(env)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_CACHE_MAX_MB must be a number, got {env!r}") from None
-    if value <= 0:
-        raise ValueError(
-            f"REPRO_CACHE_MAX_MB must be > 0, got {env!r}")
-    return value
-
-
 class Session:
     """A reusable compile→simulate context.
 
@@ -109,8 +83,6 @@ class Session:
 
     Parameters
     ----------
-    cache_size:
-        In-memory LRU capacity (default: ``REPRO_CACHE_SIZE`` or 2048).
     cache_dir:
         On-disk tier root; ``None`` consults ``REPRO_CACHE_DIR`` and
         stays memory-only when unset.
@@ -119,15 +91,11 @@ class Session:
         (default: ``REPRO_JOBS`` or sequential).
     """
 
-    def __init__(self, *, cache_size: int | None = None,
-                 cache_dir: str | os.PathLike | None = None,
+    def __init__(self, *, cache_dir: str | os.PathLike | None = None,
                  jobs: int | None = None) -> None:
         self.jobs = jobs
-        self.cache = ArtifactCache(
-            maxsize=cache_size if cache_size is not None
-            else _resolve_cache_size(),
-            disk_dir=_resolve_cache_dir(cache_dir),
-            max_disk_mb=_resolve_max_disk_mb())
+        # the LRU holds ArtifactCache's default 2,048 artifacts
+        self.cache = ArtifactCache(disk_dir=_resolve_cache_dir(cache_dir))
         self.stats = SessionStats(cache=self.cache.stats)
         # (id(pipelined), reg_comm_latency) -> (pipelined, template); the
         # pipelined object is pinned so its id cannot be recycled while
@@ -347,9 +315,9 @@ _DEFAULT: Session | None = None
 
 
 def get_session() -> Session:
-    """The process-wide default session (created lazily from the
-    ``REPRO_CACHE_DIR`` / ``REPRO_CACHE_SIZE`` / ``REPRO_JOBS``
-    environment)."""
+    """The process-wide default session (created lazily; its disk tier
+    and its parallelism come from ``REPRO_CACHE_DIR`` and
+    ``REPRO_JOBS``)."""
     global _DEFAULT
     if _DEFAULT is None:
         _DEFAULT = Session()

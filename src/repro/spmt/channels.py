@@ -97,12 +97,18 @@ class KernelTimingTemplate:
 
 @dataclass
 class ThreadTiming:
-    """Resolved timing of one thread execution (times relative to start)."""
+    """Resolved timing of one thread execution (times relative to start).
+
+    ``extra_latency`` is the per-instruction latency the cache misses of
+    this execution added (``None`` when none were drawn): every
+    completion this timing reports includes it.
+    """
 
     start: float
     issue_rel: list[float]
     total_stall: float
     finish: float
+    extra_latency: Sequence[int] | None = None
 
     @classmethod
     def resolve(cls, template: KernelTimingTemplate, start: float,
@@ -147,7 +153,7 @@ class ThreadTiming:
             if t + li > finish:
                 finish = t + li
         return cls(start=start, issue_rel=issue, total_stall=stall,
-                   finish=start + finish)
+                   finish=start + finish, extra_latency=extra_latency)
 
     def shifted(self, delta: float) -> "ThreadTiming":
         """This timing translated ``delta`` cycles later (issue pattern
@@ -155,21 +161,31 @@ class ThreadTiming:
         return ThreadTiming(start=self.start + delta,
                             issue_rel=self.issue_rel,
                             total_stall=self.total_stall,
-                            finish=self.finish + delta)
+                            finish=self.finish + delta,
+                            extra_latency=self.extra_latency)
 
     def issue_time(self, template: KernelTimingTemplate, name: str) -> float:
         return self.start + self.issue_rel[template.index[name]]
 
     def completion_time(self, template: KernelTimingTemplate, name: str) -> float:
+        """When instruction ``name`` completes: its issue plus its
+        latency, a cache miss's extra cycles included."""
         idx = template.index[name]
-        return self.start + self.issue_rel[idx] + float(template.latency[idx])
+        lat = float(template.latency[idx])
+        if self.extra_latency is not None:
+            lat += self.extra_latency[idx]
+        return self.start + self.issue_rel[idx] + lat
 
     def value_arrival(self, template: KernelTimingTemplate,
                       channel_index: int) -> float:
         """When this thread's produced value for channel ``channel_index``
         reaches the consumer ``hops`` threads downstream: one full
-        communication latency per ring hop after the producer completes."""
+        communication latency per ring hop after the producer completes
+        (:meth:`completion_time`)."""
         ch = template.channels[channel_index]
-        produced = (self.start + self.issue_rel[ch.producer_index]
-                    + float(template.latency[ch.producer_index]))
-        return produced + ch.hops * template.reg_comm_latency
+        idx = ch.producer_index
+        lat = float(template.latency[idx])
+        if self.extra_latency is not None:
+            lat += self.extra_latency[idx]
+        return (self.start + self.issue_rel[idx] + lat
+                + ch.hops * template.reg_comm_latency)

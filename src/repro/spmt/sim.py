@@ -45,6 +45,7 @@ import numpy as np
 
 from ..config import ArchConfig, SimConfig
 from ..errors import SimulationError
+from ..machine.cache import CacheModel
 from ..obs import metrics, telemetry
 from ..sched.postpass import PipelinedLoop
 from .channels import KernelTimingTemplate, ThreadTiming
@@ -52,7 +53,11 @@ from .fastpath import SteadyStateDetector
 from .stats import SimStats
 from .violations import RealisationTable, detect_violation
 
-__all__ = ["SpMTSimulator", "simulate"]
+__all__ = ["MAX_EVENTS", "SpMTSimulator", "simulate"]
+
+#: simulator events (thread executions, restarts included) a run may
+#: take before it is declared non-terminating.
+MAX_EVENTS = 50_000_000
 
 #: restart attempts per thread before declaring the simulation wedged.
 _MAX_RESTARTS = 64
@@ -76,10 +81,10 @@ class SpMTSimulator:
         # solely from (pipelined, reg_comm_latency), so reuse is exact.
         self.template = template if template is not None else \
             KernelTimingTemplate(pipelined, arch.reg_comm_latency)
-        # cache-perturbation state (miss rng + load indices) is derived
+        # cache-perturbation state (miss draws + load indices) is derived
         # lazily inside the run so a reused simulator never replays a
         # previous run's rng position or a stale template's load set.
-        self._cache_rng: np.random.Generator | None = None
+        self._cache: CacheModel | None = None
         self._load_indices: list[int] | None = None
         #: resolutions at start 0, keyed by relative arrivals (reset per run)
         self._resolved: dict[tuple[float, ...], ThreadTiming] = {}
@@ -105,9 +110,9 @@ class SpMTSimulator:
         n = self.sim.iterations
         template = self.template
         realisations = RealisationTable(template, self.sim.seed, n)
-        # re-derive perturbation state per run (satellite fix: a reused
-        # simulator must not see a previous run's rng position)
-        self._cache_rng = None
+        # re-derive perturbation state per run: a reused simulator must
+        # not see a previous run's rng position
+        self._cache = None
         self._load_indices = None
         self._resolved = {}
 
@@ -153,10 +158,9 @@ class SpMTSimulator:
                 if ff is not None:
                     # each skipped thread stands for 1 + restarts events
                     events += ff.skipped + ff.misspeculations
-                    if events > self.sim.max_events:
+                    if events > MAX_EVENTS:
                         raise SimulationError(
-                            f"simulation exceeded max_events="
-                            f"{self.sim.max_events}")
+                            f"simulation exceeded {MAX_EVENTS} events")
                     stats.sync_stall_cycles += ff.stall_cycles
                     stats.misspeculations += ff.misspeculations
                     stats.squashed_threads += ff.squashed_threads
@@ -183,9 +187,9 @@ class SpMTSimulator:
             # execution attempts until one commits
             while True:
                 events += 1
-                if events > self.sim.max_events:
+                if events > MAX_EVENTS:
                     raise SimulationError(
-                        f"simulation exceeded max_events={self.sim.max_events}")
+                        f"simulation exceeded {MAX_EVENTS} events")
                 if tracer.enabled:
                     stall_log = []
                 timing = self._execute(j, start, timings,
@@ -399,31 +403,28 @@ class SpMTSimulator:
         return resolved.shifted(start)
 
     def _draw_cache_extra(self) -> list[int] | None:
-        """Per-load latency perturbation from the probabilistic cache
-        (None when miss rates are zero — the deterministic default).
+        """Per-load latency beyond an L1 hit, one
+        :meth:`CacheModel.load_latency` draw per load (None when miss
+        rates are zero — the deterministic default).
 
-        The rng and the template's load indices are derived on first use
-        within a run (seed mix ``sim.seed ^ 0xCAC4E``), so every run of a
-        simulator starts the miss stream from the same position and sees
-        the current template.
+        The cache model and the template's load indices are derived on
+        first use within a run (rng seed mix ``sim.seed ^ 0xCAC4E``), so
+        every run of a simulator starts the miss stream from the same
+        position and sees the current template.
         """
         arch = self.arch
         if arch.l1_miss_rate <= 0.0:
             return None
-        if self._cache_rng is None:
-            self._cache_rng = np.random.default_rng(self.sim.seed ^ 0xCAC4E)
+        if self._cache is None:
+            self._cache = CacheModel(
+                arch, np.random.default_rng(self.sim.seed ^ 0xCAC4E))
             self._load_indices = [
                 i for i, name in enumerate(self.template.names)
                 if self.pipelined.schedule.ddg.node(name).opcode.is_load
             ]
         extra = [0] * len(self.template.names)
         for i in self._load_indices:
-            if self._cache_rng.random() < arch.l1_miss_rate:
-                if arch.l2_miss_rate > 0.0 and \
-                        self._cache_rng.random() < arch.l2_miss_rate:
-                    extra[i] = arch.l2_miss_latency - arch.l1_hit_latency
-                else:
-                    extra[i] = arch.l2_hit_latency - arch.l1_hit_latency
+            extra[i] = self._cache.load_latency() - arch.l1_hit_latency
         return extra
 
 

@@ -52,6 +52,30 @@ def test_render(report):
     assert "TMS speedup over SMS" in text and "thread program" in text
 
 
+#: the loop CI's serve smoke test compiles
+AXPY = """
+loop axpy
+array X 64
+array Y 64
+livein a 2.0
+livein s 0.0
+n0: x = load X[i]
+n1: t = fmul x, a
+n2: y = load Y[i]
+n3: r = fadd t, y
+n4: store Y[i], r
+n5: s = fadd s, r
+"""
+
+
+def test_max_live_is_not_the_register_count():
+    """``max_live`` is MaxLive of the schedule; the allocator needs more
+    registers than that on AXPY, so the two fields differ."""
+    algs = compile_report(AXPY, iterations=100)["algorithms"]
+    assert (algs["sms"]["max_live"], algs["tms"]["max_live"]) == (8, 9)
+    assert (algs["sms"]["registers"], algs["tms"]["registers"]) == (9, 12)
+
+
 def test_unroll_option():
     r = compile_report(SRC, iterations=100, unroll=2, profile_iterations=64)
     assert r["instructions"] == 12

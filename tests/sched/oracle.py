@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import repro.sched.tms as tms_mod
 from repro.config import ArchConfig, SchedulerConfig
 from repro.costmodel.exectime import objective_f
 from repro.errors import SchedulingError
@@ -124,8 +125,6 @@ class PerProbeTMSPolicy(SlotPolicy):
     the minimum-score slot wins, ties to window order, stopping at a
     perfect ``score <= 0``.
     """
-
-    name = "tms-per-probe"
 
     def __init__(self, tms_ctx: TMSContext, arch: ArchConfig,
                  config: SchedulerConfig, ii: int, c_delay: int,
@@ -291,11 +290,11 @@ def reference_search(tms: ThreadSensitiveScheduler, p_max: float
     tracer = telemetry.current().tracer
     if tracer.enabled:
         tracer.emit("sched", "tms.search", loop=tms.ddg.name, p_max=p_max,
-                    mii=tms.mii, max_ii=tms.max_ii(), ncore=tms.arch.ncore)
+                    mii=tms.mii, max_ii=tms.max_ii, ncore=tms.arch.ncore)
     attempts = 0
     failed: dict[int, tuple[int, float]] = {}
     for index, (f_value, cd, ii) in enumerate(tms._candidates()):
-        if attempts >= tms.config.max_candidates:
+        if attempts >= tms_mod.MAX_CANDIDATES:
             if tracer.enabled:
                 tracer.emit("sched", "tms.budget_exhausted",
                             loop=tms.ddg.name, attempts=attempts)
@@ -319,7 +318,7 @@ def reference_search(tms: ThreadSensitiveScheduler, p_max: float
         if tracer.enabled:
             tms._emit_candidate(tracer, index, ii, cd, f_value, "accept")
         return tms._finish(ii, slots, cd, p_max, f_value, fallback=False)
-    for ii in range(tms.mii, tms.max_ii() + 1):
+    for ii in range(tms.mii, tms.max_ii + 1):
         cd = tms._c_delay_cap(ii)
         slots = tms.try_ii(ii, seed_high=True)
         if slots is not None:

@@ -144,7 +144,7 @@ def test_slot_policy_subclass_drives_every_hook(axpy_ddg, resources):
 
 def test_slot_policy_defaults_are_inert():
     policy = SlotPolicy()
-    assert policy.on_place is None and policy.on_eject is None
+    assert policy.on_place is None
     policy.begin_attempt(None)  # no-op
 
 

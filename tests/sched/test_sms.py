@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import SchedulerConfig
 from repro.costmodel import achieved_c_delay, sync_delay
 from repro.errors import SchedulingError
 from repro.graph import build_ddg
@@ -69,10 +68,9 @@ n0: s = fdiv s, 2.0
 """)
     ddg = build_ddg(loop, LatencyModel())
     rm = ResourceModel.default()
-    cfg = SchedulerConfig(max_ii_factor=1.0)
-    s = SwingModuloScheduler(ddg, rm, cfg)
+    s = SwingModuloScheduler(ddg, rm)
     # this one schedules fine (self-loop, II = 12); check max_ii bound math
-    assert s.max_ii() >= s.mii
+    assert s.max_ii >= s.mii
     sched = s.schedule()
     assert sched.ii >= 12
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.sched.tms as tms_mod
 from repro.config import ArchConfig, SchedulerConfig
 from repro.costmodel import achieved_c_delay, kernel_misspec_probability, sync_delay
 from repro.graph import build_ddg
@@ -103,17 +104,17 @@ def test_meta_fields(fig1_ddg, fig1_machine, arch):
 
 
 @pytest.mark.parametrize("budget", [40, 4100])
-def test_max_candidates_is_the_whole_budget(budget):
-    """The search walks exactly ``max_candidates`` (II, C_delay) pairs,
+def test_max_candidates_is_the_whole_budget(budget, monkeypatch):
+    """The search walks exactly ``MAX_CANDIDATES`` (II, C_delay) pairs,
     pruned ones included, before it falls back to first-fit placement — also
     above 4,000.  lucas_fft fails every pair either budget reaches."""
+    monkeypatch.setattr(tms_mod, "MAX_CANDIDATES", budget)
     arch = ArchConfig.paper_default()
     (loop,) = [sl.loop for sl in DOACROSS_LOOPS if sl.loop.name == "lucas_fft"]
     ddg = build_ddg(loop, LatencyModel.for_arch(arch))
-    config = SchedulerConfig(max_candidates=budget)
     with Telemetry(events=True) as traced:
         sched = ThreadSensitiveScheduler(
-            ddg, ResourceModel.default(arch.issue_width), arch, config
+            ddg, ResourceModel.default(arch.issue_width), arch
         ).schedule()
     walked = [e for e in traced.tracer.events if e.name == "tms.candidate"]
     (done,) = [e for e in traced.tracer.events if e.name == "tms.budget_exhausted"]

@@ -32,7 +32,7 @@ ARCH = ArchConfig.paper_default()
 def _sorted_candidates(tms):
     """Every (F, C_delay, II) triple up to ``max_ii``, sorted."""
     return sorted((objective_f(ii, cd, tms.arch), cd, ii)
-                  for ii in range(tms.mii, tms.max_ii() + 1)
+                  for ii in range(tms.mii, tms.max_ii + 1)
                   for cd in range(tms._c_delay_min(),
                                   tms._c_delay_cap(ii) + 1))
 

@@ -28,6 +28,7 @@ from repro.graph import build_ddg
 from repro.machine import LatencyModel, ResourceModel
 from repro.obs.telemetry import Telemetry
 from repro.sched import Schedule, ThreadSensitiveScheduler
+from repro.sched.tms import MAX_CANDIDATES
 from repro.workloads import DOACROSS_LOOPS, motivating_ddg, motivating_machine
 
 ARCH = ArchConfig.paper_default()
@@ -101,7 +102,7 @@ def test_lucas_fft_prunes_soundly_and_stops_at_the_budget():
     # pruned candidates count toward the budget: the search still gives
     # up after 4,000 and falls back where it always has, having placed
     # few of them
-    assert len(events) == SchedulerConfig().max_candidates
+    assert len(events) == MAX_CANDIDATES
     assert sum(e["outcome"] == "reject" for e in events) <= 150
     assert sched.meta["fallback"]
     assert (sched.ii, sched.meta["c_delay_threshold"]) == (62, 76)

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.sched.tms as tms_mod
 from repro.config import ArchConfig, SchedulerConfig
 from repro.graph import build_ddg
 from repro.machine import LatencyModel, ResourceModel
@@ -72,9 +74,9 @@ def test_resumed_search_matches_the_reference_on_random_ddgs(
         shape, seed, ccom, speculation, p_max, budget):
     ddg = build_ddg(SyntheticLoopGenerator(shape, seed).generate("prop"),
                     LAT)
-    config = SchedulerConfig(p_max=p_max, speculation=speculation,
-                             max_candidates=budget)
-    _check(ddg, RES, replace(ARCH, reg_comm_latency=ccom), config)
+    config = SchedulerConfig(p_max=p_max, speculation=speculation)
+    with mock.patch.object(tms_mod, "MAX_CANDIDATES", budget):
+        _check(ddg, RES, replace(ARCH, reg_comm_latency=ccom), config)
 
 
 @pytest.mark.parametrize("speculation,p_max",

@@ -6,8 +6,9 @@ import threading
 
 import pytest
 
+import repro.serve.broker as broker_mod
 from repro.errors import ProtocolError
-from repro.serve.broker import BrokerConfig, RequestBroker, execute_request
+from repro.serve.broker import RequestBroker, execute_request
 from repro.serve.protocol import ServeRequest, response_bytes
 from repro.session import Session
 
@@ -24,13 +25,12 @@ def _req(**kw):
 def broker(registry, span_tracer):
     """A real broker over a sequential session (broker tests exercise
     admission, not parallelism)."""
-    b = RequestBroker(session=Session(jobs=1), config=BrokerConfig())
+    b = RequestBroker(session=Session(jobs=1))
     yield b
     b.stop(drain=False, timeout=1.0)
 
 
 def _gated_broker(registry, gate: threading.Event, *,
-                  config: BrokerConfig | None = None,
                   execute=None) -> RequestBroker:
     """A broker whose execution blocks on ``gate`` — lets tests pin
     jobs in flight deterministically."""
@@ -40,8 +40,7 @@ def _gated_broker(registry, gate: threading.Event, *,
         gate.wait(timeout=30.0)
         return inner(session, request, **kw)
 
-    return RequestBroker(session=Session(jobs=1), config=config,
-                         execute=gated)
+    return RequestBroker(session=Session(jobs=1), execute=gated)
 
 
 def _wait_until(predicate, timeout: float = 10.0) -> None:
@@ -150,10 +149,10 @@ def test_distinct_requests_do_not_coalesce(registry, span_tracer):
 
 # -- admission control -------------------------------------------------------
 
-def test_queue_full_rejection(registry, span_tracer):
+def test_queue_full_rejection(registry, span_tracer, monkeypatch):
+    monkeypatch.setattr(broker_mod, "MAX_QUEUE_DEPTH", 2)
     gate = threading.Event()
-    broker = _gated_broker(registry, gate,
-                           config=BrokerConfig(max_queue_depth=2, workers=1))
+    broker = _gated_broker(registry, gate)
     try:
         results = {}
 
@@ -189,8 +188,7 @@ def test_queue_full_rejection(registry, span_tracer):
 
 def test_deadline_expired_in_queue_is_rejected(registry, span_tracer):
     gate = threading.Event()
-    broker = _gated_broker(registry, gate,
-                           config=BrokerConfig(workers=1))
+    broker = _gated_broker(registry, gate)
     try:
         results = {}
 
@@ -266,8 +264,7 @@ def test_expired_deadline_in_queue_is_never_executed(registry,
         calls.append(request.fingerprint())
         return execute_request(session, request, **kw)
 
-    broker = _gated_broker(registry, gate, execute=counting,
-                           config=BrokerConfig(workers=1))
+    broker = _gated_broker(registry, gate, execute=counting)
     try:
         results = {}
 
@@ -384,14 +381,21 @@ def test_stop_drains_in_flight_work(registry, span_tracer):
     assert result["out"][0]["status"] == "ok"
 
 
-def test_config_validation():
-    with pytest.raises(ValueError, match="max_queue_depth"):
-        BrokerConfig(max_queue_depth=0)
-    with pytest.raises(ValueError, match="workers"):
-        BrokerConfig(workers=0)
-
-
 # -- telemetry ---------------------------------------------------------------
+
+def test_cache_metrics_count_only_the_artifact_cache(registry, span_tracer,
+                                                    broker):
+    """Responses answered from the broker's response cache are
+    ``serve.result_hits``, not artifact-cache traffic: the registry's
+    ``cache.*`` counters equal the session cache's own stats."""
+    for _ in range(3):
+        broker.submit(_req(kind="simulate", iterations=64))
+    assert broker.counts["result_hits"] == 2
+    totals = registry.deterministic_totals()
+    stats = broker.session.cache.stats_dict()
+    for name in ("hits", "misses", "stores"):
+        assert totals[f"cache.{name}"] == stats[name], name
+
 
 def test_serve_metrics_and_spans(registry, span_tracer, broker):
     broker.submit(_req())

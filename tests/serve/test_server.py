@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import repro.serve.server as server_mod
 from repro.errors import AdmissionRejected, ProtocolError, ServerUnavailable
 from repro.obs.spans import span_tree
 from repro.obs.telemetry import Telemetry
@@ -123,8 +124,9 @@ def test_healthz_carries_state_and_version(daemon):
                                 "protocol_version": PROTOCOL_VERSION}
 
 
-def test_oversized_bodies_get_http_413(registry, span_tracer):
-    d = ServeDaemon(port=0, broker=None, max_body_bytes=64).start()
+def test_oversized_bodies_get_http_413(registry, span_tracer, monkeypatch):
+    monkeypatch.setattr(server_mod, "MAX_BODY_BYTES", 64)
+    d = ServeDaemon(port=0, broker=None).start()
     try:
         with ServeClient("127.0.0.1", d.port, timeout=30.0) as client:
             assert wait_ready(client, timeout=15.0)
@@ -143,11 +145,6 @@ def test_oversized_bodies_get_http_413(registry, span_tracer):
             assert client.healthz()["status"] == "ok"
     finally:
         d.stop(drain_timeout=10.0)
-
-
-def test_max_body_bytes_validates():
-    with pytest.raises(ValueError, match="max_body_bytes"):
-        ServeDaemon(port=0, max_body_bytes=0)
 
 
 def test_no_daemon_is_server_unavailable(registry):
@@ -281,12 +278,13 @@ def _closed_by_peer(sock):
         "garbage-request-line"])
 def test_client_errors_close_kept_alive_connections(registry, span_tracer,
                                                     request_bytes, status,
-                                                    error):
+                                                    error, monkeypatch):
     """Each of these may leave request bytes unread: parsed as the next
     request, they would answer garbage, so the daemon closes instead.
     Errors the HTTP layer answers before any route runs carry a status
     line and the JSON error envelope too."""
-    d = ServeDaemon(port=0, max_body_bytes=64).start()
+    monkeypatch.setattr(server_mod, "MAX_BODY_BYTES", 64)
+    d = ServeDaemon(port=0).start()
     try:
         with socket.create_connection(("127.0.0.1", d.port),
                                       timeout=10.0) as sock:

@@ -127,42 +127,6 @@ def test_disk_truncated_pickle_is_miss_and_deleted(tmp_path):
     assert ArtifactCache(disk_dir=tmp_path).get("ab99") == [1, 2, 3]
 
 
-def _put_sized(cache, key, n_bytes, mtime):
-    cache.put(key, b"x" * n_bytes)
-    path = cache._disk_path(key)
-    os.utime(path, (mtime, mtime))
-    return path
-
-
-def test_disk_size_cap_prunes_oldest_first(tmp_path):
-    # budget of 4 KiB; each entry pickles to a bit over 1 KiB
-    cache = ArtifactCache(disk_dir=tmp_path,
-                          max_disk_mb=4 / 1024)
-    paths = [_put_sized(cache, f"{i:02d}key", 1024, mtime=1000 + i)
-             for i in range(3)]
-    assert all(p.exists() for p in paths)     # still under the cap
-    assert cache.stats.disk_prunes == 0
-    newest = _put_sized(cache, "99key", 1024, mtime=2000)
-    # the write that crossed the cap pruned the oldest entry
-    assert cache.stats.disk_prunes >= 1
-    assert not paths[0].exists()
-    assert newest.exists()
-
-
-def test_disk_size_cap_never_prunes_fresh_write(tmp_path):
-    cache = ArtifactCache(disk_dir=tmp_path, max_disk_mb=1 / 1024)
-    path = _put_sized(cache, "ab00", 4096, mtime=1000)  # alone over budget
-    assert path.exists()                      # keep= spares it
-    assert cache.stats.disk_prunes == 0
-
-
-def test_max_disk_mb_validation():
-    with pytest.raises(ValueError, match="max_disk_mb"):
-        ArtifactCache(max_disk_mb=0)
-    with pytest.raises(ValueError, match="max_disk_mb"):
-        ArtifactCache(max_disk_mb=-1)
-
-
 def _hammer_writes(disk_dir, key, worker, n):
     """Worker: repeatedly overwrite `key` with self-identifying payloads."""
     cache = ArtifactCache(maxsize=2, disk_dir=disk_dir)
@@ -252,19 +216,6 @@ def test_sweep_returns_removed_count(tmp_path):
     f.write_bytes(b"junk")
     os.utime(f, (1000, 1000))
     assert cache._sweep_stale_tmps() == 1
-
-
-def test_session_resolves_cache_max_mb_env(tmp_path, monkeypatch):
-    from repro.session import Session
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "12.5")
-    assert Session().cache.max_disk_mb == 12.5
-    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "zero")
-    with pytest.raises(ValueError, match="REPRO_CACHE_MAX_MB"):
-        Session()
-    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0")
-    with pytest.raises(ValueError, match="REPRO_CACHE_MAX_MB"):
-        Session()
 
 
 # -- thread safety -----------------------------------------------------------

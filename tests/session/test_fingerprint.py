@@ -51,8 +51,8 @@ def test_config_fingerprint_covers_every_field():
     base = SchedulerConfig()
     assert fingerprint(base) == fingerprint(SchedulerConfig())
     for change in (dict(p_max=0.2), dict(speculation=False),
-                   dict(max_ii_factor=3.0), dict(budget_ratio_ii=4),
-                   dict(max_candidates=100)):
+                   dict(try_p_max_values=True),
+                   dict(p_max_candidates=(0.0, 1.0))):
         assert fingerprint(replace(base, **change)) != fingerprint(base), change
 
 

@@ -268,14 +268,6 @@ def test_cache_dir_expands_the_home_directory(loop, tmp_path, monkeypatch):
     assert not (work / "~").exists()
 
 
-def test_cache_size_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_SIZE", "17")
-    assert Session().cache.maxsize == 17
-    monkeypatch.setenv("REPRO_CACHE_SIZE", "many")
-    with pytest.raises(ValueError):
-        Session()
-
-
 def test_default_session_is_process_wide(loop):
     assert get_session() is get_session()
     mine = Session()

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.spmt.sim as sim_mod
 from repro.config import ArchConfig, SimConfig
 from repro.errors import SimulationError
 from repro.graph import build_ddg
@@ -183,14 +184,15 @@ def test_certain_violation_beside_coin_flips(latency, resources, arch):
     assert fast == exact
 
 
-def test_max_events_counts_skipped_threads(axpy_pipelined, arch):
+def test_max_events_counts_skipped_threads(axpy_pipelined, arch,
+                                          monkeypatch):
     """Skipped and replayed threads count their events, so the fast path
-    trips the same ``max_events`` bound as the reference loop."""
+    trips the same ``MAX_EVENTS`` bound as the reference loop."""
+    monkeypatch.setattr(sim_mod, "MAX_EVENTS", 1_000)
     for exact in (True, False):
-        with pytest.raises(SimulationError, match="max_events=1000"):
+        with pytest.raises(SimulationError, match="exceeded 1000 events"):
             simulate(axpy_pipelined, arch,
-                     SimConfig(iterations=20_000, max_events=1_000,
-                               exact=exact))
+                     SimConfig(iterations=20_000, exact=exact))
 
 
 # -- realisation chunk draws -------------------------------------------------
@@ -355,11 +357,11 @@ def test_cache_rng_seed_mix_pinned(fig1_pipelined_sms):
 
 def test_cache_state_lazy_until_first_draw(fig1_pipelined_sms, arch):
     deterministic = SpMTSimulator(fig1_pipelined_sms, arch)
-    assert deterministic._cache_rng is None
+    assert deterministic._cache is None
     assert deterministic._draw_cache_extra() is None
-    assert deterministic._cache_rng is None  # zero miss rate never builds
+    assert deterministic._cache is None  # zero miss rate never builds
     probabilistic = SpMTSimulator(fig1_pipelined_sms,
                                   ArchConfig(l1_miss_rate=0.9))
-    assert probabilistic._cache_rng is None
+    assert probabilistic._cache is None
     assert probabilistic._draw_cache_extra() is not None
-    assert probabilistic._cache_rng is not None
+    assert probabilistic._cache is not None

@@ -137,12 +137,42 @@ def test_zero_miss_rate_draws_nothing(fig1_pipelined_sms):
     from repro.spmt.sim import SpMTSimulator
     deterministic = SpMTSimulator(fig1_pipelined_sms,
                                   ArchConfig.paper_default())
-    assert deterministic._cache_rng is None
+    assert deterministic._cache is None
     assert deterministic._draw_cache_extra() is None
     probabilistic = SpMTSimulator(fig1_pipelined_sms,
                                   ArchConfig(l1_miss_rate=0.9))
     extra = probabilistic._draw_cache_extra()
     assert extra is not None and any(e > 0 for e in extra)
+
+
+def test_missed_load_sends_its_value_after_the_miss():
+    """A cache miss lengthens a load for its consumers in later threads
+    too: a channel whose producer is a load delivers the value when the
+    missed load completes, as its in-thread dependents see it."""
+    from repro.graph import build_ddg
+    from repro.machine import LatencyModel, ResourceModel
+    from repro.spmt.sim import SpMTSimulator
+    from repro.workloads import kernel_by_name
+
+    arch = ArchConfig(l1_miss_rate=1.0, l2_miss_rate=0.0)
+    ddg = build_ddg(kernel_by_name("daxpy"), LatencyModel.for_arch(arch))
+    pipelined = run_postpass(
+        schedule_sms(ddg, ResourceModel.default(arch.issue_width)), arch)
+    sim = SpMTSimulator(pipelined, arch, SimConfig(seed=1))
+    template = sim.template
+    timing = sim._execute(0, 0.0, {})
+    miss = arch.l2_hit_latency - arch.l1_hit_latency
+    from_loads = 0
+    for ci, ch in enumerate(template.channels):
+        i = ch.producer_index
+        done = timing.issue_rel[i] + float(template.latency[i])
+        if ddg.node(ch.producer).opcode.is_load:
+            done += miss
+            from_loads += 1
+        assert timing.completion_time(template, ch.producer) == done
+        assert timing.value_arrival(template, ci) == \
+            done + ch.hops * arch.reg_comm_latency
+    assert from_loads
 
 
 def test_squash_counts_wasted_spawn_work(fig1_pipelined_tms, arch):

@@ -43,7 +43,7 @@ class TestSchedulerConfig:
         assert 0 < c.p_max <= 1 and c.speculation
 
     @pytest.mark.parametrize("kw", [
-        dict(p_max=1.5), dict(max_ii_factor=0.5), dict(max_candidates=0),
+        dict(p_max=1.5), dict(p_max=-0.1), dict(p_max=float("nan")),
     ])
     def test_validation(self, kw):
         with pytest.raises(MachineError):
