@@ -1,12 +1,13 @@
 """Regenerate the scheduler golden file.
 
-``tests/golden/sched_golden.json`` pins (II, slots, MaxLive, C_delay)
-for every scheduler on every paper kernel (the table2 synthetic SPECfp
+``tests/golden/sched_golden.json`` pins (II, slots, MaxLive, C_delay),
+and for TMS the C_delay threshold, ``F`` and ``P_M`` meta too, for every
+scheduler on every paper kernel (the table2 synthetic SPECfp
 populations at the CI ``--quick`` cap, the table3 DOACROSS loops — which
 fig5/fig6 reuse — and the motivating example).  The golden-equivalence
 tests in ``tests/test_engine_invariants.py`` diff the live schedulers
-against this file, so any placement change — intended or not — shows up
-as a review-able diff of this file, not a silent drift.
+against this file, so any placement or ``P_M`` change — intended or
+not — shows up as a review-able diff of this file, not a silent drift.
 
 Usage (from the repo root)::
 

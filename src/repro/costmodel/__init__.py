@@ -3,7 +3,8 @@
 * :mod:`repro.costmodel.sync` — synchronisation delay of a register
   dependence (Definition 2, generalised to kernel distances > 1), the
   skew a memory dependence needs in order to be *preserved*, and the
-  preserved-by test (Definition 3).
+  one preserved-by test (Definition 3, ancestor-refined), which TMS's C2
+  and the kernel ``P_M`` share.
 * :mod:`repro.costmodel.misspec` — kernel misspeculation probability
   ``P_M`` (Equation 3).
 * :mod:`repro.costmodel.exectime` — ``T_lb``, the objective
@@ -16,7 +17,8 @@ from .sync import (
     ScheduleView,
     sync_delay,
     required_skew,
-    is_preserved,
+    intra_ancestors,
+    preserved,
     non_preserved_memory_deps,
 )
 from .misspec import misspec_probability
@@ -35,12 +37,13 @@ __all__ = [
     "ScheduleView",
     "achieved_c_delay",
     "estimate_execution_time",
-    "is_preserved",
+    "intra_ancestors",
     "kernel_misspec_probability",
     "misspec_penalty",
     "misspec_probability",
     "non_preserved_memory_deps",
     "objective_f",
+    "preserved",
     "required_skew",
     "sync_delay",
     "t_lower_bound",

@@ -19,34 +19,48 @@ copies, so the *per-thread* skew it demands is::
 difference is amortised over ``k`` threads).  For ``k = 1`` this reduces to
 Definition 2 exactly.
 
-**Definition 3 (preserved memory dependence).**  An inter-iteration memory
-dependence ``x -> y`` is *preserved* by a set ``D`` of synchronised register
-dependences if some ``u -> v`` in ``D`` with ``row(u) < row(x)`` imposes a
-skew at least::
+**Definition 3 (preserved memory dependence), ancestor-refined.**  An
+inter-iteration memory dependence ``x -> y`` cannot misspeculate once the
+consuming thread is skewed by at least::
 
     required_skew(x, y) = (row(x) + lat(x) - row(y)) / d_ker(x, y)
 
-so that, by the time ``y`` executes in the consuming thread, ``x`` has
-already completed in the producing thread — the dependence cannot
-misspeculate.  (The paper's formula is garbled in the available text; this
-reconstruction matches the visible ``sync(u,v) >= (...)/d_ker(x,y)``
+because by the time ``y`` executes in the consuming thread, ``x`` has
+already completed in the producing thread.  With ``required_skew <= 0``
+that holds at zero skew, so the dependence is preserved unconditionally.
+Otherwise a synchronised register dependence ``u -> v`` preserves it
+exactly when
+
+* ``row(u) < row(x)``: the synchronisation happens before ``x``;
+* ``sync(u, v) >= required_skew(x, y)``: it skews the threads enough;
+* ``v`` is an intra-iteration ancestor of ``y`` (:func:`intra_ancestors`).
+  Our cores issue out of order, so a synchronisation wait delays only
+  the RECV's dependents: a ``y`` that does not depend on ``v`` issues
+  regardless of the wait, and the dependence can still be violated.
+
+The paper's formula is garbled in the available text.  The first two
+conditions reconstruct the visible ``sync(u,v) >= (...)/d_ker(x,y)``
 fragment and the motivating example, where SMS's 11-cycle sync delay
-"accidentally preserves" ``n5 -> n0/n2/n3``.  See DESIGN.md.)
+"accidentally preserves" ``n5 -> n0/n2/n3``; the third is our
+out-of-order refinement (DESIGN.md §6.2).  :func:`preserved` is the one
+statement of the rule: TMS's C2 (:class:`repro.sched.engine.TMSPolicy`)
+and the kernel ``P_M`` (:func:`non_preserved_memory_deps`) both call it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Protocol
+from typing import Collection, Iterable, Protocol
 
 from ..errors import DDGError
 from ..graph.ddg import DDG
-from ..graph.dependence import Dependence
+from ..graph.dependence import Dependence, DepType
 
 __all__ = [
     "ScheduleView",
     "sync_delay",
     "required_skew",
-    "is_preserved",
+    "intra_ancestors",
+    "preserved",
     "non_preserved_memory_deps",
 ]
 
@@ -87,27 +101,33 @@ def required_skew(view: ScheduleView, edge: Dependence) -> float:
     return (view.row(edge.src) + lat - view.row(edge.dst)) / k
 
 
-def is_preserved(view: ScheduleView, mem_edge: Dependence,
-                 reg_deps: Iterable[Dependence], c_reg_com: int,
-                 *, sync_cache: Mapping[Dependence, float] | None = None) -> bool:
-    """Definition 3: is ``mem_edge`` preserved by the synchronised
-    dependences in ``reg_deps``?
+def intra_ancestors(ddg: DDG) -> dict[str, frozenset[str]]:
+    """Per node ``y``, its intra-iteration ancestors: ``y`` itself and
+    every node that reaches it through distance-0 flow edges."""
+    ancestors: dict[str, frozenset[str]] = {}
+    for node in sorted(ddg.nodes, key=lambda n: n.position):
+        anc: set[str] = {node.name}
+        for e in ddg.preds(node.name):
+            if e.distance == 0 and e.dtype is DepType.FLOW \
+                    and e.src in ancestors:
+                anc |= ancestors[e.src]
+        ancestors[node.name] = frozenset(anc)
+    return ancestors
 
-    ``sync_cache`` optionally maps register dependences to their
-    pre-computed sync delays (the schedulers maintain one incrementally).
+
+def preserved(row_x: int, req: float, anc_y: Collection[str],
+              synced: Iterable[tuple[int, float, str]]) -> bool:
+    """Definition 3: is the memory dependence ``x -> y`` preserved by a
+    synchronised register dependence ``u -> v`` of ``synced``?
+
+    ``x -> y`` is given as ``row(x)``, its required skew and ``y``'s
+    :func:`intra_ancestors`; each ``u -> v`` as ``(row(u), sync(u, v),
+    v)``.
     """
-    threshold = required_skew(view, mem_edge)
-    if threshold <= 0:
-        # the producer completes no later than the consumer issues even with
-        # zero skew: preserved unconditionally.
+    if req <= 0:
         return True
-    x_row = view.row(mem_edge.src)
-    for dep in reg_deps:
-        if view.row(dep.src) >= x_row:
-            continue  # the synchronisation happens after x; no help
-        delay = (sync_cache[dep] if sync_cache is not None and dep in sync_cache
-                 else sync_delay(view, dep, c_reg_com))
-        if delay >= threshold:
+    for row_u, sync, v in synced:
+        if row_u < row_x and sync >= req and v in anc_y:
             return True
     return False
 
@@ -116,10 +136,12 @@ def non_preserved_memory_deps(view: ScheduleView,
                               mem_deps: Iterable[Dependence],
                               reg_deps: Iterable[Dependence],
                               c_reg_com: int) -> list[Dependence]:
-    """The subset of ``mem_deps`` not preserved by ``reg_deps`` — the
-    dependences that can actually misspeculate (the set ``M`` feeding
-    Equation 3)."""
-    reg_list = list(reg_deps)
-    cache = {dep: sync_delay(view, dep, c_reg_com) for dep in reg_list}
+    """The subset of ``mem_deps`` not :func:`preserved` by the
+    synchronised ``reg_deps`` — the dependences that can actually
+    misspeculate (the set ``M`` feeding Equation 3)."""
+    ancestors = intra_ancestors(view.ddg)
+    synced = [(view.row(e.src), sync_delay(view, e, c_reg_com), e.dst)
+              for e in reg_deps]
     return [e for e in mem_deps
-            if not is_preserved(view, e, reg_list, c_reg_com, sync_cache=cache)]
+            if not preserved(view.row(e.src), required_skew(view, e),
+                             ancestors[e.dst], synced)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..config import KNOWN_POLICIES, ArchConfig, SchedulerConfig, SimConfig
+from ..config import KNOWN_POLICIES, ArchConfig, SimConfig
 from ..costmodel import achieved_c_delay, estimate_execution_time
 from ..errors import MachineError
 from ..graph import build_ddg
@@ -48,7 +48,6 @@ def parse_policies(spec: str) -> tuple[str, ...]:
 
 
 def compile_report(source: str, *, arch: ArchConfig | None = None,
-                   config: SchedulerConfig | None = None,
                    iterations: int = 1000,
                    unroll: int = 1,
                    profile_iterations: int = 512,
@@ -86,7 +85,7 @@ def compile_report(source: str, *, arch: ArchConfig | None = None,
         seq.total_cycles / iterations
 
     for name in policies:
-        sched = schedule_with_policy(ddg, resources, arch, name, config)
+        sched = schedule_with_policy(ddg, resources, arch, name)
         pipelined = run_postpass(sched, arch)
         stats = simulate(pipelined, arch, SimConfig(iterations=iterations))
         alloc = allocate_registers(sched)

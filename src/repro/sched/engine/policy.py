@@ -28,10 +28,11 @@ integer row interval per stage (Definition 2's sync delay is linear in
 the row once the stage is fixed), rows outside it are never evaluated,
 and the score and C2 run only on the rows that survive and fit the
 resources.  Committed memory dependences carry a cached *preserved* flag
-(monotone — synchronised dependences are only ever added within an
-attempt), so C2 only checks committed non-preserved dependences against
-the *new* register dependences, and the new memory dependences against
-the committed register set.  The survivors' ``(1 - p_e)`` factors
+(Definition 3, :func:`repro.costmodel.sync.preserved`; monotone —
+synchronised dependences are only ever added within an attempt), so C2
+only checks committed non-preserved dependences against the *new*
+register dependences, and the new memory dependences against the
+committed register set.  The survivors' ``(1 - p_e)`` factors
 multiply in commit order, then the tentative placement's, keeping the
 float product bit-identical to a full rescan.
 
@@ -64,6 +65,7 @@ from operator import neg
 from typing import Mapping
 
 from ...config import ArchConfig, SchedulerConfig
+from ...costmodel.sync import intra_ancestors, preserved
 from ...graph.ddg import DDG
 from .context import EngineContext
 
@@ -170,23 +172,8 @@ class TMSContext:
             self.succ0[v] = tuple(
                 e.dst for e in succs if e.distance == 0 and e.dst != v)
 
-        # Intra-thread ancestors (distance-0 flow closure) per node.  Our
-        # cores issue out of order, so a synchronisation wait only delays
-        # the RECV's *dependents*; a memory dependence is preserved by a
-        # synchronised dependence u -> v (Definition 3) only when v feeds
-        # the memory consumer within the same iteration — otherwise the
-        # consumer issues regardless of the wait and the "preserved"
-        # dependence can still be violated at run time.
-        ancestors: dict[str, frozenset[str]] = {}
-        order_by_pos = sorted(ddg.nodes, key=lambda n: n.position)
-        for node in order_by_pos:
-            anc: set[str] = {node.name}
-            for e in ddg.preds(node.name):
-                if e.distance == 0 and e.dtype.value == "flow" \
-                        and e.src in ancestors:
-                    anc |= ancestors[e.src]
-            ancestors[node.name] = frozenset(anc)
-        self.ancestors = ancestors
+        # Definition 3's intra-iteration ancestors, for C2
+        self.ancestors = intra_ancestors(ddg)
         self.depth = ctx.depth
         self.height = ctx.height
 
@@ -579,45 +566,26 @@ class TMSPolicy(SlotPolicy):
         order then tentative order — the same sequence a full rescan
         produces."""
         ancestors = self._tms.ancestors
-        prod = 1.0
-        for ent in self._smem:
-            if ent[4]:
-                continue  # preserved by a committed register dep (cached)
-            row_x = ent[0]
-            req = ent[1]
-            anc_y = ancestors[ent[3]]
-            preserved = False
-            for row_u, sync, dst in new_reg:
-                if row_u < row_x and sync >= req and dst in anc_y:
-                    preserved = True
-                    break
-            if preserved:
-                continue
-            prod *= (1.0 - ent[2])
         sreg = self._sreg
+        prod = 1.0
+        for row_x, req, prob, y, cached in self._smem:
+            # a committed dep's flag caches preservation by the committed
+            # register deps; only the new ones can preserve it now
+            if not cached and not preserved(row_x, req, ancestors[y],
+                                            new_reg):
+                prod *= (1.0 - prob)
         for row_x, _sync, req, prob, y in new_mem:
-            if req <= 0:
-                continue  # preserved (Definition 3, ancestor-refined)
             anc_y = ancestors[y]
-            preserved = False
-            for row_u, sync, dst in sreg:
-                if row_u < row_x and sync >= req and dst in anc_y:
-                    preserved = True
-                    break
-            if not preserved:
-                for row_u, sync, dst in new_reg:
-                    if row_u < row_x and sync >= req and dst in anc_y:
-                        preserved = True
-                        break
-            if preserved:
-                continue
-            prod *= (1.0 - prob)
+            if not (preserved(row_x, req, anc_y, sreg)
+                    or preserved(row_x, req, anc_y, new_reg)):
+                prod *= (1.0 - prob)
         return 1.0 - prod <= self._p_max
 
     def on_place(self, v: str, cycle: int, slots: Mapping[str, int]) -> None:
         """Commit the new dependences of the slot :meth:`select` just
         returned."""
         new_reg, new_mem = self._chosen
+        ancestors = self._tms.ancestors
         sreg = self._sreg
         smem = self._smem
         if new_reg:
@@ -625,25 +593,11 @@ class TMSPolicy(SlotPolicy):
             # the new synchronised deps may preserve previously committed
             # memory deps: refresh the cached flags (monotone within an
             # attempt — register deps are only ever added).
-            ancestors = self._tms.ancestors
             for ent in smem:
-                if ent[4]:
-                    continue
-                row_x = ent[0]
-                req = ent[1]
-                anc_y = ancestors[ent[3]]
-                for row_u, sync, dst in new_reg:
-                    if row_u < row_x and sync >= req and dst in anc_y:
-                        ent[4] = True
-                        break
+                if not ent[4] and preserved(ent[0], ent[1],
+                                            ancestors[ent[3]], new_reg):
+                    ent[4] = True
         if self._speculation:
-            ancestors = self._tms.ancestors
             for row_x, _sync, req, prob, y in new_mem:
-                preserved = req <= 0
-                if not preserved:
-                    anc_y = ancestors[y]
-                    for row_u, sync, dst in sreg:
-                        if row_u < row_x and sync >= req and dst in anc_y:
-                            preserved = True
-                            break
-                smem.append([row_x, req, prob, y, preserved])
+                smem.append([row_x, req, prob, y,
+                             preserved(row_x, req, ancestors[y], sreg)])

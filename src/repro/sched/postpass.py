@@ -47,12 +47,6 @@ class CommPlan:
     #: register copies inserted by modulo variable expansion.
     copies: int
 
-    @property
-    def c_delay(self) -> float:
-        """The maximum per-thread synchronisation delay (the paper's
-        achieved ``C_delay``; 0.0 with no synchronised dependences)."""
-        return max((ch.sync for ch in self.channels), default=0.0)
-
 
 @dataclass(frozen=True)
 class PipelinedLoop:

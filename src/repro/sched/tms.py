@@ -223,7 +223,9 @@ class ThreadSensitiveScheduler(SwingModuloScheduler):
         validate_schedule(sched, self.resources)
         sched.meta["achieved_c_delay"] = achieved_c_delay(
             sched, self.arch, include_memory=not self.config.speculation)
-        sched.meta["p_m"] = kernel_misspec_probability(sched, self.arch)
+        # with speculation off every memory dependence is synchronised
+        sched.meta["p_m"] = kernel_misspec_probability(sched, self.arch) \
+            if self.config.speculation else 0.0
         return sched
 
     # -- one TMS scheduling attempt ---------------------------------------------

@@ -34,11 +34,10 @@ no further requests).
 
 Shutdown discipline: SIGTERM/SIGINT (and ``/shutdown``) first flip the
 broker to *draining* — new submissions get typed ``draining``
-rejections while in-flight jobs finish — then stop the HTTP listener,
-end the kept-alive connections still open, and release the warm worker
-pool.  The actual teardown runs on a separate thread because
-``HTTPServer.shutdown()`` deadlocks when called from the
-``serve_forever`` thread itself.
+rejections while in-flight jobs finish — then stop the HTTP listener
+and end the kept-alive connections still open.  The actual teardown
+runs on a separate thread because ``HTTPServer.shutdown()`` deadlocks
+when called from the ``serve_forever`` thread itself.
 """
 
 from __future__ import annotations

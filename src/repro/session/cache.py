@@ -21,7 +21,7 @@ disk-tier I/O too — correctness over concurrency; the disk tier is an
 optimisation, and artifact pickles are small.
 
 Every operation feeds :class:`CacheStats`, the counters surfaced through
-``Session.report()`` / ``tms-experiments --cache-stats``-style output.
+``Session.report()`` and ``tms-experiments --stats``.
 """
 
 from __future__ import annotations

@@ -35,11 +35,13 @@ __all__ = ["ARTIFACT_FORMAT", "artifact_key", "fingerprint",
 
 #: Pickle layout of a compile artifact, embedded in :func:`artifact_key`.
 #: Bump it whenever a class a ``CompiledLoop`` holds changes how it
-#: pickles its state: an entry written under the old layout may load
-#: without error into wrong values.  2: ``DDGNode`` and ``Dependence``
-#: became slotted (they pickled a ``__dict__`` before, which a slotted
-#: dataclass reads as its field names).
-ARTIFACT_FORMAT = 2
+#: pickles its state, or a stored value changes meaning: an entry written
+#: under the old format may load without error into wrong values.
+#: 2: ``DDGNode`` and ``Dependence`` became slotted (they pickled a
+#: ``__dict__`` before, which a slotted dataclass reads as its field
+#: names).  3: a TMS schedule's ``meta["p_m"]`` follows the
+#: ancestor-refined Definition 3 (the row-based value before).
+ARTIFACT_FORMAT = 3
 
 
 def _canonical(obj: Any) -> Any:

@@ -196,7 +196,7 @@ class SpMTSimulator:
                                        stall_log=stall_log)
                 timings[j] = timing
                 violation = detect_violation(
-                    template, timings, realisations.realised(j), j)
+                    template, timings, realisations.mask(j), j)
                 injected = False
                 if violation is None:
                     forced = self._inject_violation(j, core, restarts, timing)

@@ -18,12 +18,15 @@ MDT lookup).
 
 Thread ``j``'s draws are row ``j`` of one seeded stream, whichever
 threads the simulator reads or skips: :class:`RealisationTable` draws
-them in chunks of threads and gives each thread's draws as a tuple (for
-:func:`detect_violation`) and as an int bitmask (the fast path's memo
-key and skip scans).
+them in chunks of threads and gives each thread's draws as an int
+bitmask, bit ``i`` set when dependence ``i`` manifests (read by
+:func:`detect_violation`, the fast path's memo key and its skip scans).
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
+from typing import Iterator
 
 import numpy as np
 
@@ -60,15 +63,13 @@ class RealisationTable:
         self._probs = np.array(
             [p for (_x, _y, _k, p) in template.speculated], dtype=np.float64)
         self._chunk = min(n, _CHUNK)
-        #: draws of threads [_first, _first + len(_masks)), as bool rows
-        #: and as int bitmasks
+        #: draws of threads [_first, _first + len(_masks)) as bitmasks
         self._first = 0
-        self._rows = np.zeros((0, len(self._probs)), dtype=bool)
         self._masks: list[int] = []
 
     def _hold(self, thread: int) -> int:
-        """Row of ``thread``, drawing chunks up to the one that holds
-        it."""
+        """Index of ``thread``'s mask, drawing chunks up to the one that
+        holds it."""
         if thread < self._first:
             raise IndexError(
                 f"thread {thread}'s realisation draws were dropped (the "
@@ -84,25 +85,17 @@ class RealisationTable:
                     if lo else word
             # keep the newest held chunk beside the new one
             self._first += max(0, len(self._masks) - chunk)
-            self._rows = np.concatenate((self._rows[-chunk:], rows))
             self._masks = self._masks[-chunk:] + masks
         return thread - self._first
 
-    def realised(self, thread: int) -> tuple[bool, ...]:
-        """Which speculated dependences manifest for consumer ``thread``.
+    def mask(self, thread: int) -> int:
+        """Which speculated dependences manifest for consumer
+        ``thread``: bit ``i`` set when dependence ``i`` does.
 
         Realisations are sticky: the paper's model re-executes the
         *same* dynamic iteration, so a restarted thread sees the draws
         of its first execution.
         """
-        i = thread - self._first
-        if not 0 <= i < len(self._masks):
-            i = self._hold(thread)
-        return tuple(self._rows[i].tolist())
-
-    def mask(self, thread: int) -> int:
-        """:meth:`realised` as an int: bit ``i`` set when dependence
-        ``i`` manifests."""
         i = thread - self._first
         if not 0 <= i < len(self._masks):
             i = self._hold(thread)
@@ -115,34 +108,37 @@ class RealisationTable:
         return self._first, self._masks
 
 
-def detect_violation(template: KernelTimingTemplate,
-                     timings: dict[int, ThreadTiming],
-                     realised: tuple[bool, ...],
-                     thread: int) -> tuple[int, float] | None:
-    """First violated speculated dependence for ``thread``, if any.
-
-    Returns ``(dependence_index, detection_time)`` for the violation with
-    the earliest detection time, or None.  Producers in threads that do not
-    exist (j - k < 0) cannot be violated — their values are committed
-    memory state.
-    """
-    worst: tuple[int, float] | None = None
+def _violated(template: KernelTimingTemplate,
+              timings: dict[int, ThreadTiming], thread: int,
+              mask: int) -> Iterator[tuple[int, float]]:
+    """``(dependence_index, detection_time)`` of every speculated
+    dependence in ``mask`` that ``thread`` violates: its consumer issued
+    before the producer ``k`` threads back completed.  Producers in
+    threads that do not exist (j - k < 0) cannot be violated — their
+    values are committed memory state."""
+    cons = timings[thread]
     for idx, (x, y, k, _p) in enumerate(template.speculated):
-        if not realised[idx]:
+        if not mask >> idx & 1 or thread < k:
             continue
-        producer_thread = thread - k
-        if producer_thread < 0:
-            continue
-        prod = timings.get(producer_thread)
+        prod = timings.get(thread - k)
         if prod is None:
             continue
-        cons = timings[thread]
         produced = prod.completion_time(template, x)
-        consumed = cons.issue_time(template, y)
-        if consumed < produced:
-            if worst is None or produced < worst[1]:
-                worst = (idx, produced)
-    return worst
+        if cons.issue_time(template, y) < produced:
+            yield idx, produced
+
+
+def detect_violation(template: KernelTimingTemplate,
+                     timings: dict[int, ThreadTiming],
+                     mask: int, thread: int) -> tuple[int, float] | None:
+    """First violated speculated dependence for ``thread`` among those
+    that manifest (the set bits of ``mask``), if any.
+
+    Returns ``(dependence_index, detection_time)`` for the violation with
+    the earliest detection time (the lowest index on a tie), or None.
+    """
+    return min(_violated(template, timings, thread, mask),
+               key=itemgetter(1), default=None)
 
 
 def manifest_violations(template: KernelTimingTemplate,
@@ -157,15 +153,4 @@ def manifest_violations(template: KernelTimingTemplate,
     produce a violation, and a non-empty one marks the dependences whose
     Bernoulli draws must be scanned before skipping.
     """
-    out: list[int] = []
-    cons = timings[thread]
-    for idx, (x, y, k, _p) in enumerate(template.speculated):
-        producer_thread = thread - k
-        if producer_thread < 0:
-            continue
-        prod = timings.get(producer_thread)
-        if prod is None:
-            continue
-        if cons.issue_time(template, y) < prod.completion_time(template, x):
-            out.append(idx)
-    return out
+    return [idx for idx, _t in _violated(template, timings, thread, -1)]

@@ -4,7 +4,12 @@ import pytest
 
 import repro.sched.tms as tms_mod
 from repro.config import ArchConfig, SchedulerConfig
-from repro.costmodel import achieved_c_delay, kernel_misspec_probability, sync_delay
+from repro.costmodel import (
+    achieved_c_delay,
+    estimate_execution_time,
+    kernel_misspec_probability,
+    sync_delay,
+)
 from repro.graph import build_ddg
 from repro.machine import LatencyModel, ResourceModel
 from repro.obs.telemetry import Telemetry
@@ -79,6 +84,18 @@ def test_no_speculation_mode(fig1_ddg, fig1_machine, arch):
     # achieved C_delay now includes the synchronised memory dependences
     cd_all = achieved_c_delay(tms, arch, include_memory=True)
     assert cd_all <= tms.meta["c_delay_threshold"] + 1e-9
+
+
+def test_no_speculation_mode_reports_no_misspeculation(
+        fig1_ddg, fig1_machine, arch):
+    """With every memory dependence synchronised nothing is speculated:
+    ``meta["p_m"]`` is the model's 0, not the speculated kernel's 0.0443
+    (``n5 -> n0/n2/n3``)."""
+    cfg = SchedulerConfig(speculation=False)
+    tms = ThreadSensitiveScheduler(fig1_ddg, fig1_machine, arch, cfg).schedule()
+    assert tms.meta["p_m"] == 0.0
+    assert estimate_execution_time(tms, arch, 100,
+                                   synchronize_memory=True).p_m == 0.0
 
 
 def test_try_p_max_values(fig1_ddg, fig1_machine, arch):

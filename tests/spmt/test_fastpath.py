@@ -200,10 +200,10 @@ def test_max_events_counts_skipped_threads(axpy_pipelined, arch,
 
 def _sequential_draws(template, seed, count):
     """Each thread's draws as one ``rng.random(n_deps)`` call per thread
-    in thread order: the reference loop's stream."""
+    in thread order: the reference loop's stream, as bitmasks."""
     rng = np.random.default_rng(seed)
     probs = [p for (_x, _y, _k, p) in template.speculated]
-    return [tuple(bool(d < p) for d, p in zip(rng.random(len(probs)), probs))
+    return [_bits(d < p for d, p in zip(rng.random(len(probs)), probs))
             for _ in range(count)]
 
 
@@ -212,31 +212,33 @@ def _bits(draws):
 
 
 def test_block_draws_match_sequential(fig1_pipelined_tms, arch):
-    """Tuple and bitmask draws equal sequential per-thread draws across a
-    chunk boundary (2,048 threads), and when ``n`` is shorter than one
-    chunk (chunks of ``n`` threads)."""
+    """Bitmask draws, read one by one or a chunk at a time, equal
+    sequential per-thread draws across a chunk boundary (2,048 threads),
+    and when ``n`` is shorter than one chunk (chunks of ``n``
+    threads)."""
     sim = SpMTSimulator(fig1_pipelined_tms, arch)
     expected = _sequential_draws(sim.template, 42, 2100)
-    assert any(any(draws) for draws in expected)
+    assert any(expected)
     for n, count in ((5000, 2100), (50, 120)):
-        tuples = RealisationTable(sim.template, 42, n)
         masks = RealisationTable(sim.template, 42, n)
+        chunks = RealisationTable(sim.template, 42, n)
         for j in range(count):
-            assert tuples.realised(j) == expected[j]
-            assert masks.mask(j) == _bits(expected[j])
+            assert masks.mask(j) == expected[j]
+            first, held = chunks.chunk(j)
+            assert held[j - first] == expected[j]
 
 
 def test_block_overlap_does_not_redraw(fig1_pipelined_tms, arch):
-    """Reading the held chunks again, through ``chunk`` or ``realised``,
+    """Reading the held chunks again, through ``chunk`` or ``mask``,
     consumes nothing: later threads continue the same stream."""
     sim = SpMTSimulator(fig1_pipelined_tms, arch)
     expected = _sequential_draws(sim.template, 9, 52)
     tab = RealisationTable(sim.template, 9, 32)
-    assert tab.chunk(16) == (0, [_bits(d) for d in expected[:32]])
+    assert tab.chunk(16) == (0, expected[:32])
     for j in (20, 16, 31, 0):
-        assert tab.realised(j) == expected[j]
+        assert tab.mask(j) == expected[j]
     for j in range(48, 52):
-        assert tab.realised(j) == expected[j]
+        assert tab.mask(j) == expected[j]
 
 
 def test_block_keeps_rows_past_a_shorter_request(fig1_pipelined_tms, arch):
@@ -245,11 +247,11 @@ def test_block_keeps_rows_past_a_shorter_request(fig1_pipelined_tms, arch):
     sim = SpMTSimulator(fig1_pipelined_tms, arch)
     expected = _sequential_draws(sim.template, 11, 89)
     tab = RealisationTable(sim.template, 11, 32)
-    tab.realised(40)
-    assert tab.realised(16) == expected[16]
-    later = [tab.realised(j) for j in range(24, 64)]
+    tab.mask(40)
+    assert tab.mask(16) == expected[16]
+    later = [tab.mask(j) for j in range(24, 64)]
     assert later == expected[24:64]
-    assert tab.realised(88) == expected[88]
+    assert tab.mask(88) == expected[88]
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -264,7 +266,7 @@ def test_realisation_table_holds_at_most_two_chunks(
     class Recording(RealisationTable):
         def _hold(self, thread):
             row = super()._hold(thread)
-            peaks[-1] = max(peaks[-1], len(self._masks), len(self._rows))
+            peaks[-1] = max(peaks[-1], len(self._masks))
             return row
 
     monkeypatch.setattr("repro.spmt.sim.RealisationTable", Recording)
