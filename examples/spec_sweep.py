@@ -5,7 +5,7 @@ Compiles a capped population (5 loops per benchmark) of the synthetic
 SPECfp2000 suite with SMS and TMS, prints the Table-2 metrics next to the
 paper's reported values, and simulates both kernels per loop to produce
 the Figure-4 speedups.  The full 778-loop population is regenerated by
-``tms-experiments table2 fig4`` (or the pytest benches) without the cap.
+``tms-experiments table2 fig4`` without the cap.
 
 Run:  python examples/spec_sweep.py
 """

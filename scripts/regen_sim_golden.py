@@ -23,8 +23,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: population cap matching the CI --quick runs; REPRO_FULL-style overrides
-#: are deliberately not honoured — the golden file must be stable.
+#: population cap matching the CI --quick runs; a constant, so the golden
+#: file stays stable.
 MAX_LOOPS = 4
 
 #: enough iterations that every steady kernel fast-forwards, small enough

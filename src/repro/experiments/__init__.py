@@ -2,16 +2,18 @@
 
 Every harness returns plain data structures (lists of dataclasses / dicts)
 and offers a ``render(...)`` producing the table the paper prints.  The
-``runner`` module exposes them as a CLI (``python -m repro.experiments``),
-and ``benchmarks/`` wraps each in a pytest-benchmark target.
+``runner`` module exposes them as a CLI (``tms-experiments``, also
+``python -m repro.experiments``), the one way to regenerate the paper;
+tier-1 ``tests/experiments/`` checks each artefact's shape.  Harnesses
+compile and simulate in batches through the process
+:class:`~repro.session.Session` (``compile_many`` / ``simulate_many``).
 
 Quick-vs-full: harnesses accept ``max_loops`` (per-benchmark population
 cap) and ``iterations`` (simulated trip count); the defaults keep a full
-run tractable on a laptop, and the benches further reduce them unless
-``REPRO_FULL=1`` is set.
+run tractable on a laptop, and ``--quick`` reduces them further.
 """
 
-from .pipeline import CompiledLoop, compile_loop, simulate_loop
+from .pipeline import CompiledLoop
 from .table1 import table1
 from .table2 import Table2Row, run_table2, render_table2
 from .table3 import Table3Row, run_table3, render_table3
@@ -29,7 +31,6 @@ __all__ = [
     "SpeculationRow",
     "Table2Row",
     "Table3Row",
-    "compile_loop",
     "render_fig4",
     "render_fig5",
     "render_fig6",
@@ -45,6 +46,5 @@ __all__ = [
     "run_speculation",
     "run_table2",
     "run_table3",
-    "simulate_loop",
     "table1",
 ]

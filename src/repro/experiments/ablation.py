@@ -10,22 +10,28 @@
   SpMT machine (the paper: "our work is not tied to any existing modulo
   scheduling algorithm"; Huff's lifetime-sensitive scheduler is its
   reference [9]).
+
+Each sweep point is one ``Session.compile_many`` over the selected loops
+and one ``Session.simulate_many`` over their kernels, through the process
+session.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..config import ArchConfig, SchedulerConfig
+from ..errors import SchedulingError
 from ..machine.resources import ResourceModel
 from ..sched.huff import HuffModuloScheduler
 from ..sched.ims import IterativeModuloScheduler
 from ..workloads.doacross import DOACROSS_LOOPS
-from .pipeline import AlgResult, compile_loop, simulate_loop
+from .pipeline import AlgResult
 from .report import format_table
 
 __all__ = [
     "PmaxPoint",
+    "render_scheduler_comparison",
     "run_comm_latency_sweep",
     "run_core_sweep",
     "run_granularity_sweep",
@@ -43,32 +49,27 @@ class PmaxPoint:
     cycles_per_iteration: float
 
 
-def _selected(benchmarks: list[str] | None):
-    for sl in DOACROSS_LOOPS:
-        if benchmarks is None or sl.benchmark in benchmarks:
-            yield sl
+def _selected_loops(benchmarks: list[str] | None) -> list:
+    return [sl.loop for sl in DOACROSS_LOOPS
+            if benchmarks is None or sl.benchmark in benchmarks]
 
 
-def _tms_point(task: tuple) -> tuple[float, float, float, float]:
-    """Compile one loop at one sweep point and run its TMS kernel.
-
-    Module-level so the ParallelRunner can ship it to worker processes;
-    a sequential run executes it inline through the calling session's
-    cache, a parallel worker through its own process session (sharing
-    the disk tier when ``REPRO_CACHE_DIR`` is set).
-    """
-    loop, arch, config, iterations = task
-    compiled = compile_loop(loop, arch,
-                            ResourceModel.default(arch.issue_width), config)
-    stats = simulate_loop(compiled.tms, arch, iterations)
-    return (compiled.tms.ii, compiled.tms.c_delay,
-            stats.misspec_frequency, stats.cycles_per_iteration)
-
-
-def _sweep(tasks: list[tuple], jobs: int | None) -> list[tuple]:
-    from ..session import ParallelRunner
-    results = ParallelRunner(jobs).map(_tms_point, tasks, on_error="raise")
-    return [r.value for r in results]
+def _tms_averages(loops: list, arch: ArchConfig,
+                  config: SchedulerConfig | None, iterations: int,
+                  jobs: int | None) -> tuple[float, float, float, float]:
+    """One sweep point: compile ``loops`` and run their TMS kernels.
+    Returns the average TMS II, C_delay, misspeculation frequency and
+    cycles per iteration."""
+    from ..session import get_session
+    session = get_session()
+    compiled = session.compile_many(loops, arch, config=config, jobs=jobs)
+    stats = session.simulate_many([c.tms for c in compiled], arch,
+                                  iterations, jobs=jobs)
+    n = len(compiled)
+    return (sum(c.tms.ii for c in compiled) / n,
+            sum(c.tms.c_delay for c in compiled) / n,
+            sum(s.misspec_frequency for s in stats) / n,
+            sum(s.cycles_per_iteration for s in stats) / n)
 
 
 def run_pmax_sweep(p_values: tuple[float, ...] = (0.0, 0.01, 0.05, 0.2, 1.0),
@@ -77,22 +78,10 @@ def run_pmax_sweep(p_values: tuple[float, ...] = (0.0, 0.01, 0.05, 0.2, 1.0),
                    benchmarks: list[str] | None = None,
                    jobs: int | None = None) -> list[PmaxPoint]:
     arch = arch or ArchConfig.paper_default()
-    loops = list(_selected(benchmarks))
-    measured = _sweep(
-        [(sl.loop, arch, SchedulerConfig(p_max=p_max), iterations)
-         for p_max in p_values for sl in loops], jobs)
-    points: list[PmaxPoint] = []
-    n = len(loops)
-    for i, p_max in enumerate(p_values):
-        chunk = measured[i * n:(i + 1) * n]
-        points.append(PmaxPoint(
-            p_max=p_max,
-            tms_ii=sum(m[0] for m in chunk) / n,
-            tms_cdelay=sum(m[1] for m in chunk) / n,
-            misspec_frequency=sum(m[2] for m in chunk) / n,
-            cycles_per_iteration=sum(m[3] for m in chunk) / n,
-        ))
-    return points
+    loops = _selected_loops(benchmarks)
+    return [PmaxPoint(p_max, *_tms_averages(
+                loops, arch, SchedulerConfig(p_max=p_max), iterations, jobs))
+            for p_max in p_values]
 
 
 def run_comm_latency_sweep(latencies: tuple[int, ...] = (1, 3, 6),
@@ -100,20 +89,16 @@ def run_comm_latency_sweep(latencies: tuple[int, ...] = (1, 3, 6),
                            benchmarks: list[str] | None = None,
                            jobs: int | None = None) -> list[dict]:
     """TMS quality vs operand-network latency."""
-    loops = list(_selected(benchmarks))
-    archs = [ArchConfig.paper_default().with_reg_comm_latency(lat)
-             for lat in latencies]
-    measured = _sweep(
-        [(sl.loop, arch, None, iterations)
-         for arch in archs for sl in loops], jobs)
+    loops = _selected_loops(benchmarks)
     out: list[dict] = []
-    n = len(loops)
-    for i, lat in enumerate(latencies):
-        chunk = measured[i * n:(i + 1) * n]
+    for lat in latencies:
+        arch = ArchConfig.paper_default().with_reg_comm_latency(lat)
+        _ii, c_delay, _misspec, cpi = _tms_averages(
+            loops, arch, None, iterations, jobs)
         out.append({
             "reg_comm_latency": lat,
-            "avg_c_delay": sum(m[1] for m in chunk) / n,
-            "avg_cycles_per_iteration": sum(m[3] for m in chunk) / n,
+            "avg_c_delay": c_delay,
+            "avg_cycles_per_iteration": cpi,
         })
     return out
 
@@ -123,47 +108,75 @@ def run_core_sweep(cores: tuple[int, ...] = (2, 4, 8),
                    benchmarks: list[str] | None = None,
                    jobs: int | None = None) -> list[dict]:
     """TMS scaling with core count."""
-    loops = list(_selected(benchmarks))
-    archs = [ArchConfig.paper_default().with_cores(ncore) for ncore in cores]
-    measured = _sweep(
-        [(sl.loop, arch, None, iterations)
-         for arch in archs for sl in loops], jobs)
+    loops = _selected_loops(benchmarks)
     out: list[dict] = []
-    n = len(loops)
-    for i, ncore in enumerate(cores):
-        chunk = measured[i * n:(i + 1) * n]
+    for ncore in cores:
+        arch = ArchConfig.paper_default().with_cores(ncore)
+        ii, c_delay, _misspec, cpi = _tms_averages(
+            loops, arch, None, iterations, jobs)
         out.append({
             "ncore": ncore,
-            "avg_tms_ii": sum(m[0] for m in chunk) / n,
-            "avg_c_delay": sum(m[1] for m in chunk) / n,
-            "avg_cycles_per_iteration": sum(m[3] for m in chunk) / n,
+            "avg_tms_ii": ii,
+            "avg_c_delay": c_delay,
+            "avg_cycles_per_iteration": cpi,
         })
     return out
+
+
+def _scheduled(scheduler, arch: ArchConfig) -> AlgResult | None:
+    try:
+        return AlgResult.from_schedule(scheduler.schedule(), arch)
+    except SchedulingError:
+        return None
 
 
 def run_scheduler_comparison(arch: ArchConfig | None = None,
                              iterations: int = 500,
                              benchmarks: list[str] | None = None
                              ) -> list[dict]:
-    """SMS vs IMS vs Huff vs TMS kernels executed on the SpMT machine."""
+    """SMS vs IMS vs Huff vs TMS kernels executed on the SpMT machine.
+
+    A scheduler that finds no schedule for a loop (Huff on lucas_fft)
+    has no ``_ii``/``_cdelay``/``_cpi`` entries in that loop's row."""
+    from ..session import get_session
     arch = arch or ArchConfig.paper_default()
     resources = ResourceModel.default(arch.issue_width)
+    session = get_session()
+    loops = _selected_loops(benchmarks)
     out: list[dict] = []
-    for sl in _selected(benchmarks):
-        compiled = compile_loop(sl.loop, arch, resources)
-        ims = AlgResult.from_schedule(
-            IterativeModuloScheduler(compiled.ddg, resources).schedule(), arch)
-        huff = AlgResult.from_schedule(
-            HuffModuloScheduler(compiled.ddg, resources).schedule(), arch)
-        row = {"loop": sl.loop.name}
-        for name, alg in (("sms", compiled.sms), ("ims", ims),
-                          ("huff", huff), ("tms", compiled.tms)):
-            stats = simulate_loop(alg, arch, iterations)
-            row[f"{name}_ii"] = alg.ii
-            row[f"{name}_cdelay"] = alg.c_delay
-            row[f"{name}_cpi"] = stats.cycles_per_iteration
+    kernels: list[tuple[dict, str, AlgResult]] = []
+    for loop, compiled in zip(loops, session.compile_many(loops, arch,
+                                                          resources)):
+        algs = {
+            "sms": compiled.sms,
+            "ims": _scheduled(
+                IterativeModuloScheduler(compiled.ddg, resources), arch),
+            "huff": _scheduled(
+                HuffModuloScheduler(compiled.ddg, resources), arch),
+            "tms": compiled.tms,
+        }
+        row = {"loop": loop.name}
+        for name, alg in algs.items():
+            if alg is not None:
+                row[f"{name}_ii"] = alg.ii
+                row[f"{name}_cdelay"] = alg.c_delay
+                kernels.append((row, name, alg))
         out.append(row)
+    stats = session.simulate_many([alg for _r, _n, alg in kernels], arch,
+                                  iterations)
+    for (row, name, _alg), s in zip(kernels, stats):
+        row[f"{name}_cpi"] = s.cycles_per_iteration
     return out
+
+
+def render_scheduler_comparison(rows: list[dict]) -> str:
+    names = ("SMS", "IMS", "Huff", "TMS")
+    return format_table(
+        ["Loop"] + [f"{name} cyc/iter" for name in names],
+        [[r["loop"]] + [r.get(f"{name.lower()}_cpi", "—") for name in names]
+         for r in rows],
+        title="Ablation: SMS vs IMS vs Huff vs TMS kernels on the SpMT "
+              "machine (— = no schedule).")
 
 
 def run_granularity_sweep(factors: tuple[int, ...] = (1, 2, 4),
@@ -177,29 +190,27 @@ def run_granularity_sweep(factors: tuple[int, ...] = (1, 2, 4),
     granularity.  Reported cycles are normalised per *original*
     iteration."""
     from ..ir.unroll import unroll_loop
+    from ..session import get_session
 
     arch = arch or ArchConfig.paper_default()
-    resources = ResourceModel.default(arch.issue_width)
+    session = get_session()
+    # keep the sweep tractable: fine-grain loops only
+    loops = [loop for loop in _selected_loops(benchmarks)
+             if len(loop) * max(factors) <= 80]
     out: list[dict] = []
-    max_factor = max(factors)
     for factor in factors:
-        cpis, iis, pairs = [], [], []
-        for sl in _selected(benchmarks):
-            if len(sl.loop) * max_factor > 80:
-                continue  # keep the sweep tractable: fine-grain loops only
-            loop = unroll_loop(sl.loop, factor)
-            compiled = compile_loop(loop, arch, resources)
-            stats = simulate_loop(compiled.tms, arch,
-                                  max(iterations // factor, 64))
-            cpis.append(stats.cycles_per_iteration / factor)
-            iis.append(compiled.tms.ii)
-            pairs.append(compiled.tms.pipelined.comm.pairs_per_iteration
-                         / factor)
-        n = len(cpis)
+        compiled = session.compile_many(
+            [unroll_loop(loop, factor) for loop in loops], arch)
+        stats = session.simulate_many([c.tms for c in compiled], arch,
+                                      max(iterations // factor, 64))
+        n = len(compiled)
         out.append({
             "unroll_factor": factor,
-            "avg_tms_ii": sum(iis) / n,
-            "avg_cycles_per_orig_iteration": sum(cpis) / n,
-            "avg_pairs_per_orig_iteration": sum(pairs) / n,
+            "avg_tms_ii": sum(c.tms.ii for c in compiled) / n,
+            "avg_cycles_per_orig_iteration":
+                sum(s.cycles_per_iteration / factor for s in stats) / n,
+            "avg_pairs_per_orig_iteration":
+                sum(c.tms.pipelined.comm.pairs_per_iteration / factor
+                    for c in compiled) / n,
         })
     return out

@@ -29,7 +29,6 @@ from ..machine.resources import ResourceModel
 from ..spmt.nest import simulate_nest_inner_tms, simulate_nest_outer_parallel
 from ..spmt.single import simulate_sequential
 from ..workloads.doacross import DOACROSS_LOOPS
-from .pipeline import compile_loop
 from .report import format_table
 
 __all__ = ["NestPoint", "run_nest_crossover", "render_nest_crossover"]
@@ -63,13 +62,14 @@ def run_nest_crossover(inner_trips: tuple[int, ...] = (4, 16, 64, 256),
                        config: SchedulerConfig | None = None,
                        benchmarks: list[str] | None = None
                        ) -> list[NestPoint]:
+    from ..session import get_session
     arch = arch or ArchConfig.paper_default()
     resources = ResourceModel.default(arch.issue_width)
+    loops = [sl.loop for sl in DOACROSS_LOOPS
+             if benchmarks is None or sl.benchmark in benchmarks]
     out: list[NestPoint] = []
-    for sl in DOACROSS_LOOPS:
-        if benchmarks is not None and sl.benchmark not in benchmarks:
-            continue
-        compiled = compile_loop(sl.loop, arch, resources, config)
+    for compiled in get_session().compile_many(loops, arch, resources,
+                                               config):
         for trip in inner_trips:
             total = outer_trip * trip
             single = simulate_sequential(compiled.ddg, resources, trip)

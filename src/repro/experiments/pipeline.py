@@ -1,15 +1,12 @@
-"""Shared compile-and-simulate pipeline for all experiments.
+"""Shared compile pipeline for all experiments.
 
-``compile_loop`` runs the full flow the paper's compiler runs per loop:
-IR -> DDG -> {SMS, TMS} schedule -> post-pass -> metrics.  ``simulate_loop``
-executes a compiled kernel on the SpMT machine (or single-core baselines).
-
-Both route through the process-wide :class:`repro.session.Session`, so
-repeated requests for the same ``(loop, arch, resources, config)`` point
-— across tables, figures, sweeps and benches — reuse one compiled
-artifact (and one timing template) instead of recompiling.
-``compile_loop_uncached`` is the raw pipeline the session invokes on a
-cache miss.
+``compile_loop_uncached`` runs the full flow the paper's compiler runs
+per loop: IR -> DDG -> {SMS, TMS} schedule -> post-pass -> metrics, into
+a :class:`CompiledLoop`.  Harnesses never call it directly: they batch
+through :meth:`repro.session.Session.compile_many` (and
+``simulate_many``), which call it on a cache miss, so repeated requests
+for the same ``(loop, arch, resources, config)`` point — across tables,
+figures and sweeps — reuse one compiled artifact.
 """
 
 from __future__ import annotations
@@ -33,11 +30,8 @@ from ..sched.maxlive import max_live
 from ..sched.postpass import PipelinedLoop, run_postpass
 from ..sched.schedule import Schedule
 from ..sched.sms import LoopAnalysis, SwingModuloScheduler
-from ..spmt.single import simulate_modulo_single_core, simulate_sequential
-from ..spmt.stats import SimStats
 
-__all__ = ["AlgResult", "CompiledLoop", "compile_loop",
-           "compile_loop_uncached", "simulate_loop"]
+__all__ = ["AlgResult", "CompiledLoop", "compile_loop_uncached"]
 
 
 @dataclass(frozen=True)
@@ -99,17 +93,6 @@ def _nontrivial_scc_count(ddg: DDG) -> int:
     return count
 
 
-def compile_loop(source: Loop | DDG, arch: ArchConfig,
-                 resources: ResourceModel | None = None,
-                 config: SchedulerConfig | None = None,
-                 latency: LatencyModel | None = None,
-                 session=None) -> CompiledLoop:
-    """Compile one loop with both SMS and TMS (cached per session)."""
-    from ..session import get_session
-    session = session or get_session()
-    return session.compile(source, arch, resources, config, latency)
-
-
 def compile_loop_uncached(source: Loop | DDG, arch: ArchConfig,
                           resources: ResourceModel | None = None,
                           config: SchedulerConfig | None = None,
@@ -157,24 +140,3 @@ def compile_loop_uncached(source: Loop | DDG, arch: ArchConfig,
         tms=AlgResult.from_schedule(tms_sched, arch,
                                     synchronize_memory=sync_mem),
     )
-
-
-def simulate_loop(result: AlgResult, arch: ArchConfig,
-                  iterations: int = 500, seed: int = 0xACE5,
-                  session=None) -> SimStats:
-    """Run one compiled kernel on the SpMT machine (timing template
-    memoised per session)."""
-    from ..session import get_session
-    session = session or get_session()
-    return session.simulate(result, arch, iterations, seed)
-
-
-def simulate_baselines(compiled: CompiledLoop, arch: ArchConfig,
-                       resources: ResourceModel, iterations: int
-                       ) -> dict[str, SimStats]:
-    """Single-threaded and single-core-modulo baselines for one loop."""
-    return {
-        "sequential": simulate_sequential(compiled.ddg, resources, iterations),
-        "sms_single_core": simulate_modulo_single_core(
-            compiled.sms.schedule, iterations),
-    }

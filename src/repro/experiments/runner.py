@@ -17,7 +17,7 @@ Regenerates any (or all) of the paper's tables and figures:
 Everything routes through the process :class:`repro.session.Session`;
 set ``REPRO_CACHE_DIR`` to persist compiled artifacts across runs (a
 warm rerun recompiles nothing — the session report printed on stderr
-shows the hit/miss counters) and ``REPRO_JOBS`` to default ``--jobs``.
+shows the hit/miss counters).
 
 ``--stats`` dumps the session-cache counters and the full metrics
 registry (:mod:`repro.obs.metrics`) to stderr.  ``--trace PREFIX``
@@ -63,8 +63,8 @@ _SUITE = (
     ("fig5", "Figure 5: speedups of TMS over single-threaded code"),
     ("fig6", "Figure 6: synchronisation behaviour of TMS vs SMS"),
     ("speculation", "Section 5.2's speculation ablation"),
-    ("ablation", "P_max, C_reg_com, core-count, granularity and loop-nest "
-                 "sweeps"),
+    ("ablation", "P_max, C_reg_com, core-count, granularity, scheduler "
+                 "and loop-nest sweeps"),
     ("all", "every table and figure above"),
 )
 _EXPERIMENTS = tuple(name for name, _help in _SUITE if name != "all")
@@ -333,8 +333,7 @@ def _run_suite_command(argv: list[str]) -> int:
     parser.add_argument("--cores", type=int, default=4)
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for compiles/simulations "
-                             "(default: $REPRO_JOBS or sequential; "
-                             "-1 = all cores)")
+                             "(default: sequential; -1 = all cores)")
     parser.add_argument("--seed", type=int, default=None,
                         help="perturb the synthetic workload populations "
                              "(reproducible; default: the calibrated "
@@ -401,12 +400,13 @@ def _run_suite_command(argv: list[str]) -> int:
 
 
 def _print_ablation(iterations: int, jobs: int | None = None) -> None:
-    from .ablation import run_granularity_sweep
+    from .ablation import (render_scheduler_comparison,
+                           run_granularity_sweep, run_scheduler_comparison)
     from .nest import render_nest_crossover, run_nest_crossover
     points = run_pmax_sweep(iterations=iterations, jobs=jobs)
     print(format_table(
         ["P_max", "TMS II", "TMS C_delay", "misspec freq", "cyc/iter"],
-        [[p.p_max, p.tms_ii, p.tms_cdelay,
+        [[str(p.p_max), p.tms_ii, p.tms_cdelay,
           f"{100 * p.misspec_frequency:.3f}%", p.cycles_per_iteration]
          for p in points],
         title="Ablation: P_max sweep (Table-3 loops)."))
@@ -431,6 +431,8 @@ def _print_ablation(iterations: int, jobs: int | None = None) -> None:
           r["avg_cycles_per_orig_iteration"]] for r in grains],
         title="Ablation: thread-granularity sweep via unrolling "
               "(fine-grain art loops)."))
+    print(render_scheduler_comparison(run_scheduler_comparison(
+        iterations=iterations, benchmarks=["art"])))
     print(render_nest_crossover(run_nest_crossover(
         benchmarks=["equake", "fma3d"])))
 

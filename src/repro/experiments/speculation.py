@@ -18,7 +18,6 @@ from ..config import ArchConfig, SchedulerConfig
 from ..machine.resources import ResourceModel
 from ..spmt.single import simulate_sequential
 from ..workloads.doacross import DOACROSS_LOOPS
-from .pipeline import compile_loop, simulate_loop
 from .report import format_table, pct
 
 __all__ = ["SpeculationRow", "run_speculation", "render_speculation"]
@@ -45,40 +44,43 @@ class SpeculationRow:
         return max(0.0, (gain_with - gain_without) / gain_with)
 
 
-def _speculation_row(task: tuple) -> SpeculationRow:
-    """One loop's with/without-speculation comparison (module-level so
-    the ParallelRunner can fan rows out across processes)."""
-    sl, arch, config, no_spec, iterations = task
-    resources = ResourceModel.default(arch.issue_width)
-    with_spec = compile_loop(sl.loop, arch, resources, config)
-    without_spec = compile_loop(sl.loop, arch, resources, no_spec)
-    single = simulate_sequential(with_spec.ddg, resources, iterations)
-    tms_on = simulate_loop(with_spec.tms, arch, iterations)
-    tms_off = simulate_loop(without_spec.tms, arch, iterations)
-    return SpeculationRow(
-        loop=sl.loop.name,
-        benchmark=sl.benchmark,
-        speedup_with_spec=single.total_cycles / tms_on.total_cycles,
-        speedup_without_spec=single.total_cycles / tms_off.total_cycles,
-        misspec_frequency=tms_on.misspec_frequency,
-    )
-
-
 def run_speculation(arch: ArchConfig | None = None,
                     config: SchedulerConfig | None = None,
                     iterations: int = 1000,
                     benchmarks: list[str] | None = None,
                     jobs: int | None = None) -> list[SpeculationRow]:
-    from ..session import ParallelRunner
+    """Compile the selected loops with and without speculation (one
+    ``compile_many`` each) and run both sets of TMS kernels in one
+    ``simulate_many``, through the process session."""
+    from ..session import get_session
     arch = arch or ArchConfig.paper_default()
     config = config or SchedulerConfig()
-    no_spec = replace(config, speculation=False)
-    tasks = [(sl, arch, config, no_spec, iterations)
-             for sl in DOACROSS_LOOPS
-             if benchmarks is None or sl.benchmark in benchmarks]
-    results = ParallelRunner(jobs).map(_speculation_row, tasks,
-                                       on_error="raise")
-    return [r.value for r in results]
+    resources = ResourceModel.default(arch.issue_width)
+    session = get_session()
+    selected = [sl for sl in DOACROSS_LOOPS
+                if benchmarks is None or sl.benchmark in benchmarks]
+    loops = [sl.loop for sl in selected]
+    with_spec = session.compile_many(loops, arch, resources, config,
+                                     jobs=jobs)
+    without_spec = session.compile_many(
+        loops, arch, resources, replace(config, speculation=False),
+        jobs=jobs)
+    stats = session.simulate_many(
+        [c.tms for c in with_spec + without_spec], arch, iterations,
+        jobs=jobs)
+    n = len(selected)
+    rows: list[SpeculationRow] = []
+    for sl, compiled, tms_on, tms_off in zip(selected, with_spec,
+                                             stats[:n], stats[n:]):
+        single = simulate_sequential(compiled.ddg, resources, iterations)
+        rows.append(SpeculationRow(
+            loop=sl.loop.name,
+            benchmark=sl.benchmark,
+            speedup_with_spec=single.total_cycles / tms_on.total_cycles,
+            speedup_without_spec=single.total_cycles / tms_off.total_cycles,
+            misspec_frequency=tms_on.misspec_frequency,
+        ))
+    return rows
 
 
 def render_speculation(rows: list[SpeculationRow]) -> str:

@@ -59,7 +59,7 @@ def run_table2(arch: ArchConfig | None = None,
     ``max_loops`` caps each benchmark's population for quick runs;
     ``benchmarks`` selects a subset by name.  Compilation goes through
     ``session`` (default: the process session, so reruns hit the cache)
-    and fans cache misses out over ``jobs`` processes (``REPRO_JOBS``).
+    and fans cache misses out over ``jobs`` processes.
     ``workload_seed`` perturbs the synthetic populations (CLI
     ``--seed``); ``None``/0 keeps the canonical Table-2 suite.
     """

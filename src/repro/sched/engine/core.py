@@ -105,9 +105,6 @@ class PlacementEngine:
             policy = _FIRST_FIT
         tracer = telemetry.current().tracer
         metrics.counter(
-            "sched.attempts",
-            "scheduling attempts (one try_ii call per II candidate)").inc()
-        metrics.counter(
             "sched.engine.attempts",
             "placement attempts run by the unified engine").inc()
         window = self.windows.window
@@ -187,9 +184,6 @@ class PlacementEngine:
                           alg: str = "IMS") -> dict[str, int] | None:
         budget = self.backtrack_budget
         tracer = telemetry.current().tracer
-        metrics.counter(
-            "sched.attempts",
-            "scheduling attempts (one try_ii call per II candidate)").inc()
         metrics.counter(
             "sched.engine.attempts",
             "placement attempts run by the unified engine").inc()

@@ -41,9 +41,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                              f"(default: {DEFAULT_PORT})")
     parser.add_argument("--jobs", type=int, default=None,
                         help="the session's worker processes (default: "
-                             "$REPRO_JOBS or sequential); changes "
-                             "nothing: a request is one task, which "
-                             "never fans out")
+                             "sequential); changes nothing: a request "
+                             "is one task, which never fans out")
 
 
 def add_submit_arguments(parser: argparse.ArgumentParser) -> None:

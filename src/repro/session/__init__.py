@@ -15,15 +15,15 @@ each driver re-ran it from scratch.  :class:`Session` makes the flow
   miss / eviction counters are surfaced through
   :meth:`Session.report`.
 * **Execution layer** (:mod:`repro.session.runner`) — a
-  :class:`ParallelRunner` (``concurrent.futures``-based,
-  ``REPRO_JOBS`` / ``--jobs`` controlled) with deterministic result
-  ordering and per-task error capture, so one pathological loop fails
-  soft instead of killing a sweep; a batch of one task runs
-  in-process.
-* **Driver layer** — :func:`repro.compile_and_simulate`,
-  :mod:`repro.experiments.pipeline` and every table/figure harness
-  route through the process-wide default session
-  (:func:`get_session`).
+  :class:`ParallelRunner` (``concurrent.futures``-based, ``--jobs``
+  controlled) behind :meth:`Session.compile_many` and
+  :meth:`Session.simulate_many`, with deterministic result ordering and
+  per-task error capture, so one pathological loop fails soft instead
+  of killing a sweep; a batch of one task runs in-process.
+* **Driver layer** — :func:`repro.compile_and_simulate` and every
+  table/figure harness route through the process-wide default session
+  (:func:`get_session`); the harnesses batch through its ``*_many``
+  calls.
 
 Quickstart::
 

@@ -116,8 +116,8 @@ def artifact_key(source: Loop | DDG,
                  resources: ResourceModel | None = None,
                  config: SchedulerConfig | None = None,
                  latency: LatencyModel | None = None) -> str:
-    """Cache key of the compile artifact ``compile_loop(source, arch,
-    resources, config, latency)`` would produce.
+    """Cache key of the compile artifact ``compile_loop_uncached(source,
+    arch, resources, config, latency)`` would produce.
 
     Callers should resolve ``None`` components to their concrete
     defaults first (``Session.compile`` does), so an implicit default

@@ -10,13 +10,13 @@ fails soft instead of killing a whole sweep; callers opt back into
 fail-fast semantics with :meth:`ParallelRunner.map`'s
 ``on_error="raise"``.
 
-The worker count resolves as: explicit argument, else the
-``REPRO_JOBS`` environment variable, else 1 (sequential).  A batch runs
-inline in the calling process when ``min(jobs, len(items)) <= 1`` —
-same code path, no pickling, exceptions still captured — which keeps
-the cache counters of the calling
-:class:`~repro.session.session.Session` exact.  Otherwise it runs on a
-fresh process pool that is shut down before ``map`` returns.
+Its one caller is :class:`~repro.session.session.Session`'s batch
+calls.  The worker count is the explicit argument, else 1 (sequential);
+``-1`` means every core.  A batch runs inline in the calling process
+when ``min(jobs, len(items)) <= 1`` — same code path, no pickling,
+exceptions still captured — which keeps the cache counters of the
+calling session exact.  Otherwise it runs on a fresh process pool that
+is shut down before ``map`` returns.
 """
 
 from __future__ import annotations
@@ -35,15 +35,8 @@ __all__ = ["ParallelRunner", "TaskResult", "resolve_jobs"]
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
-    """Resolve a worker count: argument > ``REPRO_JOBS`` env > 1."""
-    if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_JOBS must be an integer, got {env!r}") from None
+    """Resolve a worker count: ``None`` is 1, a negative count every
+    core."""
     if jobs is None:
         return 1
     if jobs < 0:

@@ -88,7 +88,7 @@ class Session:
         stays memory-only when unset.
     jobs:
         Default parallelism for the ``*_many`` fan-out calls
-        (default: ``REPRO_JOBS`` or sequential).
+        (default: sequential).
     """
 
     def __init__(self, *, cache_dir: str | os.PathLike | None = None,
@@ -316,8 +316,8 @@ _DEFAULT: Session | None = None
 
 def get_session() -> Session:
     """The process-wide default session (created lazily; its disk tier
-    and its parallelism come from ``REPRO_CACHE_DIR`` and
-    ``REPRO_JOBS``)."""
+    comes from ``REPRO_CACHE_DIR``, and it runs sequentially unless a
+    call passes ``jobs``)."""
     global _DEFAULT
     if _DEFAULT is None:
         _DEFAULT = Session()

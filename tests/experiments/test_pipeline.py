@@ -1,14 +1,13 @@
-"""Compile-and-simulate pipeline."""
+"""Compile pipeline (the raw flow a session runs on a cache miss)."""
 
 import pytest
 
-from repro.experiments.pipeline import compile_loop, simulate_baselines, simulate_loop
-from repro.machine import ResourceModel
+from repro.experiments.pipeline import compile_loop_uncached
 
 
 def test_compile_loop_from_loop(fig1_loop, fig1_machine, fig1_latency, arch):
-    compiled = compile_loop(fig1_loop, arch, fig1_machine,
-                            latency=fig1_latency)
+    compiled = compile_loop_uncached(fig1_loop, arch, fig1_machine,
+                                     latency=fig1_latency)
     assert compiled.mii == 8
     assert compiled.sms.ii == 8
     assert compiled.tms.c_delay <= compiled.sms.c_delay
@@ -16,26 +15,12 @@ def test_compile_loop_from_loop(fig1_loop, fig1_machine, fig1_latency, arch):
 
 
 def test_compile_loop_from_ddg(fig1_ddg, fig1_machine, arch):
-    compiled = compile_loop(fig1_ddg, arch, fig1_machine)
+    compiled = compile_loop_uncached(fig1_ddg, arch, fig1_machine)
     assert compiled.name == "motivating"
     assert compiled.n_inst == 9
 
 
 def test_gaps(fig1_ddg, fig1_machine, arch):
-    compiled = compile_loop(fig1_ddg, arch, fig1_machine)
+    compiled = compile_loop_uncached(fig1_ddg, arch, fig1_machine)
     assert compiled.tlp_gap_tms == pytest.approx(
         compiled.tms.ii - compiled.tms.c_delay)
-
-
-def test_simulate_loop_deterministic(fig1_ddg, fig1_machine, arch):
-    compiled = compile_loop(fig1_ddg, arch, fig1_machine)
-    a = simulate_loop(compiled.tms, arch, iterations=200, seed=3)
-    b = simulate_loop(compiled.tms, arch, iterations=200, seed=3)
-    assert a.total_cycles == b.total_cycles
-
-
-def test_baselines(fig1_ddg, fig1_machine, arch):
-    compiled = compile_loop(fig1_ddg, arch, fig1_machine)
-    base = simulate_baselines(compiled, arch, fig1_machine, 100)
-    assert base["sequential"].total_cycles > 0
-    assert base["sms_single_core"].total_cycles > 0

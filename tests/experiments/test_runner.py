@@ -31,6 +31,18 @@ def test_quick_table3(capsys):
     assert "DOACROSS" in out
 
 
+def test_quick_ablation_prints_every_sweep(capsys):
+    assert main(["ablation", "--quick"]) == 0
+    out = capsys.readouterr().out
+    p_max = out.split("P_max sweep")[1].splitlines()[3:8]
+    assert [line.split("|")[0].strip() for line in p_max] == \
+        ["0.0", "0.01", "0.05", "0.2", "1.0"]
+    for title in ("operand-network latency", "core-count",
+                  "thread-granularity", "SMS vs IMS vs Huff vs TMS",
+                  "Loop-nest strategy crossover"):
+        assert title in out
+
+
 def test_stats_flag_dumps_metrics(capsys):
     from repro.obs.telemetry import Telemetry
     from repro.session import reset_session

@@ -16,8 +16,9 @@ def test_speculation_helps(rows):
 
 
 def test_gain_reduction_positive(rows):
+    # paper: equake and fma3d lose double-digit fractions of their gain
     for r in rows:
-        assert r.gain_reduction > 0.0
+        assert r.gain_reduction > 0.1, r.loop
 
 
 def test_misspec_frequency_below_paper_bound(rows):

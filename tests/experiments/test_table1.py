@@ -4,7 +4,8 @@ from repro.experiments import table1
 
 def test_contains_paper_values():
     text = table1()
-    for fragment in ("3 cycles", "2 cycles", "15 cycles", "80 cycles"):
+    for fragment in ("3 cycles", "2 cycles", "15 cycles", "80 cycles",
+                     "SEND/RECV"):
         assert fragment in text
 
 

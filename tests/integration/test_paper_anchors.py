@@ -54,9 +54,11 @@ class TestMotivatingExample:
     def test_tms_beats_sms_on_spmt(self, setup):
         ddg, _rm, sms, tms = setup
         cfg = SimConfig(iterations=1000)
-        t_sms = simulate(run_postpass(sms, ARCH), ARCH, cfg).total_cycles
-        t_tms = simulate(run_postpass(tms, ARCH), ARCH, cfg).total_cycles
-        assert t_tms < t_sms
+        for ncore in (2, 4):
+            arch = ARCH.with_cores(ncore)
+            t_sms = simulate(run_postpass(sms, arch), arch, cfg).total_cycles
+            t_tms = simulate(run_postpass(tms, arch), arch, cfg).total_cycles
+            assert t_tms < t_sms, ncore
 
 
 class TestSelectedLoops:

@@ -106,9 +106,9 @@ def test_unrolled_loop_schedules(axpy_loop, resources, arch):
 def test_granularity_trades_communication(arch, resources):
     # more original iterations per thread -> fewer SEND/RECV pairs per
     # original iteration (the paper's motivation for unrolling)
-    from repro.experiments.pipeline import compile_loop
+    from repro.session import get_session
     sl = next(s for s in DOACROSS_LOOPS if len(s.loop) <= 20)
-    base = compile_loop(sl.loop, arch, resources)
-    coarse = compile_loop(unroll_loop(sl.loop, 4), arch, resources)
+    base, coarse = get_session().compile_many(
+        [sl.loop, unroll_loop(sl.loop, 4)], arch, resources)
     assert coarse.tms.pipelined.comm.pairs_per_iteration / 4 < \
         base.tms.pipelined.comm.pairs_per_iteration

@@ -13,6 +13,7 @@ from repro.sched import (
     PlacementEngine,
     Schedule,
     SlotPolicy,
+    schedule_ims,
     schedule_tms,
 )
 from repro.sched.engine import EngineContext, WindowTable
@@ -166,10 +167,13 @@ def test_base_select_is_first_fit(fig1_ddg, fig1_machine):
 
 
 def test_engine_metrics_published(axpy_ddg, resources, arch, registry):
-    schedule_tms(axpy_ddg, resources, arch)
+    schedule_tms(axpy_ddg, resources, arch)   # slot-policy placement
+    schedule_ims(axpy_ddg, resources)         # backtracking placement
     snap = {name: s.get("value", 0) for name, s in registry.snapshot().items()}
     assert snap.get("sched.engine.attempts", 0) > 0
     assert snap.get("sched.engine.slot_probes", 0) > 0
+    # one name per counter: no second copy of the attempt count
+    assert "sched.attempts" not in snap
 
 
 def test_schedule_round_trip_still_validates(fig1_ddg, fig1_machine):

@@ -19,26 +19,13 @@ def _fail_on_three(x):
     return x
 
 
-def test_resolve_jobs_default_is_sequential(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
+def test_resolve_jobs_default_is_sequential():
     assert resolve_jobs() == 1
+    assert resolve_jobs(2) == 2
 
 
-def test_resolve_jobs_env(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert resolve_jobs() == 3
-    assert resolve_jobs(2) == 2          # explicit argument wins
-
-
-def test_resolve_jobs_negative_means_all_cores(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
+def test_resolve_jobs_negative_means_all_cores():
     assert resolve_jobs(-1) == (os.cpu_count() or 1)
-
-
-def test_resolve_jobs_bad_env(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "lots")
-    with pytest.raises(ValueError):
-        resolve_jobs()
 
 
 def test_sequential_map_preserves_order():

@@ -101,6 +101,17 @@ def test_cache_misses_slow_execution(fig1_pipelined_sms):
     t_fast = simulate(fig1_pipelined_sms, fast, cfg)
     t_slow = simulate(fig1_pipelined_sms, slow, cfg)
     assert t_slow.total_cycles > t_fast.total_cycles
+    # every L1 miss rate step slows the equake TMS kernel (the scheduler
+    # still plans for L1 hits, as the paper's compiler does)
+    from repro.session import get_session
+    from repro.workloads import selected_loops
+    loop = selected_loops("equake")[0].loop
+    pipelined = get_session().compile(loop).tms.pipelined
+    cpis = [simulate(pipelined,
+                     ArchConfig(l1_miss_rate=l1_miss, l2_miss_rate=0.1),
+                     SimConfig(iterations=250)).cycles_per_iteration
+            for l1_miss in (0.0, 0.05, 0.2)]
+    assert cpis[0] < cpis[1] < cpis[2], cpis
 
 
 def test_cache_draws_deterministic(fig1_pipelined_sms):

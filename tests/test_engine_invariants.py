@@ -10,10 +10,11 @@ Two safety nets around the unified placement engine:
   misspeculation within ``P_max``) unless they record the SMS fallback.
 
 * **Golden equivalence** — the engine's schedules are byte-identical
-  (II, slots, MaxLive, C_delay) to ``tests/golden/sched_golden.json``,
-  captured from the pre-engine implementation.  Regenerate only for an
-  *intended* placement change, via ``scripts/regen_sched_golden.py``,
-  and review the diff.
+  to ``tests/golden/sched_golden.json`` in whole rows: II, slots,
+  MaxLive and C_delay, and for TMS also the ``C_delay`` threshold, the
+  objective ``F`` and ``P_M`` (so a change to ``P_M`` alone fails it
+  too).  Regenerate only for an *intended* change, via
+  ``scripts/regen_sched_golden.py``, and review the diff.
 """
 
 from __future__ import annotations

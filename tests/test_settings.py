@@ -65,7 +65,7 @@ def _table_rows() -> set[str]:
 
 def test_every_setting_has_a_row_and_every_row_is_a_setting():
     settings = _env_reads() | _config_fields() | _serve_options()
-    assert {"REPRO_JOBS", "ArchConfig.ncore", "serve --port"} <= settings
+    assert {"REPRO_CACHE_DIR", "ArchConfig.ncore", "serve --port"} <= settings
     rows = _table_rows()
     assert settings - rows == set(), "settings missing from docs/api.md"
     assert rows - settings == set(), "docs/api.md rows that are no setting"
